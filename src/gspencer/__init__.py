@@ -3,20 +3,18 @@ generalized Spencer cohomology, with the iterative curvature-obstruction
 solver on constant-coefficient data."""
 
 from .linalg import (RMatrix, Rational, Subspace, deterministic_complement,
-                     kernel_basis, membership, rank, rref, solve_linear,
-                     subspace_intersection, subspace_sum)
+                     kernel_basis, rank, rref, solve_linear, subspace_intersection,
+                     subspace_sum)
 from .errors import (InputError, InternalInvariantError, ParseError,
                      PreconditionError, ValidationError)
-from .algebra import (GradedLieAlgebra, bracket, effectiveness_report,
-                      g_sharp_subalgebra, grading_report, jacobi_report,
-                      project_degree)
-from .prolong import (LinearLieAlgebra, ProlongationResult, build_graded_algebra,
-                      is_finite_type, prolong_step)
+from .algebra import (GradedLieAlgebra, effectiveness_report, g_sharp_subalgebra,
+                      grading_report, jacobi_report)
+from .prolong import LinearLieAlgebra, ProlongationResult, build_graded_algebra, prolong_step
 from .spencer import (Cochain, CohomologyEntry, SpencerComplex, WFrame,
                       class_representative, cohomology_dims, g_sharp_act,
                       is_coboundary, spencer_d, standard_complex)
 from .models import (ComplexStructureData, co_generators, conformal_algebra,
-                     cr_algebra, cr_extend_cochain, cr_integrability_test,
+                     cr_algebra, cr_extend_cochain, cr_integrability_test, cr_j_residual,
                      glc_generators, r21_submodule, so_generators,
                      space_form_algebra)
 from .obstruction import (AdmissibleTuple, BianchiViolation, ConstantForm,

@@ -21,6 +21,32 @@ from .linalg import Subspace, ZERO, kernel_of_rows
 SparseVec = dict[int, Fraction]
 
 
+def _sparse(x: Sequence[Fraction]) -> SparseVec:
+    return {i: c for i, c in enumerate(x) if c}
+
+
+def _dense(x: SparseVec, n: int) -> tuple[Fraction, ...]:
+    out = [ZERO] * n
+    for t, c in x.items():
+        out[t] = c
+    return tuple(out)
+
+
+def _sparse_bracket_sparse(a: GradedLieAlgebra, x: SparseVec, y: SparseVec) -> SparseVec:
+    acc: SparseVec = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            if i == j:
+                continue
+            for t, c in a.bracket_basis(i, j).items():
+                v = acc.get(t, ZERO) + xi * yj * c
+                if v:
+                    acc[t] = v
+                else:
+                    acc.pop(t, None)
+    return acc
+
+
 class GradedLieAlgebra:
     """A (quasi-)graded Lie algebra of depth 1 presented by structure constants.
 
@@ -86,9 +112,6 @@ class GradedLieAlgebra:
     def component_dim(self, d: int) -> int:
         return len(self.component_indices(d))
 
-    def degree_of(self, i: int) -> int:
-        return self.degrees[i]
-
     def index_of(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -104,19 +127,7 @@ class GradedLieAlgebra:
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Bilinear extension of the structure constants; exactly antisymmetric."""
-        acc: SparseVec = {}
-        xs = [(i, c) for i, c in enumerate(x) if c]
-        ys = [(j, c) for j, c in enumerate(y) if c]
-        for i, xi in xs:
-            for j, yj in ys:
-                if i == j:
-                    continue
-                for t, c in self.bracket_basis(i, j).items():
-                    acc[t] = acc.get(t, ZERO) + xi * yj * c
-        out = [ZERO] * self.dim
-        for t, c in acc.items():
-            out[t] = c
-        return tuple(out)
+        return _dense(_sparse_bracket_sparse(self, _sparse(x), _sparse(y)), self.dim)
 
     # -- coordinates --------------------------------------------------------
 
@@ -151,14 +162,6 @@ class GradedLieAlgebra:
         return f"GradedLieAlgebra({self.name!r}, dim={self.dim}, height={self.height})"
 
 
-def project_degree(a: GradedLieAlgebra, x: Sequence[Fraction], p: int) -> tuple[Fraction, ...]:
-    return a.project_degree(x, p)
-
-
-def bracket(a: GradedLieAlgebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return a.bracket(x, y)
-
-
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
@@ -176,21 +179,6 @@ class GradingViolation:
     names: tuple[str, str]
     expected_degree: int
     stray: tuple[Fraction, ...]
-
-
-def _sparse_bracket_sparse(a: GradedLieAlgebra, x: SparseVec, y: SparseVec) -> SparseVec:
-    acc: SparseVec = {}
-    for i, xi in x.items():
-        for j, yj in y.items():
-            if i == j:
-                continue
-            for t, c in a.bracket_basis(i, j).items():
-                v = acc.get(t, ZERO) + xi * yj * c
-                if v:
-                    acc[t] = v
-                else:
-                    acc.pop(t, None)
-    return acc
 
 
 def jacobi_report(a: GradedLieAlgebra) -> list[JacobiViolation]:
@@ -223,11 +211,8 @@ def jacobi_report(a: GradedLieAlgebra) -> list[JacobiViolation]:
                         else:
                             acc.pop(t, None)
                 if acc:
-                    res = [ZERO] * n
-                    for t, c in acc.items():
-                        res[t] = c
                     out.append(JacobiViolation((i, j, k), (a.names[i], a.names[j], a.names[k]),
-                                               tuple(res)))
+                                               _dense(acc, n)))
     return out
 
 
@@ -249,10 +234,8 @@ def grading_report(a: GradedLieAlgebra) -> list[GradingViolation]:
             if d < -1 or d > a.height - 1:
                 stray = dict(br)
             if stray:
-                res = [ZERO] * a.dim
-                for t, c in stray.items():
-                    res[t] = c
-                out.append(GradingViolation((i, j), (a.names[i], a.names[j]), d, tuple(res)))
+                out.append(GradingViolation((i, j), (a.names[i], a.names[j]), d,
+                                            _dense(stray, a.dim)))
     return out
 
 
@@ -277,38 +260,43 @@ def effectiveness_report(a: GradedLieAlgebra) -> list[str]:
     return flags
 
 
+def adjoint_columns(a: GradedLieAlgebra, d: int,
+                    w_full: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
+    """Columns of ad(w) from the degree-d component to degree d-1, one per basis element."""
+    return [a.component_part(a.bracket(a.basis_element(i), w_full), d - 1)
+            for i in a.component_indices(d)]
+
+
+def annihilated_rows(ann_rows: Sequence[Sequence[Fraction]],
+                     column_sets: Sequence[Sequence[Sequence[Fraction]]]) -> list[tuple[Fraction, ...]]:
+    """The rows r·M for every column set M and annihilator row r, zero rows dropped.
+
+    Their common kernel is the set of x with M x inside the subspace that the
+    rows annihilate, for every M.
+    """
+    rows = []
+    for cols in column_sets:
+        for arow in ann_rows:
+            row = tuple(sum((c1 * c2 for c1, c2 in zip(arow, col) if c1 and c2), ZERO)
+                        for col in cols)
+            if any(row):
+                rows.append(row)
+    return rows
+
+
 def g_sharp_subalgebra(a: GradedLieAlgebra, w: Subspace) -> Subspace:
     """Basis of {X in h^0 : [X, W] subset of W}, computed as a kernel.
 
     W is a subspace of the degree-(-1) component (component coordinates);
     the result is a subspace of the degree-0 component.
     """
-    v_idx = a.component_indices(-1)
-    if w.ambient_dim != len(v_idx):
+    if w.ambient_dim != a.component_dim(-1):
         raise InputError("W must live in the degree -1 component")
-    h0_idx = a.component_indices(0)
-    if not h0_idx:
+    if not a.component_indices(0):
         return Subspace.zero(0)
-    # annihilator rows of W inside the degree -1 component
-    w_ann = deterministic_rows_annihilating(w)
-    rows = []
-    for wv in w.basis_vectors():
-        full_w = a.embed_component(-1, wv)
-        cols = []
-        for i in h0_idx:
-            bx = a.bracket(a.basis_element(i), full_w)
-            cols.append(a.component_part(bx, -1))
-        for ann_row in w_ann:
-            row = []
-            for col in cols:
-                s = ZERO
-                for c1, c2 in zip(ann_row, col):
-                    if c1 and c2:
-                        s += c1 * c2
-                row.append(s)
-            if any(row):
-                rows.append(tuple(row))
-    return kernel_of_rows(rows, len(h0_idx))
+    ad_w = [adjoint_columns(a, 0, a.embed_component(-1, wv)) for wv in w.basis_vectors()]
+    return kernel_of_rows(annihilated_rows(deterministic_rows_annihilating(w), ad_w),
+                          a.component_dim(0))
 
 
 def deterministic_rows_annihilating(s: Subspace) -> list[tuple[Fraction, ...]]:

@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
-from math import comb
 
 from . import models
 from .algebra import GradedLieAlgebra, effectiveness_report, grading_report, jacobi_report
+from .claims import paper_claims
 from .errors import InputError, ParseError, PreconditionError, ValidationError
 from .fileio import parse_algebra, parse_cochain, serialize_cochain
 from .linalg import RMatrix
@@ -149,10 +148,13 @@ def cmd_prolong(args) -> int:
 
 
 def _parse_p_range(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(spec)]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(spec)]
+    except ValueError:
+        raise InputError(f"--p must be an integer or lo..hi, got {spec!r}") from None
 
 
 def cmd_cohomology(args) -> int:
@@ -204,251 +206,19 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# the built-in claim suite
-# ---------------------------------------------------------------------------
-
-def _claims() -> list[tuple[str, str, str]]:
-    """(claim, expected, computed) rows of the built-in verification suite."""
-    rows: list[tuple[str, str, str]] = []
-
-    for n in range(2, 7):
-        res = build_graded_algebra(models.so_generators(n), 2)
-        rows.append((f"prolongation of so_{n} vanishes at order 1", "0",
-                     str(res.orders[1].dim)))
-
-    for n in range(3, 6):
-        res = build_graded_algebra(models.co_generators(n), 3)
-        dims = (res.orders[1].dim, res.orders[2].dim)
-        rows.append((f"prolongation of co_{n}: dims at orders (1,2)", f"({n}, 0)",
-                     str(dims)))
-        rows.append((f"prolongation of co_{n} matches the conformal model", "True",
-                     str(verify_conformal_prolongation(n))))
-
-    for m in (2, 3):
-        res = build_graded_algebra(models.glc_generators(m), 3)
-        expected = tuple(models.cr_expected_layer_dim(m, p) for p in (1, 2, 3))
-        got = tuple(res.orders[p].dim for p in (1, 2, 3))
-        rows.append((f"prolongation of gl_{m}(C): real dims orders 1..3",
-                     str(expected), str(got)))
-        rows.append((f"gl_{m}(C) finite-type verdict", "not finite by order 3",
-                     "finite" if res.finite_type else
-                     f"not finite by order {res.truncation_order}"))
-
-    for n_t in range(3, 7):
-        for n in range(2, n_t):
-            cplx = standard_complex(models.space_form_algebra(n_t, 0), n)
-            entry = cohomology_dims(cplx, 0, 2, 0)
-            rows.append((f"H^(0,2)(so_{n_t}, R^{n}) dimension", "0", str(entry.dim_h)))
-
-    for n, n_t in ((2, 3), (2, 4), (3, 4), (3, 5)):
-        cplx = standard_complex(models.space_form_algebra(n_t, 0), n)
-        got = cohomology_dims(cplx, 1, 2, 0).dim_h
-        full = standard_complex(models.space_form_algebra(n, 0), n)
-        h_small = cohomology_dims(full, 1, 2, 0).dim_h
-        r21 = models.r21_submodule(n).dim
-        expected = h_small + (n_t - n) * r21 + comb(n_t - n, 2) * comb(n, 2)
-        rows.append((f"H^(1,2)(so_{n_t}, W{n}) = piecewise direct-sum total",
-                     str(expected), str(got)))
-
-    cplx = standard_complex(models.conformal_algebra(3), 2)
-    rows.append(("conformal H^(1,2), (n, n~) = (2,3)", "0",
-                 str(cohomology_dims(cplx, 1, 2, 0).dim_h)))
-    for n in (4, 5):
-        for n_t in (n, n + 1):
-            cplx = standard_complex(models.conformal_algebra(n_t), n)
-            rows.append((f"conformal H^(2,2), (n, n~) = ({n},{n_t})", "0",
-                         str(cohomology_dims(cplx, 2, 2, 0).dim_h)))
-    for n_t in (3, 4):
-        cplx = standard_complex(models.conformal_algebra(n_t), 3)
-        got = cohomology_dims(cplx, 2, 2, 0).dim_h
-        rows.append((f"conformal H^(2,2) nonzero, (n, n~) = (3,{n_t})", "positive",
-                     "positive" if got > 0 else str(got)))
-
-    for n in range(2, 7):
-        got = models.r21_submodule(n).dim - n
-        rows.append((f"dim R^(2,1)({n}) - {n} = (n^3-4n)/3", str((n ** 3 - 4 * n) // 3),
-                     str(got)))
-
-    for m, k in ((2, 1), (3, 1), (3, 2)):
-        alg, data = models.cr_algebra(m, k, 2)
-        cplx = models.cr_w_complex(alg, data)
-        for p in (1, 2):
-            rows.append((f"CR H^({p},2) trivial at (m,k)=({m},{k})", "0",
-                         str(cohomology_dims(cplx, p, 2, 0).dim_h)))
-
-    rows.append(("CR (m,k)=(2,1): integrability test = coboundary membership",
-                 "True", str(verify_cr_integrability_equivalence(2, 1))))
-    return rows
-
-
-def verify_conformal_prolongation(n: int) -> bool:
-    """Brackets of the assembled co_n prolongation match the conformal model.
-
-    Maps the model basis into the assembled algebra (coordinates, dual
-    vectors as their evaluation maps) and compares all brackets.
-    """
-    from .prolong import coord_index, monomials
-    res = build_graded_algebra(models.co_generators(n), 3)
-    asm = res.assembled
-    model = models.conformal_algebra(n)
-    if (res.orders[1].dim, res.orders[2].dim if 2 in res.orders else 0) != (n, 0):
-        return False
-    # images of model basis elements in assembled full coordinates
-    mats = models.conformal_deg0_matrices(n)
-    images = []
-    for b in range(model.dim):
-        d = model.degrees[b]
-        if d == -1:
-            images.append(asm.basis_element(b))
-        elif d == 0:
-            pos = model.component_indices(0).index(b)
-            flat = [x for row in mats[pos].data for x in row]
-            coords = res.orders[0].coordinates(tuple(flat))
-            if coords is None:
-                return False
-            images.append(asm.embed_component(0, coords))
-        else:
-            # dual vector: the map v -> [f^k, v] realized in V (x) S^2 V*
-            pos = model.component_indices(1).index(b)
-            vec = [Fraction(0)] * (n * len(monomials(n, 2)))
-            for l in range(n):
-                # [f^k, e_l] as a matrix in gl(V)
-                mat = [[Fraction(0)] * n for _ in range(n)]
-                if l != pos:
-                    mat[l][pos] += 1
-                    mat[pos][l] -= 1
-                else:
-                    for s in range(n):
-                        mat[s][s] += 1
-                for i in range(n):
-                    for jj in range(n):
-                        if mat[i][jj]:
-                            vec[coord_index(n, 1, i, tuple(sorted((l, jj))))] = mat[i][jj]
-            coords = res.orders[1].coordinates(tuple(vec))
-            if coords is None:
-                return False
-            images.append(asm.embed_component(1, coords))
-    for i in range(model.dim):
-        for j in range(i + 1, model.dim):
-            lhs_model = model.bracket_basis(i, j)
-            lhs = [Fraction(0)] * asm.dim
-            for t, c in lhs_model.items():
-                for s, v in enumerate(images[t]):
-                    if v:
-                        lhs[s] += c * v
-            rhs = asm.bracket(images[i], images[j])
-            if tuple(lhs) != tuple(rhs):
-                return False
-    return True
-
-
-def verify_cr_integrability_equivalence(m: int, k: int) -> bool:
-    """The degree-0 coboundaries meeting W (x) L^2 W* equal the J-conditions kernel."""
-    from itertools import combinations as combs
-    from .linalg import Subspace, ZERO, kernel_of_rows, subspace_intersection
-    from .spencer import _zb_spaces
-
-    alg, data = models.cr_algebra(m, k, 2)
-    cplx = models.cr_w_complex(alg, data)
-    n_v = alg.component_dim(-1)
-    n_w = cplx.n_w
-    pairs = list(combs(range(n_w), 2))
-    dim_c = n_v * len(pairs)  # coordinates of C^{0,2}: (target, pair), target-major
-
-    _, b_space = _zb_spaces(cplx, 0, 2, 0)
-    # embed B in (target, pair) coordinates: cochain coords are pair-major
-    def to_tp(coords):
-        out = [ZERO] * dim_c
-        for t_i, pair in enumerate(pairs):
-            for v_i in range(n_v):
-                out[v_i * len(pairs) + t_i] = coords[t_i * n_v + v_i]
-        return tuple(out)
-
-    b_tp = Subspace.from_vectors(dim_c, [to_tp(v) for v in b_space.basis_vectors()])
-    w_sub = Subspace.from_vectors(
-        dim_c, [tuple(Fraction(1) if (a * len(pairs) + t_i) == pos else ZERO
-                      for pos in range(dim_c))
-                for a in range(n_w) for t_i in range(len(pairs))])
-    lhs = subspace_intersection(b_tp, w_sub)
-
-    # kernel of the two J-conditions on W-valued tables
-    dim_wt = n_w * len(pairs)
-    unit_w = [tuple(Fraction(1) if s == i else ZERO for s in range(n_w))
-              for i in range(n_w)]
-
-    def table_eval(coeff_row_adder, u, v, sign, target_shift):
-        # accumulate sign * T(u, v)[target] into rows, T unknown
-        for t_i, (a, b) in enumerate(pairs):
-            minor = u[a] * v[b] - u[b] * v[a]
-            if minor:
-                for w_t in range(n_w):
-                    coeff_row_adder(w_t, t_i, sign * minor, target_shift(w_t))
-
-    rows = []
-    u_set = set(data.u_indices)
-    for i, jdx in combs(data.u_indices, 2):
-        u1, u2 = unit_w[i], unit_w[jdx]
-        ju1 = data.j.col(i)[:n_w]
-        ju2 = data.j.col(jdx)[:n_w]
-        # condition 1: components of T(u1,u2) - T(Ju1,Ju2) outside U vanish
-        for bad in range(n_v):
-            if bad in u_set:
-                continue
-            row = [ZERO] * dim_wt
-
-            def add1(w_t, t_i, c, tgt):
-                if tgt == bad:
-                    row[w_t * len(pairs) + t_i] += c
-
-            table_eval(add1, u1, u2, Fraction(1), lambda w_t: w_t)
-            table_eval(add1, ju1, ju2, Fraction(-1), lambda w_t: w_t)
-            if any(row):
-                rows.append(tuple(row))
-        # condition 2: T(u1,u2) - T(Ju1,Ju2) + J T(Ju1,u2) + J T(u1,Ju2) = 0
-        for tgt_i in range(n_v):
-            row = [ZERO] * dim_wt
-
-            def add2_plain(w_t, t_i, c, tgt):
-                if tgt == tgt_i:
-                    row[w_t * len(pairs) + t_i] += c
-
-            def add2_j(w_t, t_i, c, tgt):
-                jc = data.j.data[tgt_i][tgt]
-                if jc:
-                    row[w_t * len(pairs) + t_i] += c * jc
-
-            table_eval(add2_plain, u1, u2, Fraction(1), lambda w_t: w_t)
-            table_eval(add2_plain, ju1, ju2, Fraction(-1), lambda w_t: w_t)
-            table_eval(add2_j, ju1, u2, Fraction(1), lambda w_t: w_t)
-            table_eval(add2_j, u1, ju2, Fraction(1), lambda w_t: w_t)
-            if any(row):
-                rows.append(tuple(row))
-    ker = kernel_of_rows(rows, dim_wt)
-    # lift the kernel into (target, pair) coordinates of C^{0,2}
-    lifted = []
-    for v in ker.basis_vectors():
-        out = [ZERO] * dim_c
-        for w_t in range(n_w):
-            for t_i in range(len(pairs)):
-                out[w_t * len(pairs) + t_i] = v[w_t * len(pairs) + t_i]
-        lifted.append(tuple(out))
-    rhs = Subspace.from_vectors(dim_c, lifted)
-    return lhs == rhs
-
-
 def cmd_paper_verify(args) -> int:
     start = time.monotonic()
     rows = []
     failures = 0
-    for claim, expected, computed in _claims():
+    for claim, expected, computed in paper_claims():
         ok = expected == computed
         if not ok:
             failures += 1
         rows.append([claim, expected, computed, "pass" if ok else "FAIL"])
     _emit_table(["claim", "expected", "computed", "verdict"], rows, args.format)
     elapsed = time.monotonic() - start
-    print(f"{len(rows) - failures}/{len(rows)} claims pass in {elapsed:.1f}s")
+    # timing goes to stderr so that stdout stays byte-deterministic
+    print(f"{len(rows) - failures}/{len(rows)} claims pass in {elapsed:.1f}s", file=sys.stderr)
     return EXIT_OK if failures == 0 else EXIT_VALIDATION
 
 

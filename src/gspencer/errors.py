@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from .linalg import InputError
-
 __all__ = [
     "InputError",
     "ParseError",
@@ -11,6 +9,10 @@ __all__ = [
     "PreconditionError",
     "InternalInvariantError",
 ]
+
+
+class InputError(ValueError):
+    """Invalid argument (dimension mismatch, containment violation, ...)."""
 
 
 class ParseError(InputError):

@@ -97,7 +97,10 @@ def parse_algebra(text: str, validate: bool = True) -> GradedLieAlgebra:
     if len(toks) == 6:
         if toks[4] != "truncated":
             raise ParseError("expected 'truncated <d>'", ln)
-        truncated_at = int(toks[5])
+        try:
+            truncated_at = int(toks[5])
+        except ValueError:
+            raise ParseError("truncation degree must be an integer", ln) from None
 
     ln, line = next_line()
     if line != "basis":
@@ -223,6 +226,8 @@ def parse_cochain(text: str, alg: GradedLieAlgebra) -> Cochain:
         p, q, level, n_w = int(toks[2]), int(toks[4]), int(toks[6]), int(toks[8])
     except ValueError:
         raise ParseError("header fields must be integers", header_ln) from None
+    if not 0 <= p <= alg.height:
+        raise ParseError(f"p must lie in 0..{alg.height} for this algebra", header_ln)
     if n_w < 1 or n_w > alg.component_dim(-1):
         raise ParseError("W dimension out of range for this algebra", header_ln)
     cplx = standard_complex(alg, n_w)

@@ -15,14 +15,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
+from .errors import InputError
+
 Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-class InputError(ValueError):
-    """Invalid argument (dimension mismatch, containment violation, ...)."""
 
 
 # ---------------------------------------------------------------------------
@@ -284,20 +282,13 @@ class Subspace:
         return tuple(r)
 
     def coordinates(self, v: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
-        """Coordinates of v in the echelon basis, or None if v is outside."""
-        if len(v) != self.ambient_dim:
-            raise InputError("vector length does not match ambient dimension")
-        coords = [v[prow] for prow in self.pivot_rows]
-        residual = list(v)
-        for c, b in zip(coords, range(self.dim)):
-            if c:
-                col = self.basis.col(b)
-                for i in range(self.ambient_dim):
-                    if col[i]:
-                        residual[i] -= c * col[i]
-        if any(residual):
+        """Coordinates of v in the echelon basis, or None if v is outside.
+
+        The basis is reduced, so v's coordinates are its entries at the pivot rows.
+        """
+        if any(self.reduce(v)):
             return None
-        return tuple(coords)
+        return tuple(v[prow] for prow in self.pivot_rows)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return is_zero_vec(self.reduce(v))
@@ -318,27 +309,8 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-def membership(v: Sequence[Fraction], s: Subspace) -> bool:
-    return s.contains(v)
-
-
-def kernel_basis(m: RMatrix) -> Subspace:
-    """Null space of m; dimension is cols(m) - rank(m)."""
-    red, pivots = _rref_rows(m.data, m.cols)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    vectors = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][f]
-        vectors.append(tuple(v))
-    return Subspace.from_vectors(m.cols, vectors)
-
-
 def kernel_of_rows(rows: Sequence[Sequence[Fraction]], ncols: int) -> Subspace:
-    """Kernel of the linear map given by raw rows (avoids building an RMatrix)."""
+    """Null space of the linear map given by rows; dimension is ncols - rank."""
     red, pivots = _rref_rows(rows, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -352,31 +324,16 @@ def kernel_of_rows(rows: Sequence[Sequence[Fraction]], ncols: int) -> Subspace:
     return Subspace.from_vectors(ncols, vectors)
 
 
-def rank_of_rows(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
-    _, pivots = _rref_rows(rows, ncols)
-    return len(pivots)
-
-
-def solve_linear(m: RMatrix, b: Sequence[Fraction]) -> Optional[tuple[tuple[Fraction, ...], Subspace]]:
-    """One exact solution of m·x = b plus the kernel, or None if inconsistent.
-
-    The particular solution sets all free variables to zero.
-    """
-    if len(b) != m.rows:
-        raise InputError("right-hand side length does not match row count")
-    aug = [tuple(row) + (bi,) for row, bi in zip(m.data, b)]
-    red, pivots = _rref_rows(aug, m.cols + 1)
-    if m.cols in pivots:
-        return None
-    x = [ZERO] * m.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][m.cols]
-    return tuple(x), kernel_basis(m)
+def kernel_basis(m: RMatrix) -> Subspace:
+    """Null space of m; dimension is cols(m) - rank(m)."""
+    return kernel_of_rows(m.data, m.cols)
 
 
 def solve_particular(rows: Sequence[Sequence[Fraction]], ncols: int,
                      b: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
     """Deterministic particular solution of rows·x = b, free variables zero."""
+    if len(b) != len(rows):
+        raise InputError("right-hand side length does not match row count")
     aug = [tuple(row) + (bi,) for row, bi in zip(rows, b)]
     red, pivots = _rref_rows(aug, ncols + 1)
     if ncols in pivots:
@@ -385,6 +342,15 @@ def solve_particular(rows: Sequence[Sequence[Fraction]], ncols: int,
     for i, pc in enumerate(pivots):
         x[pc] = red[i][ncols]
     return tuple(x)
+
+
+def solve_linear(m: RMatrix, b: Sequence[Fraction]) -> Optional[tuple[tuple[Fraction, ...], Subspace]]:
+    """One exact solution of m·x = b plus the kernel, or None if inconsistent.
+
+    The particular solution sets all free variables to zero.
+    """
+    x = solve_particular(m.data, m.cols, b)
+    return None if x is None else (x, kernel_basis(m))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -399,65 +365,25 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
         raise InputError("ambient dimensions differ")
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
-    acols = a.basis_vectors()
-    bcols = b.basis_vectors()
-    rows = [tuple(acols[j][i] for j in range(a.dim)) + tuple(-bcols[j][i] for j in range(b.dim))
-            for i in range(a.ambient_dim)]
+    rows = [ra + tuple(-x for x in rb) for ra, rb in zip(a.basis.data, b.basis.data)]
     ker = kernel_of_rows(rows, a.dim + b.dim)
-    vectors = []
-    for kv in ker.basis_vectors():
-        v = [ZERO] * a.ambient_dim
-        for j in range(a.dim):
-            if kv[j]:
-                col = acols[j]
-                for i in range(a.ambient_dim):
-                    if col[i]:
-                        v[i] += kv[j] * col[i]
-        vectors.append(tuple(v))
-    return Subspace.from_vectors(a.ambient_dim, vectors)
-
-
-class _IncrementalSpan:
-    """Row-echelon accumulator for independence tests in fixed scan order."""
-
-    def __init__(self, ambient_dim: int):
-        self.ambient_dim = ambient_dim
-        self.rows: list[tuple[Fraction, ...]] = []
-        self.pivot_of_row: list[int] = []
-
-    def try_add(self, v: Sequence[Fraction]) -> bool:
-        r = list(v)
-        for row, p in zip(self.rows, self.pivot_of_row):
-            c = r[p]
-            if c:
-                for i in range(p, self.ambient_dim):
-                    if row[i]:
-                        r[i] -= c * row[i]
-        for p in range(self.ambient_dim):
-            if r[p]:
-                inv = ONE / r[p]
-                self.rows.append(tuple(x * inv for x in r))
-                self.pivot_of_row.append(p)
-                return True
-        return False
+    return Subspace.from_vectors(a.ambient_dim,
+                                 [a.basis.mat_vec(kv[:a.dim]) for kv in ker.basis_vectors()])
 
 
 def deterministic_complement(s: Subspace, superspace: Subspace) -> Subspace:
     """Greedy complement of s inside superspace.
 
-    Scans the superspace's echelon basis in order, keeping each vector that is
-    independent of the running span.  The result is reproducible and satisfies
+    Keeps each vector of the superspace's echelon basis that is independent
+    of s and the vectors kept before it: these are the pivot columns of
+    [s | superspace] past s.  The result is reproducible and satisfies
     complement + s = superspace with zero intersection.
     """
     if s.ambient_dim != superspace.ambient_dim:
         raise InputError("ambient dimensions differ")
-    if not superspace.contains_subspace(s):
+    rows = [a + b for a, b in zip(s.basis.data, superspace.basis.data)]
+    _, pivots = _rref_rows(rows, s.dim + superspace.dim)
+    if len(pivots) != superspace.dim:
         raise InputError("first subspace is not contained in the second")
-    span = _IncrementalSpan(s.ambient_dim)
-    for v in s.basis_vectors():
-        span.try_add(v)
-    kept = []
-    for v in superspace.basis_vectors():
-        if span.try_add(v):
-            kept.append(v)
-    return Subspace.from_vectors(s.ambient_dim, kept)
+    sup = superspace.basis_vectors()
+    return Subspace.from_vectors(s.ambient_dim, [sup[c - s.dim] for c in pivots if c >= s.dim])

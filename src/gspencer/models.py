@@ -25,7 +25,7 @@ from math import comb
 
 from .algebra import GradedLieAlgebra
 from .errors import InputError, InternalInvariantError
-from .linalg import RMatrix, Subspace, ZERO, is_zero_vec, kernel_of_rows
+from .linalg import RMatrix, Subspace, ZERO, is_zero_vec, kernel_of_rows, vadd, vsub
 from .prolong import LinearLieAlgebra, ProlongationResult, build_graded_algebra
 from .spencer import Cochain, SpencerComplex, standard_complex
 
@@ -381,33 +381,37 @@ def cr_extend_cochain(x: Cochain, data: ComplexStructureData) -> Cochain:
     return Cochain(full, x.p, 2, 0, vals)
 
 
-def cr_integrability_test(t: Cochain, data: ComplexStructureData) -> bool:
-    """The two J-compatibility conditions on a W-valued 2-cochain.
+def cr_j_residual(t: Cochain, data: ComplexStructureData) -> tuple[Fraction, ...]:
+    """The two J-compatibility conditions on a V-valued 2-cochain, as one linear map.
 
-    True iff, for all u1, u2 in U: T(u1,u2) - T(J u1, J u2) lies in U and
-    equals -J T(J u1, u2) - J T(u1, J u2).
+    For each pair u1 < u2 of U basis vectors, with L = T(u1,u2) - T(J u1, J u2),
+    it lists the components of L outside U, then L + J T(J u1, u2) + J T(u1, J u2).
     """
     if t.q != 2:
         raise InputError("expected a 2-cochain")
-    a = t.frame.algebra
-    n_v = a.component_dim(-1)
+    n_v = data.j.rows
     n_w = len(data.w_indices)
-    u_set = set(data.u_indices)
+    outside_u = [s for s in range(n_v) if s not in data.u_indices]
 
     def ev(u, v) -> tuple[Fraction, ...]:
         # values of t already live in full degree-(-1) coordinates
         return t.evaluate([u[:n_w], v[:n_w]])
 
-    unit = [tuple(ONE if s == i else ZERO for s in range(n_v)) for i in range(n_v)]
+    unit = RMatrix.identity(n_v)
+    out: list[Fraction] = []
     for i, jdx in combinations(data.u_indices, 2):
-        u1, u2 = unit[i], unit[jdx]
+        u1, u2 = unit.col(i), unit.col(jdx)
         ju1, ju2 = data.j.col(i), data.j.col(jdx)
-        lhs = tuple(p - q for p, q in zip(ev(u1, u2), ev(ju1, ju2)))
-        # membership in U: coordinates outside the U block must vanish
-        if any(lhs[s] for s in range(n_v) if s not in u_set):
-            return False
-        rhs = tuple(-p - q for p, q in zip(data.apply_j(ev(ju1, u2)),
-                                           data.apply_j(ev(u1, ju2))))
-        if lhs != rhs:
-            return False
-    return True
+        lhs = vsub(ev(u1, u2), ev(ju1, ju2))
+        out.extend(lhs[s] for s in outside_u)
+        out.extend(vadd(lhs, vadd(data.apply_j(ev(ju1, u2)), data.apply_j(ev(u1, ju2)))))
+    return tuple(out)
+
+
+def cr_integrability_test(t: Cochain, data: ComplexStructureData) -> bool:
+    """The J-compatibility conditions on a W-valued 2-cochain.
+
+    True iff, for all u1, u2 in U: T(u1,u2) - T(J u1, J u2) lies in U and
+    equals -J T(J u1, u2) - J T(u1, J u2), i.e. iff the J-residual vanishes.
+    """
+    return is_zero_vec(cr_j_residual(t, data))

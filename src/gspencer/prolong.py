@@ -211,7 +211,7 @@ class ProlongationResult:
 
     h0: LinearLieAlgebra
     orders: dict[int, Subspace]          # degree p >= 0 -> realized subspace
-    finite_type: bool
+    finite_type: bool                    # some computed order vanished
     stabilization_order: Optional[int]   # first p with h^p = 0, when found
     truncation_order: int                # highest order that was computed
     assembled: GradedLieAlgebra
@@ -223,11 +223,6 @@ class ProlongationResult:
                 and p >= self.stabilization_order:
             return 0
         raise InputError(f"order {p} was not computed (truncated at {self.truncation_order})")
-
-
-def is_finite_type(result: ProlongationResult) -> bool:
-    """True iff some computed prolongation order vanished."""
-    return result.finite_type
 
 
 def _component_coords(h_sub: Subspace, vec_coords: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -18,11 +18,11 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
-from .algebra import GradedLieAlgebra, deterministic_rows_annihilating, g_sharp_subalgebra
+from .algebra import (GradedLieAlgebra, adjoint_columns, annihilated_rows,
+                      deterministic_rows_annihilating, g_sharp_subalgebra)
 from .errors import InputError, PreconditionError
 from .linalg import (RMatrix, Subspace, ZERO, deterministic_complement, is_zero_vec,
-                     kernel_of_rows, rank_of_rows, solve_particular, vadd, vscale,
-                     vsub, vzero)
+                     kernel_of_rows, solve_particular, vadd, vscale, vzero)
 
 
 class WFrame:
@@ -63,16 +63,12 @@ class SpencerComplex(WFrame):
         if algebra.grading_kind != "graded":
             raise InputError("Spencer complexes require a graded algebra")
         top = self.top_degree()
-        # adjoint matrices by W basis vectors, per component degree
-        self._ad: dict[int, list[RMatrix]] = {}
-        for d in range(0, top + 1):
-            idxs = algebra.component_indices(d)
-            mats = []
-            for wf in self.w_full:
-                cols = [algebra.component_part(algebra.bracket(algebra.basis_element(i), wf),
-                                               d - 1) for i in idxs]
-                mats.append(RMatrix.from_cols(cols, algebra.component_dim(d - 1)))
-            self._ad[d] = mats
+        # adjoint columns by W basis vectors, per component degree
+        ad_cols = {d: [adjoint_columns(algebra, d, wf) for wf in self.w_full]
+                   for d in range(0, top + 1)}
+        self._ad: dict[int, list[RMatrix]] = {
+            d: [RMatrix.from_cols(cols, algebra.component_dim(d - 1)) for cols in ad_cols[d]]
+            for d in ad_cols}
         # annihilator filtration c_r per component degree
         self._ann: dict[tuple[int, int], Subspace] = {}
         n_v = algebra.component_dim(-1)
@@ -82,22 +78,8 @@ class SpencerComplex(WFrame):
             nd = algebra.component_dim(d)
             self._ann[(d, 0)] = Subspace.zero(nd)
             for r in range(1, d + 3):
-                below = self._annihilator_raw(d - 1, r - 1)
-                ann_rows = deterministic_rows_annihilating(below)
-                rows = []
-                for mat in self._ad[d]:
-                    for arow in ann_rows:
-                        row = []
-                        for j in range(nd):
-                            s = ZERO
-                            col = mat.col(j)
-                            for c1, c2 in zip(arow, col):
-                                if c1 and c2:
-                                    s += c1 * c2
-                            row.append(s)
-                        if any(row):
-                            rows.append(tuple(row))
-                self._ann[(d, r)] = kernel_of_rows(rows, nd)
+                ann_rows = deterministic_rows_annihilating(self._annihilator_raw(d - 1, r - 1))
+                self._ann[(d, r)] = kernel_of_rows(annihilated_rows(ann_rows, ad_cols[d]), nd)
         # fixed complements c_s^perp between consecutive annihilators
         self._chain: dict[int, list[Subspace]] = {}
         for d in range(0, top + 1):
@@ -296,27 +278,14 @@ class Cochain:
 
 
 def _minor_det(vectors: list[tuple[Fraction, ...]], rows: tuple[int, ...]) -> Fraction:
-    q = len(rows)
-    if q == 0:
+    """det of the minor (vectors[c][rows[r]]), by cofactor expansion along vectors[0]."""
+    if not rows:
         return Fraction(1)
-    if q == 1:
-        return vectors[0][rows[0]]
-    if q == 2:
-        return (vectors[0][rows[0]] * vectors[1][rows[1]]
-                - vectors[0][rows[1]] * vectors[1][rows[0]])
-    from itertools import permutations
     s = ZERO
-    for perm in permutations(range(q)):
-        sign = 1
-        seen = list(perm)
-        for i in range(q):
-            for j in range(i + 1, q):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = Fraction(sign)
-        for col, row_pos in enumerate(perm):
-            term *= vectors[col][rows[row_pos]]
-        s += term
+    for pos, row in enumerate(rows):
+        if vectors[0][row]:
+            term = vectors[0][row] * _minor_det(vectors[1:], rows[:pos] + rows[pos + 1:])
+            s += -term if pos % 2 else term
     return s
 
 
@@ -473,6 +442,8 @@ class CohomologyEntry:
 def cohomology_dims(c: SpencerComplex, p: int, q: int, r: int,
                     certificates: bool = False) -> CohomologyEntry:
     """Dimensions of cocycles, coboundaries and cohomology in bidegree (p, q)."""
+    if p < 0 or q < 0 or r < 0:
+        raise InputError("p, q and level must be nonnegative")
     if p > c.algebra.height + 1:
         raise InputError("p exceeds the algebra's height plus one")
     c._check_component_available(p - 1)

@@ -42,7 +42,7 @@ def test_criterion_01_so_prolongation_vanishes():
 
 
 def test_criterion_02_co_prolongation_matches_conformal():
-    from gspencer.cli import verify_conformal_prolongation
+    from gspencer.claims import verify_conformal_prolongation
     start = time.monotonic()
     for n in range(3, 6):
         res = build_graded_algebra(co_generators(n), 3)
@@ -121,7 +121,7 @@ def test_criterion_08_cr_h_trivial():
 
 
 def test_criterion_09_cr_integrability_characterization():
-    from gspencer.cli import verify_cr_integrability_equivalence
+    from gspencer.claims import verify_cr_integrability_equivalence
     start = time.monotonic()
     assert verify_cr_integrability_equivalence(2, 1)
     _report("criterion 9: CR coboundary membership coincides with the "

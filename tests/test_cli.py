@@ -1,3 +1,5 @@
+from pathlib import Path
+
 from gspencer import cli
 from gspencer.fileio import serialize_algebra, serialize_cochain, parse_cochain
 from gspencer.models import conformal_algebra, space_form_algebra
@@ -137,11 +139,11 @@ def test_solve_obstructed_exit_two(tmp_path, capsys):
     c = standard_complex(alg, 4)
     entry = cohomology_dims(c, 1, 2, 0, certificates=True)
     from gspencer.spencer import cochain_to_coords
-    from gspencer.linalg import Subspace, membership
+    from gspencer.linalg import Subspace
     b_span = Subspace.from_vectors(entry.dim_space,
                                    [cochain_to_coords(b) for b in entry.b_basis]) \
         if entry.b_basis else Subspace.zero(entry.dim_space)
-    gen = next(z for z in entry.z_basis if not membership(cochain_to_coords(z), b_span))
+    gen = next(z for z in entry.z_basis if not b_span.contains(cochain_to_coords(z)))
     path_a = tmp_path / "c4.alg"
     path_a.write_text(serialize_algebra(alg))
     path_z = tmp_path / "gen.coch"
@@ -170,18 +172,39 @@ def test_solve_non_cocycle_exit_one(tmp_path, capsys):
     assert "not a cocycle" in err
 
 
-def test_bad_flags_exit_three(capsys):
-    code, _, err = run_cli(capsys, "prolong", "--family", "so")
-    assert code == 3
+def test_bad_flags_exit_three(tmp_path, capsys):
+    bad_alg = tmp_path / "bad.alg"
+    bad_alg.write_text(serialize_algebra(conformal_algebra(3)).replace(
+        "height 2", "height 2 truncated x", 1))
+    bad_coch = tmp_path / "p9.coch"
+    bad_coch.write_text("cochain p 9 q 2 level 0 W 2\n")
+    conf3 = ("cohomology", "--family", "conformal", "--dim", "3", "--w-dim", "2")
+    table = [
+        ("prolong", "--family", "so"),
+        conf3 + ("--p", "1..x"),
+        conf3 + ("--p", "-1"),
+        conf3 + ("--q", "-1"),
+        conf3 + ("--level", "-1"),
+        ("validate", str(bad_alg)),
+        ("cohomology", "--algebra", str(bad_alg), "--w-dim", "2"),
+        ("solve", "--family", "conformal", "--dim", "3", "--cochain", str(bad_coch)),
+    ]
+    for argv in table:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert len(err.strip().splitlines()) == 1, (argv, err)
+        assert "Traceback" not in err, argv
 
 
 def test_paper_verify_all_pass(capsys):
-    code, out, _ = run_cli(capsys, "paper-verify", "--format", "csv")
+    code, out, err = run_cli(capsys, "paper-verify", "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
     rows = [line for line in lines[1:] if "," in line]
     assert all(line.rsplit(",", 1)[1] == "pass" for line in rows)
-    assert "claims pass" in lines[-1]
+    assert "claims pass" in err
+    golden = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "paper_verify.csv"
+    assert out.splitlines() == golden.read_text(encoding="utf-8").splitlines()
 
 
 def test_outputs_deterministic(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from gspencer.linalg import (InputError, RMatrix, Subspace, deterministic_complement,
-                             kernel_basis, membership, rank, rref, solve_linear,
+                             kernel_basis, rank, rref, solve_linear,
                              subspace_intersection, subspace_sum)
 
 from conftest import rng_for, int_vector
@@ -156,11 +156,11 @@ def test_complement_direct_sum_property():
 
 def test_membership():
     s = Subspace.from_vectors(2, [(F(1), F(1))])
-    assert membership((F(1), F(1)), s)
-    assert membership((F(2), F(2)), s)
-    assert not membership((F(1), F(0), ), Subspace.from_vectors(2, [e(2, 1)]))
-    assert membership((F(0), F(0)), s)
-    assert membership((F(0), F(0)), Subspace.zero(2))
+    assert s.contains((F(1), F(1)))
+    assert s.contains((F(2), F(2)))
+    assert not Subspace.from_vectors(2, [e(2, 1)]).contains((F(1), F(0), ))
+    assert s.contains((F(0), F(0)))
+    assert Subspace.zero(2).contains((F(0), F(0)))
 
 
 def test_rational_invariants():

@@ -8,7 +8,7 @@ from gspencer.errors import InputError
 from gspencer.linalg import RMatrix, kernel_of_rows
 from gspencer.models import co_generators, glc_generators, so_generators, space_form_algebra
 from gspencer.prolong import (LinearLieAlgebra, build_graded_algebra, contraction,
-                              is_finite_type, monomials, prolong_step, sym_space_dim)
+                              monomials, prolong_step, sym_space_dim)
 
 
 
@@ -32,7 +32,7 @@ def test_glc2_first_prolongation_dim():
 
 def test_build_so3_matches_flat_space_form():
     res = build_graded_algebra(so_generators(3), 2)
-    assert is_finite_type(res)
+    assert res.finite_type
     assert res.stabilization_order == 1
     asm = res.assembled
     model = space_form_algebra(3, 0)
@@ -47,14 +47,14 @@ def test_build_so3_matches_flat_space_form():
 def test_build_co_matches_dims():
     for n in (3, 4):
         res = build_graded_algebra(co_generators(n), 3)
-        assert is_finite_type(res)
+        assert res.finite_type
         assert res.orders[1].dim == n and res.orders[2].dim == 0
         assert res.assembled.component_dim(1) == n
 
 
 def test_glc_not_finite_and_dims():
     res = build_graded_algebra(glc_generators(2), 3)
-    assert not is_finite_type(res)
+    assert not res.finite_type
     assert res.truncation_order == 3
     for p in (1, 2, 3):
         assert res.orders[p].dim == 2 * 2 * comb(2 + p, p + 1)
