@@ -69,6 +69,11 @@ class GradedLieAlgebra:
             raise InputError("names and degrees must have equal length")
         if len(set(names)) != len(names):
             raise InputError("duplicate basis name")
+        for nm in names:
+            if not nm or any(ch in "+*,=[]" or ch.isspace() for ch in nm):
+                raise InputError(f"basis name {nm!r} is empty or has whitespace or + * , = [ ]")
+        if truncated_at is not None and not 0 <= truncated_at <= height - 1:
+            raise InputError(f"truncation degree {truncated_at} outside 0..{height - 1}")
         n = len(names)
         for d in degrees:
             if d < -1 or d > height - 1:
@@ -299,11 +304,6 @@ def g_sharp_subalgebra(a: GradedLieAlgebra, w: Subspace) -> Subspace:
                           a.component_dim(0))
 
 
-def deterministic_rows_annihilating(s: Subspace) -> list[tuple[Fraction, ...]]:
+def deterministic_rows_annihilating(s: Subspace) -> tuple[tuple[Fraction, ...], ...]:
     """Rows r with r·v = 0 exactly for v in s, spanning the full annihilator."""
-    if s.dim == 0:
-        return [tuple(Fraction(1) if i == j else ZERO for j in range(s.ambient_dim))
-                for i in range(s.ambient_dim)]
-    rows = [tuple(col) for col in s.basis.transpose().data]
-    ker = kernel_of_rows(rows, s.ambient_dim)
-    return [tuple(v) for v in ker.basis_vectors()]
+    return kernel_of_rows(s.basis_vectors(), s.ambient_dim).basis_vectors()

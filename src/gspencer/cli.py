@@ -187,23 +187,17 @@ def cmd_solve(args) -> int:
     except PreconditionError as exc:
         print(f"not a cocycle: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    code = EXIT_OK
     if y is None:
-        rep = class_representative(cplx, z)
+        y, code = class_representative(cplx, z), EXIT_OBSTRUCTED
         print("OBSTRUCTED")
-        out_text = serialize_cochain(rep)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(out_text)
-        else:
-            sys.stdout.write(out_text)
-        return EXIT_OBSTRUCTED
     out_text = serialize_cochain(y)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out_text)
     else:
         sys.stdout.write(out_text)
-    return EXIT_OK
+    return code
 
 
 def cmd_paper_verify(args) -> int:

@@ -47,6 +47,18 @@ def vscale(c: Fraction, a: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(c * x for x in a)
 
 
+def vlincomb(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]],
+             n: int) -> tuple[Fraction, ...]:
+    """The length-n vector sum of coeffs[i] * vectors[i]."""
+    out = [ZERO] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for i, x in enumerate(v):
+                if x:
+                    out[i] += c * x
+    return tuple(out)
+
+
 def is_zero_vec(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
 
@@ -142,7 +154,8 @@ class RMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Sequence[Sequence], rows: int | None = None, cols: int | None = None):
-        grid = tuple(tuple(Fraction(x) for x in row) for row in data)
+        grid = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
+                     for row in data)
         if rows is None:
             rows = len(grid)
         if cols is None:
@@ -170,12 +183,6 @@ class RMatrix:
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.data)
 
-    def columns(self) -> list[tuple[Fraction, ...]]:
-        return [self.col(j) for j in range(self.cols)]
-
-    def transpose(self) -> "RMatrix":
-        return RMatrix(tuple(zip(*self.data)) if self.data else (), self.cols, self.rows)
-
     def mat_vec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
             raise InputError("dimension mismatch in mat_vec")
@@ -191,7 +198,7 @@ class RMatrix:
     def mat_mul(self, other: "RMatrix") -> "RMatrix":
         if self.cols != other.rows:
             raise InputError("dimension mismatch in mat_mul")
-        ot = other.transpose().data
+        ot = tuple(zip(*other.data))
         return RMatrix(
             tuple(tuple(sum((a * b for a, b in zip(row, col) if a and b), ZERO) for col in ot)
                   for row in self.data),
@@ -225,12 +232,14 @@ def rank(m: RMatrix) -> int:
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """A linear subspace of Q^n held as a reduced column-echelon basis.
+    """A linear subspace of Q^n held as a reduced row-echelon basis.
 
-    The canonical form makes equality of subspaces a direct comparison and
-    pins down every downstream choice (complements, coset representatives).
-    ``pivot_rows`` are strictly increasing; basis column ``b`` has entry 1 at
-    ``pivot_rows[b]`` and 0 at every other pivot row.
+    ``basis`` is the dim x n matrix whose rows are the basis vectors.  The
+    canonical form makes equality of subspaces a direct comparison and pins
+    down every downstream choice (complements, coset representatives).
+    ``pivot_rows`` are strictly increasing coordinates of Q^n; basis row ``b``
+    has entry 1 at ``pivot_rows[b]``, 0 at every other pivot coordinate and 0
+    left of its own.
     """
 
     __slots__ = ("ambient_dim", "basis", "pivot_rows")
@@ -242,16 +251,16 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
-        vs = [tuple(Fraction(x) for x in v) for v in vectors]
+        vs = [tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v) for v in vectors]
         for v in vs:
             if len(v) != ambient_dim:
                 raise InputError("vector length does not match ambient dimension")
         red, pivots = _rref_rows(vs, ambient_dim)
-        return cls(ambient_dim, RMatrix.from_cols(red, ambient_dim), tuple(pivots))
+        return cls(ambient_dim, RMatrix(red, len(red), ambient_dim), tuple(pivots))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, RMatrix.zeros(ambient_dim, 0), ())
+        return cls(ambient_dim, RMatrix.zeros(0, ambient_dim), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
@@ -259,15 +268,15 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return self.basis.rows
 
-    def basis_vectors(self) -> list[tuple[Fraction, ...]]:
-        return self.basis.columns()
+    def basis_vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self.basis.data
 
     def reduce(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Canonical coset representative of v modulo this subspace.
 
-        Subtracts basis columns so the result vanishes on all pivot rows.
+        Subtracts basis vectors so the result vanishes on all pivot rows.
         """
         if len(v) != self.ambient_dim:
             raise InputError("vector length does not match ambient dimension")
@@ -275,10 +284,9 @@ class Subspace:
         for b, prow in enumerate(self.pivot_rows):
             c = r[prow]
             if c:
-                col = self.basis.col(b)
-                for i in range(self.ambient_dim):
-                    if col[i]:
-                        r[i] -= c * col[i]
+                for i, x in enumerate(self.basis.data[b]):
+                    if x:
+                        r[i] -= c * x
         return tuple(r)
 
     def coordinates(self, v: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
@@ -311,17 +319,24 @@ class Subspace:
 
 def kernel_of_rows(rows: Sequence[Sequence[Fraction]], ncols: int) -> Subspace:
     """Null space of the linear map given by rows; dimension is ncols - rank."""
-    red, pivots = _rref_rows(rows, ncols)
+    # Eliminating with the columns reversed takes each pivot as far right as it
+    # goes, so a reduced row has no entries right of its pivot.  The kernel
+    # vector of free column f is then 1 at f, 0 at the other free columns and
+    # nonzero elsewhere only at pivot columns right of f.  Listed by f, these
+    # vectors already are the kernel's reduced row-echelon basis, pivots = free.
+    last = ncols - 1
+    red, rev_pivots = _rref_rows([row[::-1] for row in rows], ncols)
+    pivots = [last - c for c in rev_pivots]
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     vectors = []
     for f in free:
         v = [ZERO] * ncols
         v[f] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][f]
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[last - f]
         vectors.append(tuple(v))
-    return Subspace.from_vectors(ncols, vectors)
+    return Subspace(ncols, RMatrix(vectors, len(vectors), ncols), tuple(free))
 
 
 def kernel_basis(m: RMatrix) -> Subspace:
@@ -365,10 +380,11 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
         raise InputError("ambient dimensions differ")
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
-    rows = [ra + tuple(-x for x in rb) for ra, rb in zip(a.basis.data, b.basis.data)]
+    neg_b = [vscale(-ONE, v) for v in b.basis.data]
+    rows = list(zip(*a.basis.data, *neg_b))
     ker = kernel_of_rows(rows, a.dim + b.dim)
-    return Subspace.from_vectors(a.ambient_dim,
-                                 [a.basis.mat_vec(kv[:a.dim]) for kv in ker.basis_vectors()])
+    return Subspace.from_vectors(a.ambient_dim, [vlincomb(kv[:a.dim], a.basis.data, a.ambient_dim)
+                                                 for kv in ker.basis_vectors()])
 
 
 def deterministic_complement(s: Subspace, superspace: Subspace) -> Subspace:
@@ -376,14 +392,14 @@ def deterministic_complement(s: Subspace, superspace: Subspace) -> Subspace:
 
     Keeps each vector of the superspace's echelon basis that is independent
     of s and the vectors kept before it: these are the pivot columns of
-    [s | superspace] past s.  The result is reproducible and satisfies
-    complement + s = superspace with zero intersection.
+    [s | superspace], with both bases as columns, past s.  The result is
+    reproducible and satisfies complement + s = superspace with zero
+    intersection.
     """
     if s.ambient_dim != superspace.ambient_dim:
         raise InputError("ambient dimensions differ")
-    rows = [a + b for a, b in zip(s.basis.data, superspace.basis.data)]
-    _, pivots = _rref_rows(rows, s.dim + superspace.dim)
+    sup = superspace.basis_vectors()
+    _, pivots = _rref_rows(list(zip(*s.basis.data, *sup)), s.dim + superspace.dim)
     if len(pivots) != superspace.dim:
         raise InputError("first subspace is not contained in the second")
-    sup = superspace.basis_vectors()
     return Subspace.from_vectors(s.ambient_dim, [sup[c - s.dim] for c in pivots if c >= s.dim])

@@ -21,8 +21,8 @@ from typing import Mapping, Optional, Sequence
 from .algebra import (GradedLieAlgebra, adjoint_columns, annihilated_rows,
                       deterministic_rows_annihilating, g_sharp_subalgebra)
 from .errors import InputError, PreconditionError
-from .linalg import (RMatrix, Subspace, ZERO, deterministic_complement, is_zero_vec,
-                     kernel_of_rows, solve_particular, vadd, vscale, vzero)
+from .linalg import (Subspace, ZERO, deterministic_complement, is_zero_vec, kernel_of_rows,
+                     solve_particular, vadd, vlincomb, vscale, vzero)
 
 
 class WFrame:
@@ -63,12 +63,9 @@ class SpencerComplex(WFrame):
         if algebra.grading_kind != "graded":
             raise InputError("Spencer complexes require a graded algebra")
         top = self.top_degree()
-        # adjoint columns by W basis vectors, per component degree
-        ad_cols = {d: [adjoint_columns(algebra, d, wf) for wf in self.w_full]
-                   for d in range(0, top + 1)}
-        self._ad: dict[int, list[RMatrix]] = {
-            d: [RMatrix.from_cols(cols, algebra.component_dim(d - 1)) for cols in ad_cols[d]]
-            for d in ad_cols}
+        # _ad[d][t][i]: degree-(d-1) part of [e_i, w_t], e_i the i-th basis element of degree d
+        self._ad: dict[int, list[list[tuple[Fraction, ...]]]] = {
+            d: [adjoint_columns(algebra, d, wf) for wf in self.w_full] for d in range(0, top + 1)}
         # annihilator filtration c_r per component degree
         self._ann: dict[tuple[int, int], Subspace] = {}
         n_v = algebra.component_dim(-1)
@@ -79,7 +76,7 @@ class SpencerComplex(WFrame):
             self._ann[(d, 0)] = Subspace.zero(nd)
             for r in range(1, d + 3):
                 ann_rows = deterministic_rows_annihilating(self._annihilator_raw(d - 1, r - 1))
-                self._ann[(d, r)] = kernel_of_rows(annihilated_rows(ann_rows, ad_cols[d]), nd)
+                self._ann[(d, r)] = kernel_of_rows(annihilated_rows(ann_rows, self._ad[d]), nd)
         # fixed complements c_s^perp between consecutive annihilators
         self._chain: dict[int, list[Subspace]] = {}
         for d in range(0, top + 1):
@@ -88,6 +85,7 @@ class SpencerComplex(WFrame):
                               for s in range(0, d + 2)]
         self._dmat: dict[tuple[int, int, int], list[tuple[Fraction, ...]]] = {}
         self._zb: dict[tuple[int, int, int], tuple[Subspace, Subspace]] = {}
+        self._zb_complement: dict[tuple[int, int, int], Subspace] = {}
         self._gsharp: Subspace | None = None
 
     # -- filtration ----------------------------------------------------------
@@ -308,6 +306,7 @@ def spencer_d(x: Cochain) -> Cochain:
         return Cochain.zero(c, x.p - 1, x.q + 1, x.level)
     d = x.p - 1
     ad = c._ad[d]
+    nd = c.algebra.component_dim(d - 1)
     out: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     for tup in combinations(range(c.n_w), x.q + 1):
         acc = None
@@ -316,7 +315,7 @@ def spencer_d(x: Cochain) -> Cochain:
             val = x.values.get(rest)
             if val is None:
                 continue
-            term = ad[t].mat_vec(val)
+            term = vlincomb(val, ad[t], nd)
             if pos % 2 == 0:  # (-1)^i with i = pos+1 one-based
                 term = vscale(Fraction(-1), term)
             acc = term if acc is None else vadd(acc, term)
@@ -389,7 +388,7 @@ def _d_matrix_rows(c: SpencerComplex, p: int, q: int, r: int) -> list[tuple[Frac
                         pos += 1
                     new_tup = tup[:pos] + (t,) + tup[pos:]
                     sign = -1 if pos % 2 == 0 else 1
-                    vec = ad[t].col(frow)
+                    vec = ad[t][frow]
                     if p - 1 >= 1:
                         vec = c.reduce_value(p - 1, r, vec)
                     base = tgt_rank[new_tup] * len(tgt_free)
@@ -414,12 +413,7 @@ def _zb_spaces(c: SpencerComplex, p: int, q: int, r: int) -> tuple[Subspace, Sub
         b = Subspace.zero(dim_c)
     else:
         c._check_component_available(p)
-        up_rows = _d_matrix_rows(c, p + 1, q - 1, r)
-        n_up = space_dimension(c, p + 1, q - 1, r)
-        cols = []
-        for j in range(n_up):
-            cols.append(tuple(up_rows[i][j] for i in range(dim_c)))
-        b = Subspace.from_vectors(dim_c, cols)
+        b = Subspace.from_vectors(dim_c, zip(*_d_matrix_rows(c, p + 1, q - 1, r)))
     c._zb[key] = (z, b)
     return z, b
 
@@ -504,21 +498,14 @@ def class_representative(c: SpencerComplex, z: Cochain) -> Cochain:
     coords = cochain_to_coords(z)
     if bs.dim == 0:
         return z
-    comp = deterministic_complement(bs, zs)
-    cols = bs.basis_vectors() + comp.basis_vectors()
-    dim_c = len(coords)
-    rows = [tuple(col[i] for col in cols) for i in range(dim_c)]
-    sol = solve_particular(rows, len(cols), coords)
+    key = (z.p, z.q, z.level)
+    if key not in c._zb_complement:
+        c._zb_complement[key] = deterministic_complement(bs, zs)
+    comp = c._zb_complement[key].basis_vectors()
+    sol = solve_particular(list(zip(*bs.basis_vectors(), *comp)), bs.dim + len(comp), coords)
     if sol is None:
         raise PreconditionError("cocycle does not lie in the cocycle space")
-    rep = [ZERO] * dim_c
-    for j in range(bs.dim, len(cols)):
-        cj = sol[j]
-        if cj:
-            col = cols[j]
-            for i in range(dim_c):
-                if col[i]:
-                    rep[i] += cj * col[i]
+    rep = vlincomb(sol[bs.dim:], comp, len(coords))
     return cochain_from_coords(c, z.p, z.q, z.level, rep)
 
 

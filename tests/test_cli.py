@@ -173,9 +173,11 @@ def test_solve_non_cocycle_exit_one(tmp_path, capsys):
 
 
 def test_bad_flags_exit_three(tmp_path, capsys):
-    bad_alg = tmp_path / "bad.alg"
-    bad_alg.write_text(serialize_algebra(conformal_algebra(3)).replace(
-        "height 2", "height 2 truncated x", 1))
+    bad_alg = {}
+    for marker in ("x", "7", "-1"):
+        bad_alg[marker] = tmp_path / f"truncated_{marker}.alg"
+        bad_alg[marker].write_text(serialize_algebra(conformal_algebra(3)).replace(
+            "height 2", f"height 2 truncated {marker}", 1))
     bad_coch = tmp_path / "p9.coch"
     bad_coch.write_text("cochain p 9 q 2 level 0 W 2\n")
     conf3 = ("cohomology", "--family", "conformal", "--dim", "3", "--w-dim", "2")
@@ -185,8 +187,11 @@ def test_bad_flags_exit_three(tmp_path, capsys):
         conf3 + ("--p", "-1"),
         conf3 + ("--q", "-1"),
         conf3 + ("--level", "-1"),
-        ("validate", str(bad_alg)),
-        ("cohomology", "--algebra", str(bad_alg), "--w-dim", "2"),
+        ("validate", str(bad_alg["x"])),
+        ("cohomology", "--algebra", str(bad_alg["x"]), "--w-dim", "2"),
+        ("validate", str(bad_alg["7"])),
+        ("cohomology", "--algebra", str(bad_alg["7"]), "--w-dim", "2", "--p", "0..3"),
+        ("validate", str(bad_alg["-1"])),
         ("solve", "--family", "conformal", "--dim", "3", "--cochain", str(bad_coch)),
     ]
     for argv in table:

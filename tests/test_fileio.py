@@ -1,7 +1,8 @@
 import pytest
 from fractions import Fraction as F
 
-from gspencer.errors import ParseError, ValidationError
+from gspencer.algebra import GradedLieAlgebra
+from gspencer.errors import InputError, ParseError, ValidationError
 from gspencer.fileio import parse_algebra, parse_cochain, serialize_algebra, serialize_cochain
 from gspencer.models import conformal_algebra, cr_algebra, space_form_algebra
 from gspencer.spencer import random_integer_cochain, standard_complex
@@ -79,6 +80,14 @@ def test_duplicate_basis_name():
     text = ABELIAN.replace("v degree -1", "v degree -1\nv degree -1")
     with pytest.raises(ParseError):
         parse_algebra(text)
+
+
+@pytest.mark.parametrize("bad", ["e+1", "e*1", "e,1", "e=1", "[e1", "e1]"])
+def test_basis_name_that_cannot_round_trip(bad):
+    with pytest.raises(ParseError):
+        parse_algebra(ABELIAN.replace("v degree -1", f"{bad} degree -1"))
+    with pytest.raises(InputError):
+        GradedLieAlgebra("tiny", [bad], [-1], 1, {})
 
 
 def test_degree_out_of_range():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from gspencer.linalg import (InputError, RMatrix, Subspace, deterministic_complement,
-                             kernel_basis, rank, rref, solve_linear,
+                             kernel_basis, kernel_of_rows, rank, rref, solve_linear,
                              subspace_intersection, subspace_sum)
 
 from conftest import rng_for, int_vector
@@ -171,3 +171,31 @@ def test_rational_invariants():
     for row in red.data:
         for v in row:
             assert v.denominator > 0
+
+
+def test_echelon_kernel_and_rank_match_sympy():
+    """Row space, kernel and rank against sympy over QQ on small sparse matrices."""
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    entry = st.one_of(st.just(F(0)), st.fractions(-5, 5, max_denominator=4))
+
+    def to_fraction(x):
+        return F(int(x.p), int(x.q))
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, 5), st.integers(1, 6), st.data())
+    def check(m, n, data):
+        rows = [tuple(data.draw(entry) for _ in range(n)) for _ in range(m)]
+        sm = sympy.Matrix(m, n, [sympy.Rational(x.numerator, x.denominator)
+                                 for row in rows for x in row])
+        red, pivots = sm.rref()
+        space = Subspace.from_vectors(n, rows)
+        assert space.basis_vectors() == tuple(tuple(to_fraction(x) for x in red.row(i))
+                                              for i in range(len(pivots)))
+        assert space.pivot_rows == tuple(pivots)
+        null = [tuple(to_fraction(x) for x in v) for v in sm.nullspace()]
+        assert kernel_of_rows(rows, n) == Subspace.from_vectors(n, null)
+        assert rank(RMatrix(rows, m, n)) == sm.rank()
+
+    check()
