@@ -47,6 +47,17 @@ def _sparse_bracket_sparse(a: GradedLieAlgebra, x: SparseVec, y: SparseVec) -> S
     return acc
 
 
+def check_names_and_truncation(names: Sequence[str], height: int,
+                               truncated_at: int | None) -> None:
+    """Reject basis names that cannot round-trip through a file and truncation
+    degrees outside 0..height-1."""
+    for nm in names:
+        if not nm or any(ch in "+*,=[]" or ch.isspace() for ch in nm):
+            raise InputError(f"basis name {nm!r} is empty or has whitespace or + * , = [ ]")
+    if truncated_at is not None and not 0 <= truncated_at <= height - 1:
+        raise InputError(f"truncation degree {truncated_at} outside 0..{height - 1}")
+
+
 class GradedLieAlgebra:
     """A (quasi-)graded Lie algebra of depth 1 presented by structure constants.
 
@@ -69,11 +80,7 @@ class GradedLieAlgebra:
             raise InputError("names and degrees must have equal length")
         if len(set(names)) != len(names):
             raise InputError("duplicate basis name")
-        for nm in names:
-            if not nm or any(ch in "+*,=[]" or ch.isspace() for ch in nm):
-                raise InputError(f"basis name {nm!r} is empty or has whitespace or + * , = [ ]")
-        if truncated_at is not None and not 0 <= truncated_at <= height - 1:
-            raise InputError(f"truncation degree {truncated_at} outside 0..{height - 1}")
+        check_names_and_truncation(names, height, truncated_at)
         n = len(names)
         for d in degrees:
             if d < -1 or d > height - 1:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 
 from . import models
-from .linalg import ONE, ZERO, Subspace, kernel_of_rows, subspace_intersection
+from .linalg import ONE, ZERO, Subspace, kernel_of_rows, subspace_intersection, vlincomb
 from .prolong import build_graded_algebra, coord_index, monomials
 from .spencer import _zb_spaces, cochain_from_coords, cohomology_dims, standard_complex
 
@@ -140,13 +140,8 @@ def verify_conformal_prolongation(n: int) -> bool:
     for i in range(model.dim):
         for j in range(i + 1, model.dim):
             lhs_model = model.bracket_basis(i, j)
-            lhs = [Fraction(0)] * asm.dim
-            for t, c in lhs_model.items():
-                for s, v in enumerate(images[t]):
-                    if v:
-                        lhs[s] += c * v
-            rhs = asm.bracket(images[i], images[j])
-            if tuple(lhs) != tuple(rhs):
+            lhs = vlincomb(list(lhs_model.values()), [images[t] for t in lhs_model], asm.dim)
+            if lhs != asm.bracket(images[i], images[j]):
                 return False
     return True
 

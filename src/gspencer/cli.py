@@ -40,18 +40,17 @@ def _emit_table(header: list[str], rows: list[list[str]], fmt: str) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
-def _load_algebra_file(path: str) -> GradedLieAlgebra:
+def _read_text(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    return parse_algebra(text)
+        raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def _linear_algebra_from_flags(args) -> LinearLieAlgebra:
     if args.algebra:
-        alg = _load_algebra_file(args.algebra)
+        alg = parse_algebra(_read_text(args.algebra))
         v_idx = alg.component_indices(-1)
         n = len(v_idx)
         gens = []
@@ -78,7 +77,7 @@ def _linear_algebra_from_flags(args) -> LinearLieAlgebra:
 
 def _graded_algebra_from_flags(args) -> GradedLieAlgebra:
     if args.algebra:
-        return _load_algebra_file(args.algebra)
+        return parse_algebra(_read_text(args.algebra))
     fam = args.family
     if fam == "space-form":
         if args.dim is None:
@@ -102,14 +101,7 @@ def _graded_algebra_from_flags(args) -> GradedLieAlgebra:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    try:
-        alg = parse_algebra(open(args.path, encoding="utf-8").read(), validate=False)
-    except OSError as exc:
-        print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    alg = parse_algebra(_read_text(args.path), validate=False)
     problems = []
     for v in jacobi_report(alg):
         problems.append(f"Jacobi fails on ({', '.join(v.names)})")
@@ -173,12 +165,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_solve(args) -> int:
     alg = _graded_algebra_from_flags(args)
-    try:
-        text = open(args.cochain, encoding="utf-8").read()
-    except OSError as exc:
-        print(f"error: cannot read {args.cochain}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    z = parse_cochain(text, alg)
+    z = parse_cochain(_read_text(args.cochain), alg)
     if z.q != 2:
         raise InputError("solve expects a curvature candidate with q = 2")
     cplx = z.frame

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import GradedLieAlgebra, grading_report, jacobi_report
+from .algebra import GradedLieAlgebra, check_names_and_truncation, grading_report, jacobi_report
 from .errors import InputError, ParseError, ValidationError
 from .spencer import Cochain, standard_complex
 
@@ -102,6 +102,14 @@ def parse_algebra(text: str, validate: bool = True) -> GradedLieAlgebra:
         except ValueError:
             raise ParseError("truncation degree must be an integer", ln) from None
 
+    def check(names: list[str], truncated_at: int | None, ln: int) -> None:
+        try:
+            check_names_and_truncation(names, height, truncated_at)
+        except InputError as exc:
+            raise ParseError(str(exc), ln) from None
+
+    check([], truncated_at, ln)
+
     ln, line = next_line()
     if line != "basis":
         raise ParseError("expected 'basis'", ln)
@@ -114,6 +122,7 @@ def parse_algebra(text: str, validate: bool = True) -> GradedLieAlgebra:
         toks = line.split()
         if len(toks) != 3 or toks[1] != "degree":
             raise ParseError("expected '<name> degree <d>'", ln)
+        check(toks[:1], None, ln)
         if toks[0] in names:
             raise ParseError(f"duplicate basis name {toks[0]!r}", ln)
         try:

@@ -140,7 +140,7 @@ def _rref_rows(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[tup
     out = []
     for row, c in zip(red, pivots):
         pv = row[c]
-        out.append(tuple(Fraction(v, pv) for v in row))
+        out.append(tuple(Fraction(v, pv) if v else ZERO for v in row))
     return out, pivots
 
 
@@ -334,7 +334,9 @@ def kernel_of_rows(rows: Sequence[Sequence[Fraction]], ncols: int) -> Subspace:
         v = [ZERO] * ncols
         v[f] = ONE
         for row, pc in zip(red, pivots):
-            v[pc] = -row[last - f]
+            x = row[last - f]
+            if x:
+                v[pc] = -x
         vectors.append(tuple(v))
     return Subspace(ncols, RMatrix(vectors, len(vectors), ncols), tuple(free))
 
@@ -366,6 +368,22 @@ def solve_linear(m: RMatrix, b: Sequence[Fraction]) -> Optional[tuple[tuple[Frac
     """
     x = solve_particular(m.data, m.cols, b)
     return None if x is None else (x, kernel_basis(m))
+
+
+def direct_sum_split(v: Sequence[Fraction], parts: Sequence[Subspace]
+                     ) -> Optional[list[tuple[Fraction, ...]]]:
+    """v's component in each subspace of the direct sum of parts, or None if v is outside it."""
+    cols = [b for s in parts for b in s.basis_vectors()]
+    # with no basis vectors at all the system still has one (empty) row per entry of v
+    sol = solve_particular(list(zip(*cols)) or [()] * len(v), len(cols), v)
+    if sol is None:
+        return None
+    out = []
+    start = 0
+    for s in parts:
+        out.append(vlincomb(sol[start:start + s.dim], s.basis_vectors(), len(v)))
+        start += s.dim
+    return out
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

@@ -25,7 +25,8 @@ from math import comb
 
 from .algebra import GradedLieAlgebra
 from .errors import InputError, InternalInvariantError
-from .linalg import RMatrix, Subspace, ZERO, is_zero_vec, kernel_of_rows, vadd, vsub
+from .linalg import (RMatrix, Subspace, ZERO, is_zero_vec, kernel_of_rows, vadd, vlincomb,
+                     vsub)
 from .prolong import LinearLieAlgebra, ProlongationResult, build_graded_algebra
 from .spencer import Cochain, SpencerComplex, standard_complex
 
@@ -258,14 +259,7 @@ class ComplexStructureData:
                     raise InternalInvariantError("layer is not closed under J")
                 cols.append(coords)
             self._mult_i[d] = cols
-        out_c = [ZERO] * len(cols[0]) if cols else []
-        for b, cb in enumerate(comp):
-            if cb:
-                col = cols[b]
-                for t, v in enumerate(col):
-                    if v:
-                        out_c[t] += cb * v
-        return tuple(out_c)
+        return vlincomb(comp, cols, layer.dim)
 
 
 def _cr_j_matrix(m_tilde: int, k: int) -> RMatrix:

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .linalg import RMatrix, ZERO, is_zero_vec, vadd, vscale, vsub, vzero
+from .linalg import RMatrix, direct_sum_split, is_zero_vec, vadd, vscale, vsub, vzero
 from .spencer import Cochain, SpencerComplex, WFrame, class_representative, is_coboundary, spencer_d
 
 HALF = Fraction(1, 2)
@@ -284,10 +284,9 @@ class CurvatureDecomposition:
         v = self.hat.value(tup)
         if d < 0 or self.level == 0:
             return v
-        chain = c.complement_chain(d)
         out = vzero(len(v))
-        for s in range(self.level, d + 2):
-            out = vadd(out, _block_projection(chain, s, v))
+        for part in _split_by_chain(c, d, v)[self.level:]:
+            out = vadd(out, part)
         return out
 
     def reassemble(self) -> Cochain:
@@ -302,28 +301,12 @@ class CurvatureDecomposition:
         return Cochain(c, self.p, 2, 0, vals)
 
 
-def _block_projection(chain: list, s: int, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Projection of v onto chain[s] along the other complements."""
-    from .linalg import solve_particular
-    cols = []
-    marks = []
-    for t, sub in enumerate(chain):
-        for bv in sub.basis_vectors():
-            cols.append(bv)
-            marks.append(t)
-    n = len(v)
-    rows = [tuple(col[i] for col in cols) for i in range(n)]
-    sol = solve_particular(rows, len(cols), v)
-    if sol is None:
+def _split_by_chain(c: SpencerComplex, d: int, v: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
+    """Components of a degree-d value in the fixed complements c_s^perp, s = 0..d+1."""
+    parts = direct_sum_split(v, c.complement_chain(d))
+    if parts is None:
         raise InternalInvariantError("complement chain does not span the component")
-    out = [ZERO] * n
-    for j, coeff in enumerate(sol):
-        if coeff and marks[j] == s:
-            col = cols[j]
-            for i in range(n):
-                if col[i]:
-                    out[i] += coeff * col[i]
-    return tuple(out)
+    return parts
 
 
 def level_decompose(c: SpencerComplex, omega: Cochain, r: int) -> CurvatureDecomposition:
@@ -336,13 +319,9 @@ def level_decompose(c: SpencerComplex, omega: Cochain, r: int) -> CurvatureDecom
     hat = omega.project_to_level(r)
     tails = []
     if r > 0 and d >= 0:
-        chain = c.complement_chain(d)
+        split = {tup: _split_by_chain(c, d, v) for tup, v in omega.values.items()}
         for s in range(r):
-            vals = {}
-            for tup, v in omega.values.items():
-                pv = _block_projection(chain, s, v)
-                if not is_zero_vec(pv):
-                    vals[tup] = pv
+            vals = {tup: parts[s] for tup, parts in split.items() if not is_zero_vec(parts[s])}
             tails.append(Cochain(c, omega.p, 2, 0, vals))
     return CurvatureDecomposition(complex=c, level=r, p=omega.p, hat=hat,
                                   tails=tuple(tails))

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
+from math import comb, prod
 from typing import Optional, Sequence
 
 from .algebra import GradedLieAlgebra
@@ -82,16 +83,27 @@ class LinearLieAlgebra:
                     raise InputError("generators are not closed under commutator")
 
 
+def _terms(n: int, p: int, t: Sequence[Fraction]) -> list[tuple[int, tuple[int, ...], Fraction]]:
+    """Nonzero entries (i, mono, c) of a V (x) S^{p+1}V* coordinate vector."""
+    ms = monomials(n, p + 1)
+    width = len(ms)
+    return [(k // width, ms[k % width], c) for k, c in enumerate(t) if c]
+
+
+def _drop(mono: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """The monomial with one occurrence of j removed (j must occur)."""
+    k = mono.index(j)
+    return mono[:k] + mono[k + 1:]
+
+
 def contraction(n: int, p: int, t: Sequence[Fraction], j: int) -> tuple[Fraction, ...]:
     """Evaluation of T in V (x) S^{p+1}V* at basis vector e_j, landing in degree p-1."""
-    ms_out = monomials(n, p)
-    rank_in = mono_rank(n, p + 1)
-    width_in = len(monomials(n, p + 1))
-    out = []
-    for i in range(n):
-        base = i * width_in
-        for m in ms_out:
-            out.append(t[base + rank_in[tuple(sorted((j,) + m))]])
+    width_out = len(monomials(n, p))
+    rank_out = mono_rank(n, p)
+    out = [ZERO] * (n * width_out)
+    for i, mono, c in _terms(n, p, t):
+        if j in mono:
+            out[i * width_out + rank_out[_drop(mono, j)]] = c
     return tuple(out)
 
 
@@ -112,49 +124,39 @@ def prolong_step(h_p: Subspace, h0: LinearLieAlgebra) -> Subspace:
     dim_hp = h_p.dim
     if dim_hp == 0:
         return Subspace.zero(sym_space_dim(n, p + 1))
-    basis = h_p.basis_vectors()
-    rank_in = mono_rank(n, p + 1)
-    width_in = len(monomials(n, p + 1))
-
-    def b_entry(beta: int, i: int, mono: tuple[int, ...]) -> Fraction:
-        return basis[beta][i * width_in + rank_in[mono]]
-
-    rows = []
-    for j, l in combinations(range(n), 2):
-        for m in monomials(n, p):
-            jm = tuple(sorted((l,) + m))
-            lm = tuple(sorted((j,) + m))
-            for i in range(n):
-                row = [ZERO] * (n * dim_hp)
-                nz = False
-                for beta in range(dim_hp):
-                    cj = b_entry(beta, i, jm)
-                    if cj:
-                        row[j * dim_hp + beta] += cj
-                        nz = True
-                    cl = b_entry(beta, i, lm)
-                    if cl:
-                        row[l * dim_hp + beta] -= cl
-                        nz = True
-                if nz:
-                    rows.append(tuple(row))
-    ker = kernel_of_rows(rows, n * dim_hp)
+    basis_terms = [_terms(n, p, b) for b in h_p.basis_vectors()]
+    # swap rows keyed (j, l, m, i), j < l: the coefficient of T(e_j)(e_l, m)_i
+    # minus that of T(e_l)(e_j, m)_i.  Row order is free: the kernel's reduced
+    # row-echelon form depends only on the row space.
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    for beta, terms in enumerate(basis_terms):
+        for i, mono, c in terms:
+            for s in set(mono):
+                m = _drop(mono, s)
+                for j in range(s):
+                    rows.setdefault((j, s, m, i), {})[j * dim_hp + beta] = c
+                for l in range(s + 1, n):
+                    rows.setdefault((s, l, m, i), {})[l * dim_hp + beta] = -c
+    dense = []
+    for entries in rows.values():
+        row = [ZERO] * (n * dim_hp)
+        for col, c in entries.items():
+            row[col] = c
+        dense.append(row)
+    ker = kernel_of_rows(dense, n * dim_hp)
     out_dim = sym_space_dim(n, p + 1)
     width_out = len(monomials(n, p + 2))
     rank_out = mono_rank(n, p + 2)
     vectors = []
     for a in ker.basis_vectors():
+        # T(e_j, m) = sum_beta a[j, beta] h_beta(m), stored at the sorted monomial (j,) + m
         v = [ZERO] * out_dim
-        for i in range(n):
-            for mono in monomials(n, p + 2):
-                j0 = mono[0]
-                rest = mono[1:]
-                s = ZERO
-                for beta in range(dim_hp):
-                    c = a[j0 * dim_hp + beta]
-                    if c:
-                        s += c * b_entry(beta, i, rest)
-                v[i * width_out + rank_out[mono]] = s
+        for col, ca in enumerate(a):
+            if ca:
+                j, beta = divmod(col, dim_hp)
+                for i, m, c in basis_terms[beta]:
+                    if j <= m[0]:
+                        v[i * width_out + rank_out[(j,) + m]] += ca * c
         vectors.append(tuple(v))
     return Subspace.from_vectors(out_dim, vectors)
 
@@ -170,38 +172,21 @@ def insertion_bracket(n: int, p: int, q: int, x: Sequence[Fraction],
     """
     d_out = p + q + 1
     width_out = len(monomials(n, d_out))
-    width_x = len(monomials(n, p + 1))
-    rank_x = mono_rank(n, p + 1)
-    width_y = len(monomials(n, q + 1))
-    rank_y = mono_rank(n, q + 1)
+    rank_out = mono_rank(n, d_out)
     out = [ZERO] * (n * width_out)
-
-    def accumulate(a: Sequence[Fraction], da: int, ranka, widtha,
-                   b: Sequence[Fraction], rankb, widthb, sign: int) -> None:
-        # sum over position subsets S: A(B(m_S), m_rest); A takes da arguments
-        # (one of them the value of B), so B consumes d_out - da + 1
-        db1 = d_out - da + 1
-        for mono_i, mono in enumerate(monomials(n, d_out)):
-            positions = range(d_out)
-            seen: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-            for subset in combinations(positions, db1):
-                sub = tuple(mono[s] for s in subset)
-                rest = tuple(mono[s] for s in positions if s not in subset)
-                key = (sub, rest)
-                seen[key] = seen.get(key, 0) + 1
-            for (sub, rest), count in seen.items():
-                rsub = rankb[sub]
-                for bidx in range(n):
-                    c = b[bidx * widthb + rsub]
-                    if c:
-                        ra = ranka[tuple(sorted((bidx,) + rest))]
-                        for i in range(n):
-                            ca = a[i * widtha + ra]
-                            if ca:
-                                out[i * width_out + mono_i] += sign * count * ca * c
-
-    accumulate(x, p + 1, rank_x, width_x, y, rank_y, width_y, 1)
-    accumulate(y, q + 1, rank_y, width_y, x, rank_x, width_x, -1)
+    x_terms = _terms(n, p, x)
+    y_terms = _terms(n, q, y)
+    for a_terms, b_terms, sign in ((x_terms, y_terms, 1), (y_terms, x_terms, -1)):
+        # [A, B](m) sums A(B(m_S), m_rest) over position subsets S: a term
+        # e_k (x) sub of B meets every term of A whose monomial holds k
+        for k, sub, cb in b_terms:
+            for i, ma, ca in a_terms:
+                if k in ma:
+                    mono = tuple(sorted(sub + _drop(ma, k)))
+                    # the subsets S with m_S = sub (so m_rest = ma minus one k) number
+                    # the product over s in sub of C(mult of s in mono, mult of s in sub)
+                    count = prod(comb(mono.count(s), sub.count(s)) for s in set(sub))
+                    out[i * width_out + rank_out[mono]] += sign * count * ca * cb
     return tuple(out)
 
 

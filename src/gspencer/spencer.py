@@ -21,8 +21,8 @@ from typing import Mapping, Optional, Sequence
 from .algebra import (GradedLieAlgebra, adjoint_columns, annihilated_rows,
                       deterministic_rows_annihilating, g_sharp_subalgebra)
 from .errors import InputError, PreconditionError
-from .linalg import (Subspace, ZERO, deterministic_complement, is_zero_vec, kernel_of_rows,
-                     solve_particular, vadd, vlincomb, vscale, vzero)
+from .linalg import (Subspace, ZERO, deterministic_complement, direct_sum_split, is_zero_vec,
+                     kernel_of_rows, solve_particular, vadd, vlincomb, vscale, vzero)
 
 
 class WFrame:
@@ -260,15 +260,9 @@ class Cochain:
         """Multilinear alternating evaluation on W-coordinate vectors."""
         if len(vectors) != self.q:
             raise InputError("wrong number of arguments")
-        nd = self.frame.algebra.component_dim(self.p - 1)
-        out = list(vzero(nd))
-        for tup, val in self.values.items():
-            coeff = _minor_det([tuple(v) for v in vectors], tup)
-            if coeff:
-                for i, c in enumerate(val):
-                    if c:
-                        out[i] += coeff * c
-        return tuple(out)
+        vs = [tuple(v) for v in vectors]
+        return vlincomb([_minor_det(vs, tup) for tup in self.values], list(self.values.values()),
+                        self.frame.algebra.component_dim(self.p - 1))
 
     def project_to_level(self, r: int) -> "Cochain":
         """Image under the natural projection onto the level-r complex."""
@@ -501,12 +495,10 @@ def class_representative(c: SpencerComplex, z: Cochain) -> Cochain:
     key = (z.p, z.q, z.level)
     if key not in c._zb_complement:
         c._zb_complement[key] = deterministic_complement(bs, zs)
-    comp = c._zb_complement[key].basis_vectors()
-    sol = solve_particular(list(zip(*bs.basis_vectors(), *comp)), bs.dim + len(comp), coords)
-    if sol is None:
+    parts = direct_sum_split(coords, (bs, c._zb_complement[key]))
+    if parts is None:
         raise PreconditionError("cocycle does not lie in the cocycle space")
-    rep = vlincomb(sol[bs.dim:], comp, len(coords))
-    return cochain_from_coords(c, z.p, z.q, z.level, rep)
+    return cochain_from_coords(c, z.p, z.q, z.level, parts[1])
 
 
 def g_sharp_act(c: SpencerComplex, x_elt: Sequence[Fraction], x: Cochain) -> Cochain:
@@ -568,12 +560,8 @@ def random_cocycle(c: SpencerComplex, p: int, q: int, r: int, rng,
                    lo: int = -3, hi: int = 3) -> Cochain:
     """Seeded integer combination of the cocycle basis."""
     z, _ = _zb_spaces(c, p, q, r)
-    coords = [ZERO] * space_dimension(c, p, q, r)
-    for v in z.basis_vectors():
-        coeff = Fraction(rng.randint(lo, hi))
-        if coeff:
-            coords = [a + coeff * b for a, b in zip(coords, v)]
-    return cochain_from_coords(c, p, q, r, coords)
+    coeffs = [Fraction(rng.randint(lo, hi)) for _ in range(z.dim)]
+    return cochain_from_coords(c, p, q, r, vlincomb(coeffs, z.basis_vectors(), z.ambient_dim))
 
 
 @lru_cache(maxsize=None)

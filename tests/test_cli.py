@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import gspencer
 from gspencer import cli
 from gspencer.fileio import serialize_algebra, serialize_cochain, parse_cochain
 from gspencer.models import conformal_algebra, space_form_algebra
@@ -180,6 +184,7 @@ def test_bad_flags_exit_three(tmp_path, capsys):
             "height 2", f"height 2 truncated {marker}", 1))
     bad_coch = tmp_path / "p9.coch"
     bad_coch.write_text("cochain p 9 q 2 level 0 W 2\n")
+    missing = str(tmp_path / "missing")
     conf3 = ("cohomology", "--family", "conformal", "--dim", "3", "--w-dim", "2")
     table = [
         ("prolong", "--family", "so"),
@@ -193,6 +198,9 @@ def test_bad_flags_exit_three(tmp_path, capsys):
         ("cohomology", "--algebra", str(bad_alg["7"]), "--w-dim", "2", "--p", "0..3"),
         ("validate", str(bad_alg["-1"])),
         ("solve", "--family", "conformal", "--dim", "3", "--cochain", str(bad_coch)),
+        ("validate", missing),
+        ("cohomology", "--algebra", missing, "--w-dim", "2"),
+        ("solve", "--family", "conformal", "--dim", "3", "--cochain", missing),
     ]
     for argv in table:
         code, _, err = run_cli(capsys, *argv)
@@ -213,8 +221,15 @@ def test_paper_verify_all_pass(capsys):
 
 
 def test_outputs_deterministic(capsys):
-    _, out1, _ = run_cli(capsys, "cohomology", "--family", "conformal", "--dim", "3",
-                         "--w-dim", "2", "--p", "0..2", "--format", "csv")
-    _, out2, _ = run_cli(capsys, "cohomology", "--family", "conformal", "--dim", "3",
-                         "--w-dim", "2", "--p", "0..2", "--format", "csv")
-    assert out1 == out2
+    # the second run is a fresh interpreter with another hash seed, so no
+    # in-process cache and no set or dict ordering can make the outputs agree
+    argv = ("cohomology", "--family", "conformal", "--dim", "3",
+            "--w-dim", "2", "--p", "0..2", "--format", "csv")
+    _, out1, _ = run_cli(capsys, *argv)
+    src = str(Path(gspencer.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "gspencer.cli", *argv], env=env,
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out1.encode()

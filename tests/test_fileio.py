@@ -84,10 +84,17 @@ def test_duplicate_basis_name():
 
 @pytest.mark.parametrize("bad", ["e+1", "e*1", "e,1", "e=1", "[e1", "e1]"])
 def test_basis_name_that_cannot_round_trip(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         parse_algebra(ABELIAN.replace("v degree -1", f"{bad} degree -1"))
+    assert info.value.line == 4
     with pytest.raises(InputError):
         GradedLieAlgebra("tiny", [bad], [-1], 1, {})
+
+
+def test_truncation_out_of_range_reported_at_grading_line():
+    with pytest.raises(ParseError) as info:
+        parse_algebra(ABELIAN.replace("height 1", "height 1 truncated 5"))
+    assert info.value.line == 2
 
 
 def test_degree_out_of_range():

@@ -222,6 +222,14 @@ def test_level_decompose_space_form_split():
         for tup, v in dec.tails[0].values.items():
             assert all(c_ == 0 for pos, c_ in enumerate(v) if pos not in perp_positions)
         assert dec.reassemble() == x
+    # conformal(4), W = 3, p = 2: two tails at r = 2
+    c = standard_complex(conformal_algebra(4), 3)
+    for r in (1, 2):
+        for _ in range(3):
+            x = random_cocycle(c, 2, 2, 0, rng)
+            dec = level_decompose(c, x, r)
+            assert len(dec.tails) == r
+            assert dec.reassemble() == x
 
 
 def test_level_decompose_range_check():

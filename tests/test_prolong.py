@@ -1,15 +1,19 @@
 from fractions import Fraction as F
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from gspencer.algebra import grading_report, jacobi_report
 from gspencer.errors import InputError
 from gspencer.linalg import RMatrix, kernel_of_rows
-from gspencer.models import co_generators, glc_generators, so_generators, space_form_algebra
+from gspencer.fileio import serialize_algebra
+from gspencer.models import (co_generators, cr_algebra, glc_generators, so_generators,
+                             space_form_algebra)
 from gspencer.prolong import (LinearLieAlgebra, build_graded_algebra, contraction,
                               monomials, prolong_step, sym_space_dim)
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_so_first_prolongation_vanishes():
@@ -108,22 +112,32 @@ def test_prolongation_symmetry_and_injectivity():
 
 
 def test_bracket_recursion_certified():
-    # the assembled bracket satisfies [T, v] = [[X, v], Y] + [X, [Y, v]]
-    res = build_graded_algebra(co_generators(3), 3)
-    a = res.assembled
-    idx0 = a.component_indices(0)
-    idx1 = a.component_indices(1)
-    for i in idx0[:3]:
-        for j in idx1:
-            t = a.bracket(a.basis_element(i), a.basis_element(j))
-            for v in range(a.component_dim(-1)):
-                ev = a.basis_element(v)
-                lhs = a.bracket(t, ev)
-                xv = a.bracket(a.basis_element(i), ev)
-                yv = a.bracket(a.basis_element(j), ev)
-                rhs = [p + q for p, q in zip(a.bracket(xv, a.basis_element(j)),
-                                             a.bracket(a.basis_element(i), yv))]
-                assert list(lhs) == rhs
+    # the assembled bracket satisfies [T, v] = [[X, v], Y] + [X, [Y, v]] for
+    # T = [X, Y] in every degree pair whose sum is represented; gl_2(C) has
+    # monomials with repeated indices
+    for h0 in (co_generators(3), glc_generators(2)):
+        a = build_graded_algebra(h0, 3).assembled
+        top = a.max_represented_degree()
+        for dx in range(top + 1):
+            for dy in range(dx, top - dx + 1):
+                for i in a.component_indices(dx)[:3]:
+                    for j in a.component_indices(dy)[:3]:
+                        x, y = a.basis_element(i), a.basis_element(j)
+                        t = a.bracket(x, y)
+                        for v in a.component_indices(-1):
+                            ev = a.basis_element(v)
+                            rhs = [p + q for p, q in zip(a.bracket(a.bracket(x, ev), y),
+                                                         a.bracket(x, a.bracket(y, ev)))]
+                            assert list(a.bracket(t, ev)) == rhs
+
+
+@pytest.mark.parametrize("name, build", [
+    ("glc2_order3.alg", lambda: build_graded_algebra(glc_generators(2), 3).assembled),
+    ("co4_order3.alg", lambda: build_graded_algebra(co_generators(4), 3).assembled),
+    ("cr_3_1_2.alg", lambda: cr_algebra(3, 1, 2)[0]),
+])
+def test_assembled_algebra_matches_golden_file(name, build):
+    assert serialize_algebra(build()) == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def test_monomial_order_is_graded_lex():
