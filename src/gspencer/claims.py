@@ -13,7 +13,7 @@ from math import comb
 
 from . import models
 from .linalg import ONE, ZERO, Subspace, kernel_of_rows, subspace_intersection, vlincomb
-from .prolong import build_graded_algebra, coord_index, monomials
+from .prolong import build_graded_algebra, coord_index
 from .spencer import _zb_spaces, cochain_from_coords, cohomology_dims, standard_complex
 
 
@@ -112,14 +112,14 @@ def verify_conformal_prolongation(n: int) -> bool:
         elif d == 0:
             pos = model.component_indices(0).index(b)
             flat = [x for row in mats[pos].data for x in row]
-            coords = res.orders[0].coordinates(tuple(flat))
+            coords = res.orders[0].coordinates([(k, x) for k, x in enumerate(flat) if x])
             if coords is None:
                 return False
             images.append(asm.embed_component(0, coords))
         else:
             # dual vector: the map v -> [f^k, v] realized in V (x) S^2 V*
             pos = model.component_indices(1).index(b)
-            vec = [Fraction(0)] * (n * len(monomials(n, 2)))
+            vec: dict[int, Fraction] = {}
             for l in range(n):
                 # [f^k, e_l] as a matrix in gl(V)
                 mat = [[Fraction(0)] * n for _ in range(n)]
@@ -133,7 +133,7 @@ def verify_conformal_prolongation(n: int) -> bool:
                     for jj in range(n):
                         if mat[i][jj]:
                             vec[coord_index(n, 1, i, tuple(sorted((l, jj))))] = mat[i][jj]
-            coords = res.orders[1].coordinates(tuple(vec))
+            coords = res.orders[1].coordinates(vec.items())
             if coords is None:
                 return False
             images.append(asm.embed_component(1, coords))

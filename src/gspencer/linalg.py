@@ -242,12 +242,13 @@ class Subspace:
     left of its own.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivot_rows")
+    __slots__ = ("ambient_dim", "basis", "pivot_rows", "_sparse_rows")
 
     def __init__(self, ambient_dim: int, basis: RMatrix, pivot_rows: tuple[int, ...]):
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivot_rows = pivot_rows
+        self._sparse_rows = None
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
@@ -289,14 +290,37 @@ class Subspace:
                         r[i] -= c * x
         return tuple(r)
 
-    def coordinates(self, v: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
-        """Coordinates of v in the echelon basis, or None if v is outside.
+    def coordinates(self, terms: Iterable[tuple[int, Fraction]]) -> Optional[tuple[Fraction, ...]]:
+        """Coordinates in the echelon basis of the vector v with the given
+        (coordinate, value) pairs, or None if v is outside.
 
-        The basis is reduced, so v's coordinates are its entries at the pivot rows.
+        The pairs list v's nonzero entries, each coordinate once (zero values
+        are harmless).  The basis is reduced, so v's coordinates are its
+        entries at the pivot rows, and v is inside exactly when subtracting
+        that combination of the basis rows leaves a zero residual.
         """
-        if any(self.reduce(v)):
+        if self._sparse_rows is None:
+            # each row's nonzero terms off the pivot rows: a row is 1 at its own
+            # pivot and 0 at the others, so the residual there is zero by construction
+            pivots = set(self.pivot_rows)
+            self._sparse_rows = (
+                {prow: b for b, prow in enumerate(self.pivot_rows)},
+                tuple([(k, x) for k, x in enumerate(row) if x and k not in pivots]
+                      for row in self.basis.data))
+        pivot_of, rows = self._sparse_rows
+        coords = [ZERO] * len(rows)
+        residual: dict[int, Fraction] = {}
+        for k, x in terms:
+            b = pivot_of.get(k)
+            if b is None:
+                residual[k] = residual.get(k, ZERO) + x
+            else:
+                coords[b] = x
+                for kr, y in rows[b]:
+                    residual[kr] = residual.get(kr, ZERO) - x * y
+        if any(residual.values()):
             return None
-        return tuple(v[prow] for prow in self.pivot_rows)
+        return tuple(coords)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return is_zero_vec(self.reduce(v))

@@ -242,7 +242,7 @@ class ComplexStructureData:
             width = layer.ambient_dim // n
             cols = []
             for bvec in layer.basis_vectors():
-                out = [ZERO] * layer.ambient_dim
+                out: dict[int, Fraction] = {}
                 for i in range(n):
                     ji = self.j.data[i]
                     for a in range(n):
@@ -253,8 +253,8 @@ class ComplexStructureData:
                             for mpos in range(width):
                                 v = bvec[base_a + mpos]
                                 if v:
-                                    out[base_i + mpos] += c * v
-                coords = layer.coordinates(tuple(out))
+                                    out[base_i + mpos] = out.get(base_i + mpos, ZERO) + c * v
+                coords = layer.coordinates(out.items())
                 if coords is None:
                     raise InternalInvariantError("layer is not closed under J")
                 cols.append(coords)

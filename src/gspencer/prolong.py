@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb, prod
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .algebra import GradedLieAlgebra
 from .errors import InputError, InternalInvariantError
-from .linalg import RMatrix, Subspace, ZERO, is_zero_vec, kernel_of_rows
+from .linalg import RMatrix, Subspace, ZERO, kernel_of_rows
 
 
 @lru_cache(maxsize=None)
@@ -69,18 +69,22 @@ class LinearLieAlgebra:
         return Subspace.from_vectors(self.v_dim * self.v_dim,
                                      [self.matrix_coords(g) for g in self.generators])
 
-    def check(self) -> None:
-        """Verify independence of the generators and closure under commutator."""
+    def check(self) -> Subspace:
+        """Verify independence of the generators and closure under commutator.
+
+        Returns the generators' span.  Only pairs a < b are commuted, since
+        [b, a] = -[a, b] and [a, a] = 0.
+        """
         sp = self.span()
         if sp.dim != len(self.generators):
             raise InputError("generators are linearly dependent")
-        for a in self.generators:
-            for b in self.generators:
-                comm_coords = [x - y for x, y in
-                               zip(self.matrix_coords(a.mat_mul(b)),
-                                   self.matrix_coords(b.mat_mul(a)))]
-                if not sp.contains(comm_coords):
-                    raise InputError("generators are not closed under commutator")
+        for a, b in combinations(self.generators, 2):
+            comm_coords = [x - y for x, y in
+                           zip(self.matrix_coords(a.mat_mul(b)),
+                               self.matrix_coords(b.mat_mul(a)))]
+            if not sp.contains(comm_coords):
+                raise InputError("generators are not closed under commutator")
+        return sp
 
 
 def _terms(n: int, p: int, t: Sequence[Fraction]) -> list[tuple[int, tuple[int, ...], Fraction]]:
@@ -96,14 +100,35 @@ def _drop(mono: tuple[int, ...], j: int) -> tuple[int, ...]:
     return mono[:k] + mono[k + 1:]
 
 
-def contraction(n: int, p: int, t: Sequence[Fraction], j: int) -> tuple[Fraction, ...]:
-    """Evaluation of T in V (x) S^{p+1}V* at basis vector e_j, landing in degree p-1."""
+# A layer vector's nonzero terms (i, mono, c), and the same terms grouped by
+# each index k their monomial holds as k -> [(i, mono minus k, c)]: the terms
+# of T(e_k, ...).
+LayerTerms = tuple[list[tuple[int, tuple[int, ...], Fraction]],
+                   dict[int, list[tuple[int, tuple[int, ...], Fraction]]]]
+
+
+def layer_terms(n: int, p: int, t: Sequence[Fraction]) -> LayerTerms:
+    """The nonzero terms of T in V (x) S^{p+1}V*, flat and grouped by index."""
+    terms = _terms(n, p, t)
+    by_index: dict[int, list[tuple[int, tuple[int, ...], Fraction]]] = {}
+    for i, mono, c in terms:
+        for k in dict.fromkeys(mono):
+            by_index.setdefault(k, []).append((i, _drop(mono, k), c))
+    return terms, by_index
+
+
+def _evaluation(n: int, p: int, t: LayerTerms, j: int) -> list[tuple[int, Fraction]]:
+    """Nonzero (coordinate, value) pairs of T(e_j, ...) in degree p-1, by coordinate."""
     width_out = len(monomials(n, p))
     rank_out = mono_rank(n, p)
-    out = [ZERO] * (n * width_out)
-    for i, mono, c in _terms(n, p, t):
-        if j in mono:
-            out[i * width_out + rank_out[_drop(mono, j)]] = c
+    return sorted((i * width_out + rank_out[rest], c) for i, rest, c in t[1].get(j, ()))
+
+
+def contraction(n: int, p: int, t: Sequence[Fraction], j: int) -> tuple[Fraction, ...]:
+    """Evaluation of T in V (x) S^{p+1}V* at basis vector e_j, landing in degree p-1."""
+    out = [ZERO] * (n * len(monomials(n, p)))
+    for k, c in _evaluation(n, p, layer_terms(n, p, t), j):
+        out[k] = c
     return tuple(out)
 
 
@@ -161,33 +186,40 @@ def prolong_step(h_p: Subspace, h0: LinearLieAlgebra) -> Subspace:
     return Subspace.from_vectors(out_dim, vectors)
 
 
-def insertion_bracket(n: int, p: int, q: int, x: Sequence[Fraction],
-                      y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Bracket of X in degree p and Y in degree q (both >= 0) in coordinates.
+def insertion_bracket(n: int, p: int, q: int, x_terms: LayerTerms, y_terms: LayerTerms,
+                      merged: Optional[dict] = None) -> list[tuple[int, Fraction]]:
+    """Bracket of X in degree p and Y in degree q (both >= 0), given by their
+    `layer_terms`, as its nonzero (coordinate, value) pairs by coordinate.
 
     Computed by the closed insertion formula [X,Y] = X(Y(.), ...) summed over
     argument subsets, minus the same with X and Y swapped.  The result T is
     the unique element with T(v, ...) = [[X,v],Y] + [X,[Y,v]] contraction by
     contraction, which is the defining recursion for prolongation brackets.
+    ``merged`` memoizes, per (sub, rest) monomial pair, the output monomial's
+    rank and subset count; pass one dict to the calls of one build.
     """
+    if merged is None:
+        merged = {}
     d_out = p + q + 1
     width_out = len(monomials(n, d_out))
     rank_out = mono_rank(n, d_out)
-    out = [ZERO] * (n * width_out)
-    x_terms = _terms(n, p, x)
-    y_terms = _terms(n, q, y)
-    for a_terms, b_terms, sign in ((x_terms, y_terms, 1), (y_terms, x_terms, -1)):
+    out: dict[int, Fraction] = {}
+    for (_, a_by_index), (b_terms, _), sign in ((x_terms, y_terms, 1), (y_terms, x_terms, -1)):
         # [A, B](m) sums A(B(m_S), m_rest) over position subsets S: a term
         # e_k (x) sub of B meets every term of A whose monomial holds k
         for k, sub, cb in b_terms:
-            for i, ma, ca in a_terms:
-                if k in ma:
-                    mono = tuple(sorted(sub + _drop(ma, k)))
-                    # the subsets S with m_S = sub (so m_rest = ma minus one k) number
-                    # the product over s in sub of C(mult of s in mono, mult of s in sub)
-                    count = prod(comb(mono.count(s), sub.count(s)) for s in set(sub))
-                    out[i * width_out + rank_out[mono]] += sign * count * ca * cb
-    return tuple(out)
+            scb = cb if sign > 0 else -cb
+            for i, rest, ca in a_by_index.get(k, ()):
+                hit = merged.get((sub, rest))
+                if hit is None:
+                    mono = tuple(sorted(sub + rest))
+                    # the subsets S with m_S = sub (so m_rest = rest) number the
+                    # product over s in sub of C(mult of s in mono, mult of s in sub)
+                    hit = merged[(sub, rest)] = (
+                        rank_out[mono], prod(comb(mono.count(s), sub.count(s)) for s in set(sub)))
+                pos = i * width_out + hit[0]
+                out[pos] = out.get(pos, ZERO) + hit[1] * ca * scb
+    return sorted((pos, c) for pos, c in out.items() if c)
 
 
 @dataclass
@@ -210,9 +242,9 @@ class ProlongationResult:
         raise InputError(f"order {p} was not computed (truncated at {self.truncation_order})")
 
 
-def _component_coords(h_sub: Subspace, vec_coords: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Coordinates of a realized vector in the echelon basis of its layer."""
-    coords = h_sub.coordinates(vec_coords)
+def _component_coords(h_sub: Subspace, terms: list[tuple[int, Fraction]]) -> tuple[Fraction, ...]:
+    """Echelon-basis coordinates in its layer of a vector given by its nonzero pairs."""
+    coords = h_sub.coordinates(terms)
     if coords is None:
         raise InternalInvariantError(
             "bracket left its prolongation layer; h^0 is not closed or data is corrupt")
@@ -231,9 +263,8 @@ def build_graded_algebra(h0: LinearLieAlgebra, max_order: int) -> ProlongationRe
     """
     if max_order < 0:
         raise InputError("max_order must be >= 0")
-    h0.check()
     n = h0.v_dim
-    orders: dict[int, Subspace] = {0: h0.span()}
+    orders: dict[int, Subspace] = {0: h0.check()}
     finite = orders[0].dim == 0
     stab: Optional[int] = 0 if finite else None
     p = 0
@@ -258,15 +289,13 @@ def build_graded_algebra(h0: LinearLieAlgebra, max_order: int) -> ProlongationRe
             degrees.append(d)
     height = max(top + 1, 1)
 
-    layer_basis = {d: orders[d].basis_vectors() for d in range(0, top + 1)}
+    layer_basis = {d: [layer_terms(n, d, b) for b in orders[d].basis_vectors()]
+                   for d in range(0, top + 1)}
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
 
-    def put(i: int, j: int, d_target: int, comp: Sequence[Fraction]) -> None:
-        entry = {}
+    def put(i: int, j: int, d_target: int, terms: Iterable[tuple[int, Fraction]]) -> None:
         off = layer_offset[d_target]
-        for pos, c in enumerate(comp):
-            if c:
-                entry[off + pos] = c
+        entry = {off + pos: c for pos, c in terms if c}
         if entry:
             if i < j:
                 table[(i, j)] = entry
@@ -278,14 +307,14 @@ def build_graded_algebra(h0: LinearLieAlgebra, max_order: int) -> ProlongationRe
         for b, xv in enumerate(layer_basis[d]):
             i = layer_offset[d] + b
             for j in range(n):
-                val = contraction(n, d, xv, j)
+                val = _evaluation(n, d, xv, j)
                 if d == 0:
-                    comp = val  # lands in V directly
-                    put(i, j, -1, comp)
+                    put(i, j, -1, val)  # lands in V directly
                 else:
-                    put(i, j, d - 1, _component_coords(orders[d - 1], val))
+                    put(i, j, d - 1, enumerate(_component_coords(orders[d - 1], val)))
 
     # [X, Y] for nonnegative degrees
+    merged: dict = {}
     for dx in range(0, top + 1):
         for dy in range(dx, top + 1):
             d_t = dx + dy
@@ -298,10 +327,9 @@ def build_graded_algebra(h0: LinearLieAlgebra, max_order: int) -> ProlongationRe
                 start = a + 1 if dx == dy else 0
                 for b in range(start, len(by)):
                     j = layer_offset[dy] + b
-                    t = insertion_bracket(n, dx, dy, xv, by[b])
-                    if is_zero_vec(t):
-                        continue
-                    put(i, j, d_t, _component_coords(orders[d_t], t))
+                    t = insertion_bracket(n, dx, dy, xv, by[b], merged)
+                    if t:
+                        put(i, j, d_t, enumerate(_component_coords(orders[d_t], t)))
 
     assembled = GradedLieAlgebra(
         name=f"prolongation(dimV={n})", names=names, degrees=degrees,

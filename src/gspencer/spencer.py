@@ -521,7 +521,7 @@ def g_sharp_act(c: SpencerComplex, x_elt: Sequence[Fraction], x: Cochain) -> Coc
     act_w = []
     for wf in c.w_full:
         bw = a.component_part(a.bracket(tuple(x_elt), wf), -1)
-        coords = c.w.coordinates(bw)
+        coords = c.w.coordinates([(k, x) for k, x in enumerate(bw) if x])
         if coords is None:
             raise InputError("element does not preserve W")
         act_w.append(coords)

@@ -4,7 +4,7 @@ import pytest
 
 from gspencer.linalg import (InputError, RMatrix, Subspace, deterministic_complement,
                              kernel_basis, kernel_of_rows, rank, rref, solve_linear,
-                             subspace_intersection, subspace_sum)
+                             subspace_intersection, subspace_sum, vlincomb)
 
 from conftest import rng_for, int_vector
 
@@ -174,7 +174,7 @@ def test_rational_invariants():
 
 
 def test_echelon_kernel_and_rank_match_sympy():
-    """Row space, kernel and rank against sympy over QQ on small sparse matrices."""
+    """Row space, kernel, rank and coordinates against sympy over QQ on small sparse matrices."""
     hypothesis = pytest.importorskip("hypothesis")
     sympy = pytest.importorskip("sympy")
     st = hypothesis.strategies
@@ -183,12 +183,18 @@ def test_echelon_kernel_and_rank_match_sympy():
     def to_fraction(x):
         return F(int(x.p), int(x.q))
 
+    def to_sympy(rows, n):
+        return sympy.Matrix(len(rows), n, [sympy.Rational(x.numerator, x.denominator)
+                                           for row in rows for x in row])
+
+    def nonzero_pairs(v):
+        return [(k, x) for k, x in enumerate(v) if x]
+
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.integers(0, 5), st.integers(1, 6), st.data())
     def check(m, n, data):
         rows = [tuple(data.draw(entry) for _ in range(n)) for _ in range(m)]
-        sm = sympy.Matrix(m, n, [sympy.Rational(x.numerator, x.denominator)
-                                 for row in rows for x in row])
+        sm = to_sympy(rows, n)
         red, pivots = sm.rref()
         space = Subspace.from_vectors(n, rows)
         assert space.basis_vectors() == tuple(tuple(to_fraction(x) for x in red.row(i))
@@ -197,5 +203,15 @@ def test_echelon_kernel_and_rank_match_sympy():
         null = [tuple(to_fraction(x) for x in v) for v in sm.nullspace()]
         assert kernel_of_rows(rows, n) == Subspace.from_vectors(n, null)
         assert rank(RMatrix(rows, m, n)) == sm.rank()
+        # a drawn vector is outside exactly when appending it raises the rank
+        v = tuple(data.draw(entry) for _ in range(n))
+        coords = space.coordinates(nonzero_pairs(v))
+        assert (coords is None) == (to_sympy(rows + [v], n).rank() > sm.rank())
+        if coords is not None:
+            assert vlincomb(coords, space.basis_vectors(), n) == v
+        # a combination of the basis gives back its coefficients
+        coeffs = tuple(data.draw(entry) for _ in range(space.dim))
+        w = vlincomb(coeffs, space.basis_vectors(), n)
+        assert space.coordinates(nonzero_pairs(w)) == coeffs
 
     check()

@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 from gspencer.algebra import grading_report, jacobi_report
-from gspencer.errors import InputError
-from gspencer.linalg import RMatrix, kernel_of_rows
+from gspencer import prolong
+from gspencer.errors import InputError, InternalInvariantError
+from gspencer.linalg import RMatrix, Subspace, kernel_of_rows
 from gspencer.fileio import serialize_algebra
 from gspencer.models import (co_generators, cr_algebra, glc_generators, so_generators,
                              space_form_algebra)
@@ -129,6 +130,20 @@ def test_bracket_recursion_certified():
                             rhs = [p + q for p, q in zip(a.bracket(a.bracket(x, ev), y),
                                                          a.bracket(x, a.bracket(y, ev)))]
                             assert list(a.bracket(t, ev)) == rhs
+
+
+def test_certificate_rejects_bracket_outside_its_layer(monkeypatch):
+    # keeping one vector of each co_3 layer leaves h^1 a line that [h^0, h^1]
+    # does not preserve (co_3 acts irreducibly on h^1), so a bracket leaves it
+    full_step = prolong.prolong_step
+
+    def first_vector_only(h_p, h0):
+        layer = full_step(h_p, h0)
+        return Subspace.from_vectors(layer.ambient_dim, layer.basis_vectors()[:1])
+
+    monkeypatch.setattr(prolong, "prolong_step", first_vector_only)
+    with pytest.raises(InternalInvariantError):
+        build_graded_algebra.__wrapped__(co_generators(3), 3)
 
 
 @pytest.mark.parametrize("name, build", [
