@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gspencer
 from gspencer import cli
 from gspencer.fileio import serialize_algebra, serialize_cochain, parse_cochain
@@ -185,6 +187,12 @@ def test_bad_flags_exit_three(tmp_path, capsys):
     bad_coch = tmp_path / "p9.coch"
     bad_coch.write_text("cochain p 9 q 2 level 0 W 2\n")
     missing = str(tmp_path / "missing")
+    not_utf8 = tmp_path / "latin1.alg"
+    not_utf8.write_bytes(b"algebra caf\xe9\n")
+    zero_coch = tmp_path / "zero.coch"
+    zero_coch.write_text(serialize_cochain(
+        Cochain.zero(standard_complex(conformal_algebra(3), 2), 1, 2, 0)))
+    solve_zero = ("solve", "--family", "conformal", "--dim", "3", "--cochain", str(zero_coch))
     conf3 = ("cohomology", "--family", "conformal", "--dim", "3", "--w-dim", "2")
     table = [
         ("prolong", "--family", "so"),
@@ -201,6 +209,9 @@ def test_bad_flags_exit_three(tmp_path, capsys):
         ("validate", missing),
         ("cohomology", "--algebra", missing, "--w-dim", "2"),
         ("solve", "--family", "conformal", "--dim", "3", "--cochain", missing),
+        ("validate", str(not_utf8)),
+        solve_zero + ("--output", str(tmp_path / "no" / "such" / "x.coch")),
+        solve_zero + ("--output", str(tmp_path)),
     ]
     for argv in table:
         code, _, err = run_cli(capsys, *argv)
@@ -220,16 +231,41 @@ def test_paper_verify_all_pass(capsys):
     assert out.splitlines() == golden.read_text(encoding="utf-8").splitlines()
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CR21 = ("cohomology", "--family", "cr", "--m", "2", "--k", "1", "--max-order", "2",
+        "--w-dim", "3", "--p", "0..2", "--format", "csv")
+
+
+def _fresh_cli(*argv):
+    """Run `python -m gspencer.cli` in a fresh interpreter; (exit code, stdout bytes)."""
+    src = str(Path(gspencer.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "gspencer.cli", *argv], env=env,
+                          capture_output=True, timeout=300)
+    return proc.returncode, proc.stdout
+
+
+# The cochain inputs are d(y0) for a seeded integer y0 in C^{2,1} of conformal(3)
+# with W = 3, and the first cohomology generator of conformal(4), W = 4, at
+# (p, q) = (1, 2) that test_solve_obstructed_exit_two picks.
+@pytest.mark.parametrize("golden, code, argv", [
+    ("cr_2_1_q1.csv", 0, CR21 + ("--q", "1")),
+    ("cr_2_1_q2.csv", 0, CR21 + ("--q", "2")),
+    ("conformal3_w3_dy0.solved", 0, ("solve", "--family", "conformal", "--dim", "3",
+                                     "--cochain", str(GOLDEN / "conformal3_w3_dy0.coch"))),
+    ("conformal4_w4_generator.obstructed", 2,
+     ("solve", "--family", "conformal", "--dim", "4",
+      "--cochain", str(GOLDEN / "conformal4_w4_generator.coch"))),
+])
+def test_cli_output_matches_golden_file(golden, code, argv):
+    assert _fresh_cli(*argv) == (code, (GOLDEN / golden).read_bytes())
+
+
 def test_outputs_deterministic(capsys):
     # the second run is a fresh interpreter with another hash seed, so no
     # in-process cache and no set or dict ordering can make the outputs agree
     argv = ("cohomology", "--family", "conformal", "--dim", "3",
             "--w-dim", "2", "--p", "0..2", "--format", "csv")
     _, out1, _ = run_cli(capsys, *argv)
-    src = str(Path(gspencer.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONHASHSEED="12345",
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-m", "gspencer.cli", *argv], env=env,
-                          capture_output=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == out1.encode()
+    assert _fresh_cli(*argv) == (0, out1.encode())

@@ -178,7 +178,12 @@ def test_echelon_kernel_and_rank_match_sympy():
     hypothesis = pytest.importorskip("hypothesis")
     sympy = pytest.importorskip("sympy")
     st = hypothesis.strategies
-    entry = st.one_of(st.just(F(0)), st.fractions(-5, 5, max_denominator=4))
+    # small entries make dependent rows likely; huge numerators and denominators
+    # catch any shortcut that assumes integer or machine-sized values
+    near_2_70 = st.builds(lambda s, d: F(s * 2**70 + d), st.sampled_from((1, -1)),
+                          st.integers(-3, 3))
+    entry = st.one_of(st.just(F(0)), st.fractions(-5, 5, max_denominator=4),
+                      st.fractions(max_denominator=10**12), near_2_70)
 
     def to_fraction(x):
         return F(int(x.p), int(x.q))

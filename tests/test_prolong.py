@@ -13,6 +13,7 @@ from gspencer.models import (co_generators, cr_algebra, glc_generators, so_gener
                              space_form_algebra)
 from gspencer.prolong import (LinearLieAlgebra, build_graded_algebra, contraction,
                               monomials, prolong_step, sym_space_dim)
+from gspencer.spencer import cohomology_dims, standard_complex
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -153,6 +154,50 @@ def test_certificate_rejects_bracket_outside_its_layer(monkeypatch):
 ])
 def test_assembled_algebra_matches_golden_file(name, build):
     assert serialize_algebra(build()) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def _conjugated(h0: LinearLieAlgebra) -> LinearLieAlgebra:
+    """g h0 g^-1 for g upper triangular with diagonal 2, 3, 4, ... and entries
+    k/3 above it, so det g is not +-1 and g^-1 has real denominators."""
+    n = h0.v_dim
+    g = [[F(i + 2) if i == j else F(i + j + 1, 3) if i < j else F(0) for j in range(n)]
+         for i in range(n)]
+    # g^-1 by back substitution, column by column, independent of the library
+    ginv = [[F(0)] * n for _ in range(n)]
+    for c in range(n):
+        for i in reversed(range(n)):
+            rhs = (1 if i == c else 0) - sum(g[i][k] * ginv[k][c] for k in range(i + 1, n))
+            ginv[i][c] = rhs / g[i][i]
+    gm, gi = RMatrix(g), RMatrix(ginv)
+    return LinearLieAlgebra(n, tuple(gm.mat_mul(a).mat_mul(gi) for a in h0.generators))
+
+
+@pytest.mark.parametrize("h0, max_order", [
+    (co_generators(3), 3), (so_generators(3), 1), (glc_generators(2), 1)],
+    ids=["co3", "so3", "glc2"])
+def test_prolongation_invariant_under_rational_conjugation(h0, max_order):
+    # (g h0 g^-1)^(k) = g . h0^(k), so every order has the same dimension
+    plain = build_graded_algebra(h0, max_order)
+    conj = build_graded_algebra(_conjugated(h0), max_order)
+    assert any(x.denominator > 1 for m in conj.h0.generators for row in m.data for x in row)
+    assert {p: s.dim for p, s in conj.orders.items()} == {p: s.dim for p, s in plain.orders.items()}
+    assert conj.finite_type == plain.finite_type
+
+
+def test_cohomology_invariant_under_rational_conjugation():
+    # g is upper triangular, so it preserves W = span(e_1..e_w) and the
+    # conjugated complex is isomorphic to the plain one
+    h0 = co_generators(3)
+    plain = build_graded_algebra(h0, 3).assembled
+    conj = build_graded_algebra(_conjugated(h0), 3).assembled
+    for w in (1, 2, 3):
+        cp, cc = standard_complex(plain, w), standard_complex(conj, w)
+        for p in (0, 1, 2):
+            for q in (1, 2):
+                for r in (0, 1):
+                    a, b = cohomology_dims(cp, p, q, r), cohomology_dims(cc, p, q, r)
+                    assert (a.dim_space, a.dim_z, a.dim_b) == (b.dim_space, b.dim_z, b.dim_b), \
+                        (w, p, q, r)
 
 
 def test_monomial_order_is_graded_lex():
