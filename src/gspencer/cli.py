@@ -44,7 +44,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -180,8 +180,11 @@ def cmd_solve(args) -> int:
         print("OBSTRUCTED")
     out_text = serialize_cochain(y)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out_text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out_text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from None
     else:
         sys.stdout.write(out_text)
     return code
