@@ -13,16 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
-from .linalg import Subspace, ZERO, kernel_of_rows
+from .linalg import Subspace, ZERO, kernel_of_rows, nonzero_pairs
 
 SparseVec = dict[int, Fraction]
-
-
-def _sparse(x: Sequence[Fraction]) -> SparseVec:
-    return {i: c for i, c in enumerate(x) if c}
 
 
 def _dense(x: SparseVec, n: int) -> tuple[Fraction, ...]:
@@ -32,10 +28,12 @@ def _dense(x: SparseVec, n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _sparse_bracket_sparse(a: GradedLieAlgebra, x: SparseVec, y: SparseVec) -> SparseVec:
+def _sparse_bracket_sparse(a: GradedLieAlgebra, x: Iterable[tuple[int, Fraction]],
+                           y: Iterable[tuple[int, Fraction]]) -> SparseVec:
+    """Bracket of two vectors given by their (index, value) pairs."""
     acc: SparseVec = {}
-    for i, xi in x.items():
-        for j, yj in y.items():
+    for i, xi in x:
+        for j, yj in y:
             if i == j:
                 continue
             for t, c in a.bracket_basis(i, j).items():
@@ -139,7 +137,7 @@ class GradedLieAlgebra:
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Bilinear extension of the structure constants; exactly antisymmetric."""
-        return _dense(_sparse_bracket_sparse(self, _sparse(x), _sparse(y)), self.dim)
+        return _dense(_sparse_bracket_sparse(self, nonzero_pairs(x), nonzero_pairs(y)), self.dim)
 
     # -- coordinates --------------------------------------------------------
 
@@ -216,7 +214,7 @@ def jacobi_report(a: GradedLieAlgebra) -> list[JacobiViolation]:
                 acc: SparseVec = {}
                 for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
                     byz = bij if (y, z) == (i, j) else a.bracket_basis(y, z)
-                    for t, c in _sparse_bracket_sparse(a, {x: Fraction(1)}, byz).items():
+                    for t, c in _sparse_bracket_sparse(a, ((x, 1),), byz.items()).items():
                         v = acc.get(t, ZERO) + c
                         if v:
                             acc[t] = v
@@ -259,13 +257,12 @@ def effectiveness_report(a: GradedLieAlgebra) -> list[str]:
         idxs = a.component_indices(d)
         if not idxs:
             continue
-        rows = []
+        rows: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
         for vi in v_idx:
-            for out_i in range(a.dim):
-                row = [a.bracket_basis(i, vi).get(out_i, ZERO) for i in idxs]
-                if any(row):
-                    rows.append(tuple(row))
-        ker = kernel_of_rows(rows, len(idxs)) if rows else Subspace.full(len(idxs))
+            for pos, i in enumerate(idxs):
+                for out_i, c in a.bracket_basis(i, vi).items():
+                    rows.setdefault((vi, out_i), []).append((pos, c))
+        ker = kernel_of_rows(rows.values(), len(idxs)) if rows else Subspace.full(len(idxs))
         if ker.dim:
             flags.append(f"degree {d}: {ker.dim}-dimensional subspace acts trivially on the "
                          f"degree -1 component")
@@ -280,18 +277,20 @@ def adjoint_columns(a: GradedLieAlgebra, d: int,
 
 
 def annihilated_rows(ann_rows: Sequence[Sequence[Fraction]],
-                     column_sets: Sequence[Sequence[Sequence[Fraction]]]) -> list[tuple[Fraction, ...]]:
-    """The rows r·M for every column set M and annihilator row r, zero rows dropped.
+                     column_sets: Sequence[Sequence[Sequence[Fraction]]]
+                     ) -> list[list[tuple[int, Fraction]]]:
+    """The sparse rows r·M for every column set M and annihilator row r, zero rows dropped.
 
     Their common kernel is the set of x with M x inside the subspace that the
     rows annihilate, for every M.
     """
+    ann_terms = [nonzero_pairs(arow) for arow in ann_rows]
     rows = []
     for cols in column_sets:
-        for arow in ann_rows:
-            row = tuple(sum((c1 * c2 for c1, c2 in zip(arow, col) if c1 and c2), ZERO)
-                        for col in cols)
-            if any(row):
+        for terms in ann_terms:
+            row = [(j, s) for j, col in enumerate(cols)
+                   if (s := sum((x * col[k] for k, x in terms if col[k]), ZERO))]
+            if row:
                 rows.append(row)
     return rows
 
@@ -313,4 +312,5 @@ def g_sharp_subalgebra(a: GradedLieAlgebra, w: Subspace) -> Subspace:
 
 def deterministic_rows_annihilating(s: Subspace) -> tuple[tuple[Fraction, ...], ...]:
     """Rows r with r·v = 0 exactly for v in s, spanning the full annihilator."""
-    return kernel_of_rows(s.basis_vectors(), s.ambient_dim).basis_vectors()
+    rows = [nonzero_pairs(v) for v in s.basis_vectors()]
+    return kernel_of_rows(rows, s.ambient_dim).basis_vectors()

@@ -12,7 +12,8 @@ from fractions import Fraction
 from math import comb
 
 from . import models
-from .linalg import ONE, ZERO, Subspace, kernel_of_rows, subspace_intersection, vlincomb
+from .linalg import (ONE, ZERO, Subspace, kernel_of_rows, pair_rows_of_columns,
+                     subspace_intersection, vlincomb)
 from .prolong import build_graded_algebra, coord_index
 from .spencer import _zb_spaces, cochain_from_coords, cohomology_dims, standard_complex
 
@@ -167,6 +168,6 @@ def verify_cr_integrability_equivalence(m: int, k: int) -> bool:
              for i in range(len(w_units))]
     residuals = [models.cr_j_residual(cochain_from_coords(cplx, 0, 2, 0, u), data)
                  for u in units]
-    kernel = kernel_of_rows(list(zip(*residuals)), len(w_units))
+    kernel = kernel_of_rows(pair_rows_of_columns(residuals, len(residuals[0])), len(w_units))
     lhs = subspace_intersection(b_space, Subspace.from_vectors(dim_c, units))
     return lhs == Subspace.from_vectors(dim_c, [lift(v) for v in kernel.basis_vectors()])

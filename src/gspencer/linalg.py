@@ -1,12 +1,14 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Everything here is built on arbitrary-precision rationals, so ranks, kernels
 and complements are exact.  All tie-breaking is fixed (leftmost pivot column,
 topmost eligible row, greedy complements in basis order), which makes every
 result bit-reproducible across runs and platforms.
 
-Row reduction internally clears denominators and works on integer rows with
-gcd normalization; only the final normalization reintroduces fractions.
+Row reduction takes sparse rows of (column, value) pairs, clears each row's
+denominators once and works on sparse integer rows with gcd normalization;
+only the final normalization reintroduces fractions.  Dense vectors are
+converted to pairs once, at the public functions that take them.
 """
 
 from __future__ import annotations
@@ -64,83 +66,85 @@ def is_zero_vec(a: Sequence[Fraction]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# integer row reduction engine
+# sparse rows and the integer row reduction engine
 # ---------------------------------------------------------------------------
 
-def _clear_row(row: Sequence[Fraction]) -> list[int]:
-    den = 1
-    for x in row:
-        d = x.denominator
-        if d != 1:
-            den = den * d // gcd(den, d)
-    if den == 1:
-        return [x.numerator for x in row]
-    return [int(x * den) for x in row]
+# A sparse row lists the (column, value) pairs of its nonzero entries, in any order.
+PairRow = Sequence[tuple[int, Fraction]]
 
 
-def _normalize_int_row(row: list[int]) -> None:
-    g = 0
-    for v in row:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return
-    if g > 1:
-        for j, v in enumerate(row):
+def nonzero_pairs(v: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+    """The sparse row of a dense vector."""
+    return [(k, x) for k, x in enumerate(v) if x]
+
+
+def pair_rows_of_columns(columns: Sequence[Sequence[Fraction]],
+                         n: int) -> list[list[tuple[int, Fraction]]]:
+    """Sparse rows of the n-row matrix whose columns are the given dense vectors."""
+    rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+    for j, col in enumerate(columns):
+        for i, x in enumerate(col):
+            if x:
+                rows[i].append((j, x))
+    return rows
+
+
+def _clear_column(r: dict[int, int], piv: dict[int, int], c: int) -> None:
+    """Make the integer row r zero at column c with the row piv (nonzero there),
+    in place, then divide r by the gcd of its entries."""
+    a = r.pop(c)
+    pv = piv[c]
+    g = gcd(a, pv)
+    a, m = a // g, pv // g
+    if m != 1:
+        for k in r:
+            r[k] *= m
+    for k, y in piv.items():
+        if k != c:
+            v = r.get(k, 0) - a * y
             if v:
-                row[j] = v // g
+                r[k] = v
+            else:
+                del r[k]
+    g = gcd(*r.values())
+    if g > 1:
+        for k in r:
+            r[k] //= g
 
 
-def _int_row_reduce(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan over integer rows.  Returns (reduced rows, pivot columns).
+def _rref_rows(rows: Iterable[PairRow], ncols: int) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+    """Reduced row echelon form of sparse rows: the nonzero reduced rows as dense
+    tuples, top to bottom, and their pivot columns.
 
-    Pivot choice: leftmost column, topmost eligible row.  After the call,
-    pivot rows are in order and every pivot column is zero elsewhere; pivot
-    entries are not normalized to 1 (callers divide when converting back).
+    Each row's denominators are cleared once, over its pairs.  Kept integer rows
+    are zero at each other's pivots: a new row is cleared at the pivots it
+    meets, takes its leftmost column as pivot, and that column is cleared from
+    the kept rows.  Each kept row's pivot stays its leftmost column, so the kept
+    rows divided by their pivot entries are the unique reduced echelon form.
     """
-    nrows = len(rows)
-    pivots: list[int] = []
-    pr = 0
-    for c in range(ncols):
-        sel = -1
-        for i in range(pr, nrows):
-            if rows[i][c]:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        if sel != pr:
-            rows[pr], rows[sel] = rows[sel], rows[pr]
-        piv = rows[pr]
-        pv = piv[c]
-        for i in range(nrows):
-            if i == pr:
-                continue
-            ri = rows[i]
-            a = ri[c]
-            if a:
-                # piv has zeros strictly before c, so the head is only scaled
-                for j in range(c):
-                    if ri[j]:
-                        ri[j] = ri[j] * pv
-                for j in range(c, ncols):
-                    ri[j] = ri[j] * pv - piv[j] * a
-                _normalize_int_row(ri)
-        pivots.append(c)
-        pr += 1
-        if pr == nrows:
-            break
-    return rows[:pr], pivots
-
-
-def _rref_rows(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[tuple[Fraction, ...]], list[int]]:
-    """Reduced row echelon form of the given rows (zero rows dropped)."""
-    int_rows = [_clear_row(r) for r in rows]
-    red, pivots = _int_row_reduce(int_rows, ncols)
+    kept: dict[int, dict[int, int]] = {}
+    for row in rows:
+        den = 1
+        for _, x in row:
+            d = x.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+        r = {k: x.numerator * (den // x.denominator) for k, x in row if x}
+        for c in [c for c in r if c in kept]:
+            _clear_column(r, kept[c], c)
+        if r:
+            c = min(r)
+            for other in kept.values():
+                if c in other:
+                    _clear_column(other, r, c)
+            kept[c] = r
+    pivots = sorted(kept)
     out = []
-    for row, c in zip(red, pivots):
-        pv = row[c]
-        out.append(tuple(Fraction(v, pv) if v else ZERO for v in row))
+    for c in pivots:
+        r, dense = kept[c], [ZERO] * ncols
+        for k, v in r.items():
+            dense[k] = Fraction(v, r[c])
+        out.append(tuple(dense))
     return out, pivots
 
 
@@ -217,13 +221,13 @@ class RMatrix:
 
 def rref(m: RMatrix) -> RMatrix:
     """Reduced row echelon form (deterministic, zero rows kept at bottom)."""
-    red, _ = _rref_rows(m.data, m.cols)
+    red, _ = _rref_rows([nonzero_pairs(v) for v in m.data], m.cols)
     pad = [vzero(m.cols)] * (m.rows - len(red))
     return RMatrix(list(red) + pad, m.rows, m.cols)
 
 
 def rank(m: RMatrix) -> int:
-    _, pivots = _rref_rows(m.data, m.cols)
+    _, pivots = _rref_rows([nonzero_pairs(v) for v in m.data], m.cols)
     return len(pivots)
 
 
@@ -252,11 +256,13 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
-        vs = [tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v) for v in vectors]
-        for v in vs:
+        rows = []
+        for v in vectors:
             if len(v) != ambient_dim:
                 raise InputError("vector length does not match ambient dimension")
-        red, pivots = _rref_rows(vs, ambient_dim)
+            rows.append([(k, x if isinstance(x, Fraction) else Fraction(x))
+                         for k, x in enumerate(v) if x])
+        red, pivots = _rref_rows(rows, ambient_dim)
         return cls(ambient_dim, RMatrix(red, len(red), ambient_dim), tuple(pivots))
 
     @classmethod
@@ -341,15 +347,15 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-def kernel_of_rows(rows: Sequence[Sequence[Fraction]], ncols: int) -> Subspace:
-    """Null space of the linear map given by rows; dimension is ncols - rank."""
+def kernel_of_rows(rows: Sequence[PairRow], ncols: int) -> Subspace:
+    """Null space of the linear map given by sparse rows; dimension is ncols - rank."""
     # Eliminating with the columns reversed takes each pivot as far right as it
     # goes, so a reduced row has no entries right of its pivot.  The kernel
     # vector of free column f is then 1 at f, 0 at the other free columns and
     # nonzero elsewhere only at pivot columns right of f.  Listed by f, these
     # vectors already are the kernel's reduced row-echelon basis, pivots = free.
     last = ncols - 1
-    red, rev_pivots = _rref_rows([row[::-1] for row in rows], ncols)
+    red, rev_pivots = _rref_rows([[(last - c, x) for c, x in row] for row in rows], ncols)
     pivots = [last - c for c in rev_pivots]
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -367,16 +373,16 @@ def kernel_of_rows(rows: Sequence[Sequence[Fraction]], ncols: int) -> Subspace:
 
 def kernel_basis(m: RMatrix) -> Subspace:
     """Null space of m; dimension is cols(m) - rank(m)."""
-    return kernel_of_rows(m.data, m.cols)
+    return kernel_of_rows([nonzero_pairs(v) for v in m.data], m.cols)
 
 
-def solve_particular(rows: Sequence[Sequence[Fraction]], ncols: int,
+def solve_particular(rows: Sequence[PairRow], ncols: int,
                      b: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
-    """Deterministic particular solution of rows·x = b, free variables zero."""
+    """Particular solution of rows·x = b for sparse rows and dense b, free variables zero."""
     if len(b) != len(rows):
         raise InputError("right-hand side length does not match row count")
-    aug = [tuple(row) + (bi,) for row, bi in zip(rows, b)]
-    red, pivots = _rref_rows(aug, ncols + 1)
+    red, pivots = _rref_rows([[*row, (ncols, bi)] if bi else row for row, bi in zip(rows, b)],
+                             ncols + 1)
     if ncols in pivots:
         return None
     x = [ZERO] * ncols
@@ -390,7 +396,7 @@ def solve_linear(m: RMatrix, b: Sequence[Fraction]) -> Optional[tuple[tuple[Frac
 
     The particular solution sets all free variables to zero.
     """
-    x = solve_particular(m.data, m.cols, b)
+    x = solve_particular([nonzero_pairs(row) for row in m.data], m.cols, b)
     return None if x is None else (x, kernel_basis(m))
 
 
@@ -398,8 +404,7 @@ def direct_sum_split(v: Sequence[Fraction], parts: Sequence[Subspace]
                      ) -> Optional[list[tuple[Fraction, ...]]]:
     """v's component in each subspace of the direct sum of parts, or None if v is outside it."""
     cols = [b for s in parts for b in s.basis_vectors()]
-    # with no basis vectors at all the system still has one (empty) row per entry of v
-    sol = solve_particular(list(zip(*cols)) or [()] * len(v), len(cols), v)
+    sol = solve_particular(pair_rows_of_columns(cols, len(v)), len(cols), v)
     if sol is None:
         return None
     out = []
@@ -417,14 +422,13 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Exact intersection, via the kernel of [A | -B]."""
+    """Exact intersection: the A x with (x, y) in the kernel of [A | B], since A x = B(-y)."""
     if a.ambient_dim != b.ambient_dim:
         raise InputError("ambient dimensions differ")
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
-    neg_b = [vscale(-ONE, v) for v in b.basis.data]
-    rows = list(zip(*a.basis.data, *neg_b))
-    ker = kernel_of_rows(rows, a.dim + b.dim)
+    ker = kernel_of_rows(pair_rows_of_columns(a.basis.data + b.basis.data, a.ambient_dim),
+                         a.dim + b.dim)
     return Subspace.from_vectors(a.ambient_dim, [vlincomb(kv[:a.dim], a.basis.data, a.ambient_dim)
                                                  for kv in ker.basis_vectors()])
 
@@ -441,7 +445,8 @@ def deterministic_complement(s: Subspace, superspace: Subspace) -> Subspace:
     if s.ambient_dim != superspace.ambient_dim:
         raise InputError("ambient dimensions differ")
     sup = superspace.basis_vectors()
-    _, pivots = _rref_rows(list(zip(*s.basis.data, *sup)), s.dim + superspace.dim)
+    _, pivots = _rref_rows(pair_rows_of_columns(s.basis.data + sup, s.ambient_dim),
+                           s.dim + superspace.dim)
     if len(pivots) != superspace.dim:
         raise InputError("first subspace is not contained in the second")
     return Subspace.from_vectors(s.ambient_dim, [sup[c - s.dim] for c in pivots if c >= s.dim])

@@ -189,18 +189,10 @@ def r21_submodule(n: int) -> Subspace:
     pair_rank = {pq: i for i, pq in enumerate(pairs)}
     dim = n * len(pairs)
 
-    def coord(a: int, i: int, j: int) -> tuple[int, Fraction]:
-        if i < j:
-            return a * len(pairs) + pair_rank[(i, j)], ONE
-        return a * len(pairs) + pair_rank[(j, i)], -ONE
-
-    rows = []
-    for r, s, t in combinations(range(n), 3):
-        row = [ZERO] * dim
-        for a, i, j, sgn in ((r, s, t, 1), (s, r, t, -1), (t, r, s, 1)):
-            pos, c = coord(a, i, j)
-            row[pos] += sgn * c
-        rows.append(tuple(row))
+    # r < s < t, so each of the three terms sits at its own coordinate (a, (i, j)), i < j
+    rows = [[(a * len(pairs) + pair_rank[(i, j)], sgn)
+             for a, i, j, sgn in ((r, s, t, ONE), (s, r, t, -ONE), (t, r, s, ONE))]
+            for r, s, t in combinations(range(n), 3)]
     return kernel_of_rows(rows, dim)
 
 
@@ -288,14 +280,14 @@ def glc_generators(m_tilde: int, k: int | None = None) -> LinearLieAlgebra:
     rows = []
     for r in range(n):
         for c in range(n):
-            row = [ZERO] * (n * n)
+            row: dict[int, Fraction] = {}
             for m in range(n):
                 if j.data[m][c]:
-                    row[r * n + m] += j.data[m][c]
+                    row[r * n + m] = row.get(r * n + m, ZERO) + j.data[m][c]
                 if j.data[r][m]:
-                    row[m * n + c] -= j.data[r][m]
-            if any(row):
-                rows.append(tuple(row))
+                    row[m * n + c] = row.get(m * n + c, ZERO) - j.data[r][m]
+            if any(row.values()):
+                rows.append([(k, x) for k, x in row.items() if x])
     ker = kernel_of_rows(rows, n * n)
     gens = tuple(RMatrix([v[i * n:(i + 1) * n] for i in range(n)])
                  for v in ker.basis_vectors())

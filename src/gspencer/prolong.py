@@ -162,13 +162,7 @@ def prolong_step(h_p: Subspace, h0: LinearLieAlgebra) -> Subspace:
                     rows.setdefault((j, s, m, i), {})[j * dim_hp + beta] = c
                 for l in range(s + 1, n):
                     rows.setdefault((s, l, m, i), {})[l * dim_hp + beta] = -c
-    dense = []
-    for entries in rows.values():
-        row = [ZERO] * (n * dim_hp)
-        for col, c in entries.items():
-            row[col] = c
-        dense.append(row)
-    ker = kernel_of_rows(dense, n * dim_hp)
+    ker = kernel_of_rows([entries.items() for entries in rows.values()], n * dim_hp)
     out_dim = sym_space_dim(n, p + 1)
     width_out = len(monomials(n, p + 2))
     rank_out = mono_rank(n, p + 2)

@@ -83,7 +83,7 @@ class SpencerComplex(WFrame):
             self._chain[d] = [deterministic_complement(self._annihilator_raw(d, s),
                                                        self._annihilator_raw(d, s + 1))
                               for s in range(0, d + 2)]
-        self._dmat: dict[tuple[int, int, int], list[tuple[Fraction, ...]]] = {}
+        self._dmat: dict[tuple[int, int, int], list[list[tuple[int, Fraction]]]] = {}
         self._zb: dict[tuple[int, int, int], tuple[Subspace, Subspace]] = {}
         self._zb_complement: dict[tuple[int, int, int], Subspace] = {}
         self._gsharp: Subspace | None = None
@@ -355,8 +355,8 @@ def cochain_from_coords(c: SpencerComplex, p: int, q: int, r: int,
     return Cochain(c, p, q, r, vals)
 
 
-def _d_matrix_rows(c: SpencerComplex, p: int, q: int, r: int) -> list[tuple[Fraction, ...]]:
-    """Rows of the operator matrix from (p,q) to (p-1,q+1), canonical bases."""
+def _d_matrix_rows(c: SpencerComplex, p: int, q: int, r: int) -> list[list[tuple[int, Fraction]]]:
+    """Sparse rows of the operator matrix from (p,q) to (p-1,q+1), canonical bases."""
     key = (p, q, r)
     if key in c._dmat:
         return c._dmat[key]
@@ -366,7 +366,8 @@ def _d_matrix_rows(c: SpencerComplex, p: int, q: int, r: int) -> list[tuple[Frac
     tgt_tuples = list(combinations(range(c.n_w), q + 1))
     n_src = len(src_free) * len(src_tuples)
     n_tgt = len(tgt_free) * len(tgt_tuples)
-    rows = [[ZERO] * n_src for _ in range(n_tgt)]
+    # each (row, column) pair gets at most one term: the target tuple fixes t
+    rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(n_tgt)]
     if p >= 1 and n_src and n_tgt:
         d = p - 1
         ad = c._ad[d]
@@ -389,10 +390,9 @@ def _d_matrix_rows(c: SpencerComplex, p: int, q: int, r: int) -> list[tuple[Frac
                     for t_f, frow_t in enumerate(tgt_free):
                         v = vec[frow_t]
                         if v:
-                            rows[base + t_f][col_idx] += sign * v
-    out = [tuple(row) for row in rows]
-    c._dmat[key] = out
-    return out
+                            rows[base + t_f].append((col_idx, sign * v))
+    c._dmat[key] = rows
+    return rows
 
 
 def _zb_spaces(c: SpencerComplex, p: int, q: int, r: int) -> tuple[Subspace, Subspace]:
@@ -407,7 +407,12 @@ def _zb_spaces(c: SpencerComplex, p: int, q: int, r: int) -> tuple[Subspace, Sub
         b = Subspace.zero(dim_c)
     else:
         c._check_component_available(p)
-        b = Subspace.from_vectors(dim_c, zip(*_d_matrix_rows(c, p + 1, q - 1, r)))
+        # B is spanned by the columns of d from (p+1, q-1), one per source coordinate
+        cols = [[ZERO] * dim_c for _ in range(space_dimension(c, p + 1, q - 1, r))]
+        for i, row in enumerate(_d_matrix_rows(c, p + 1, q - 1, r)):
+            for j, x in row:
+                cols[j][i] = x
+        b = Subspace.from_vectors(dim_c, cols)
     c._zb[key] = (z, b)
     return z, b
 

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from gspencer.linalg import (InputError, RMatrix, Subspace, deterministic_complement,
-                             kernel_basis, kernel_of_rows, rank, rref, solve_linear,
-                             subspace_intersection, subspace_sum, vlincomb)
+                             kernel_basis, kernel_of_rows, nonzero_pairs, rank, rref,
+                             solve_linear, subspace_intersection, subspace_sum, vlincomb)
 
 from conftest import rng_for, int_vector
 
@@ -192,9 +192,6 @@ def test_echelon_kernel_and_rank_match_sympy():
         return sympy.Matrix(len(rows), n, [sympy.Rational(x.numerator, x.denominator)
                                            for row in rows for x in row])
 
-    def nonzero_pairs(v):
-        return [(k, x) for k, x in enumerate(v) if x]
-
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.integers(0, 5), st.integers(1, 6), st.data())
     def check(m, n, data):
@@ -206,7 +203,7 @@ def test_echelon_kernel_and_rank_match_sympy():
                                               for i in range(len(pivots)))
         assert space.pivot_rows == tuple(pivots)
         null = [tuple(to_fraction(x) for x in v) for v in sm.nullspace()]
-        assert kernel_of_rows(rows, n) == Subspace.from_vectors(n, null)
+        assert kernel_of_rows([nonzero_pairs(v) for v in rows], n) == Subspace.from_vectors(n, null)
         assert rank(RMatrix(rows, m, n)) == sm.rank()
         # a drawn vector is outside exactly when appending it raises the rank
         v = tuple(data.draw(entry) for _ in range(n))

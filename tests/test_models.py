@@ -162,7 +162,7 @@ def _condition_kernels(data, w_valued: bool):
     Tables are V-valued unless w_valued restricts the target to W.
     """
     from itertools import combinations
-    from gspencer.linalg import ZERO, kernel_of_rows
+    from gspencer.linalg import ZERO, kernel_of_rows, nonzero_pairs
 
     n_v = data.j.rows
     n_w = len(data.w_indices)
@@ -200,6 +200,7 @@ def _condition_kernels(data, w_valued: bool):
             add_eval(row2, u1, ju2, F(1), True, tgt)
             if any(row2):
                 rows2.append(tuple(row2))
+    rows1, rows2 = [nonzero_pairs(r) for r in rows1], [nonzero_pairs(r) for r in rows2]
     return (kernel_of_rows(rows2, dim_t), kernel_of_rows(rows1 + rows2, dim_t),
             targets, pairs)
 

@@ -7,7 +7,7 @@ import pytest
 from gspencer.algebra import grading_report, jacobi_report
 from gspencer import prolong
 from gspencer.errors import InputError, InternalInvariantError
-from gspencer.linalg import RMatrix, Subspace, kernel_of_rows
+from gspencer.linalg import RMatrix, Subspace, kernel_of_rows, nonzero_pairs
 from gspencer.fileio import serialize_algebra
 from gspencer.models import (co_generators, cr_algebra, glc_generators, so_generators,
                              space_form_algebra)
@@ -88,7 +88,7 @@ def test_transitivity_of_assembled():
         for vj in range(n):
             for out in range(a.dim):
                 row = [a.bracket_basis(i, vj).get(out, F(0)) for i in idxs]
-                rows.append(tuple(row))
+                rows.append(nonzero_pairs(row))
         assert kernel_of_rows(rows, len(idxs)).dim == 0
 
 
@@ -109,7 +109,7 @@ def test_prolongation_symmetry_and_injectivity():
     basis = h1.basis_vectors()
     for j in range(n):
         for coord in range(sym_space_dim(n, 0)):
-            rows.append(tuple(contraction(n, 1, b, j)[coord] for b in basis))
+            rows.append(nonzero_pairs([contraction(n, 1, b, j)[coord] for b in basis]))
     assert kernel_of_rows(rows, h1.dim).dim == 0
 
 
