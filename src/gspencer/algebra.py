@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
-from .linalg import Subspace, ZERO, kernel_of_rows, nonzero_pairs
+from .linalg import PairRow, Subspace, ZERO, kernel_of_rows, nonzero_pairs
 
 SparseVec = dict[int, Fraction]
 
@@ -277,8 +277,7 @@ def adjoint_columns(a: GradedLieAlgebra, d: int,
 
 
 def annihilated_rows(ann_rows: Sequence[Sequence[Fraction]],
-                     column_sets: Sequence[Sequence[Sequence[Fraction]]]
-                     ) -> list[list[tuple[int, Fraction]]]:
+                     column_sets: Sequence[Sequence[Sequence[Fraction]]]) -> list[PairRow]:
     """The sparse rows r·M for every column set M and annihilator row r, zero rows dropped.
 
     Their common kernel is the set of x with M x inside the subspace that the

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Everything here is built on arbitrary-precision rationals, so ranks, kernels
-and complements are exact.  All tie-breaking is fixed (leftmost pivot column,
-topmost eligible row, greedy complements in basis order), which makes every
-result bit-reproducible across runs and platforms.
+and complements are exact.  Every result is canonical (reduced row echelon
+forms, greedy complements in basis order), which makes it bit-reproducible
+across runs and platforms.
 
 Row reduction takes sparse rows of (column, value) pairs, clears each row's
 denominators once and works on sparse integer rows with gcd normalization;
@@ -396,8 +396,9 @@ def solve_linear(m: RMatrix, b: Sequence[Fraction]) -> Optional[tuple[tuple[Frac
 
     The particular solution sets all free variables to zero.
     """
-    x = solve_particular([nonzero_pairs(row) for row in m.data], m.cols, b)
-    return None if x is None else (x, kernel_basis(m))
+    rows = [nonzero_pairs(row) for row in m.data]
+    x = solve_particular(rows, m.cols, b)
+    return None if x is None else (x, kernel_of_rows(rows, m.cols))
 
 
 def direct_sum_split(v: Sequence[Fraction], parts: Sequence[Subspace]
