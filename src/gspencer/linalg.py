@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import InputError
 
@@ -70,7 +70,7 @@ def is_zero_vec(a: Sequence[Fraction]) -> bool:
 # ---------------------------------------------------------------------------
 
 # A sparse row lists the (column, value) pairs of its nonzero entries, in any order.
-PairRow = Sequence[tuple[int, Fraction]]
+PairRow = Collection[tuple[int, Fraction]]
 
 
 def nonzero_pairs(v: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
@@ -78,8 +78,7 @@ def nonzero_pairs(v: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
     return [(k, x) for k, x in enumerate(v) if x]
 
 
-def pair_rows_of_columns(columns: Sequence[Sequence[Fraction]],
-                         n: int) -> list[list[tuple[int, Fraction]]]:
+def pair_rows_of_columns(columns: Sequence[Sequence[Fraction]], n: int) -> list[PairRow]:
     """Sparse rows of the n-row matrix whose columns are the given dense vectors."""
     rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
     for j, col in enumerate(columns):

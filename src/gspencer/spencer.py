@@ -407,9 +407,10 @@ def _zb_spaces(c: SpencerComplex, p: int, q: int, r: int) -> tuple[Subspace, Sub
         b = Subspace.zero(dim_c)
     else:
         c._check_component_available(p)
-        # B is spanned by the columns of d from (p+1, q-1), one per source coordinate
-        cols = [[ZERO] * dim_c for _ in range(space_dimension(c, p + 1, q - 1, r))]
-        for i, row in enumerate(_d_matrix_rows(c, p + 1, q - 1, r)):
+        # B is spanned by the columns of d from (p+1, q-1), none listed when dim_c = 0
+        up = _d_matrix_rows(c, p + 1, q - 1, r)
+        cols = [[ZERO] * dim_c for _ in range(space_dimension(c, p + 1, q - 1, r))] if up else []
+        for i, row in enumerate(up):
             for j, x in row:
                 cols[j][i] = x
         b = Subspace.from_vectors(dim_c, cols)
