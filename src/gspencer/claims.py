@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 
 from . import models
-from .linalg import (ONE, ZERO, Subspace, kernel_of_rows, pair_rows_of_columns,
+from .linalg import (ONE, ZERO, Subspace, kernel_of_rows, nonzero_pairs, pair_rows_of_columns,
                      subspace_intersection, vlincomb)
 from .prolong import build_graded_algebra, coord_index
 from .spencer import _zb_spaces, cochain_from_coords, cohomology_dims, standard_complex
@@ -113,7 +113,7 @@ def verify_conformal_prolongation(n: int) -> bool:
         elif d == 0:
             pos = model.component_indices(0).index(b)
             flat = [x for row in mats[pos].data for x in row]
-            coords = res.orders[0].coordinates([(k, x) for k, x in enumerate(flat) if x])
+            coords = res.orders[0].coordinates(nonzero_pairs(flat))
             if coords is None:
                 return False
             images.append(asm.embed_component(0, coords))
