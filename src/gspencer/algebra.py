@@ -16,16 +16,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
-from .linalg import PairRow, Subspace, ZERO, kernel_of_rows, nonzero_pairs
+from .linalg import PairRow, Subspace, ZERO, dense, kernel_of_rows, nonzero_pairs
 
 SparseVec = dict[int, Fraction]
-
-
-def _dense(x: SparseVec, n: int) -> tuple[Fraction, ...]:
-    out = [ZERO] * n
-    for t, c in x.items():
-        out[t] = c
-    return tuple(out)
 
 
 def _sparse_bracket_sparse(a: GradedLieAlgebra, x: Iterable[tuple[int, Fraction]],
@@ -137,7 +130,8 @@ class GradedLieAlgebra:
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Bilinear extension of the structure constants; exactly antisymmetric."""
-        return _dense(_sparse_bracket_sparse(self, nonzero_pairs(x), nonzero_pairs(y)), self.dim)
+        return dense(_sparse_bracket_sparse(self, nonzero_pairs(x), nonzero_pairs(y)).items(),
+                     self.dim)
 
     # -- coordinates --------------------------------------------------------
 
@@ -222,7 +216,7 @@ def jacobi_report(a: GradedLieAlgebra) -> list[JacobiViolation]:
                             acc.pop(t, None)
                 if acc:
                     out.append(JacobiViolation((i, j, k), (a.names[i], a.names[j], a.names[k]),
-                                               _dense(acc, n)))
+                                               dense(acc.items(), n)))
     return out
 
 
@@ -245,7 +239,7 @@ def grading_report(a: GradedLieAlgebra) -> list[GradingViolation]:
                 stray = dict(br)
             if stray:
                 out.append(GradingViolation((i, j), (a.names[i], a.names[j]), d,
-                                            _dense(stray, a.dim)))
+                                            dense(stray.items(), a.dim)))
     return out
 
 
@@ -276,17 +270,17 @@ def adjoint_columns(a: GradedLieAlgebra, d: int,
             for i in a.component_indices(d)]
 
 
-def annihilated_rows(ann_rows: Sequence[Sequence[Fraction]],
+def annihilated_rows(ann_rows: Sequence[PairRow],
                      column_sets: Sequence[Sequence[Sequence[Fraction]]]) -> list[PairRow]:
-    """The sparse rows r·M for every column set M and annihilator row r, zero rows dropped.
+    """The sparse rows r·M for every column set M and sparse annihilator row r,
+    zero rows dropped.
 
     Their common kernel is the set of x with M x inside the subspace that the
     rows annihilate, for every M.
     """
-    ann_terms = [nonzero_pairs(arow) for arow in ann_rows]
     rows = []
     for cols in column_sets:
-        for terms in ann_terms:
+        for terms in ann_rows:
             row = [(j, s) for j, col in enumerate(cols)
                    if (s := sum((x * col[k] for k, x in terms if col[k]), ZERO))]
             if row:
@@ -309,7 +303,6 @@ def g_sharp_subalgebra(a: GradedLieAlgebra, w: Subspace) -> Subspace:
                           a.component_dim(0))
 
 
-def deterministic_rows_annihilating(s: Subspace) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows r with r·v = 0 exactly for v in s, spanning the full annihilator."""
-    rows = [nonzero_pairs(v) for v in s.basis_vectors()]
-    return kernel_of_rows(rows, s.ambient_dim).basis_vectors()
+def deterministic_rows_annihilating(s: Subspace) -> tuple[PairRow, ...]:
+    """Sparse rows r with r·v = 0 exactly for v in s, spanning the full annihilator."""
+    return kernel_of_rows(s.rows, s.ambient_dim).rows

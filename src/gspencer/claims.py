@@ -12,8 +12,8 @@ from fractions import Fraction
 from math import comb
 
 from . import models
-from .linalg import (ONE, ZERO, Subspace, kernel_of_rows, nonzero_pairs, pair_rows_of_columns,
-                     subspace_intersection, vlincomb)
+from .linalg import (ONE, Subspace, dense, kernel_of_rows, nonzero_pairs, subspace_intersection,
+                     transpose, vlincomb)
 from .prolong import build_graded_algebra, coord_index
 from .spencer import _zb_spaces, cochain_from_coords, cohomology_dims, standard_complex
 
@@ -116,7 +116,7 @@ def verify_conformal_prolongation(n: int) -> bool:
             coords = res.orders[0].coordinates(nonzero_pairs(flat))
             if coords is None:
                 return False
-            images.append(asm.embed_component(0, coords))
+            images.append(asm.embed_component(0, dense(coords, res.orders[0].dim)))
         else:
             # dual vector: the map v -> [f^k, v] realized in V (x) S^2 V*
             pos = model.component_indices(1).index(b)
@@ -137,7 +137,7 @@ def verify_conformal_prolongation(n: int) -> bool:
             coords = res.orders[1].coordinates(vec.items())
             if coords is None:
                 return False
-            images.append(asm.embed_component(1, coords))
+            images.append(asm.embed_component(1, dense(coords, res.orders[1].dim)))
     for i in range(model.dim):
         for j in range(i + 1, model.dim):
             lhs_model = model.bracket_basis(i, j)
@@ -157,17 +157,11 @@ def verify_cr_integrability_equivalence(m: int, k: int) -> bool:
     # cochain coordinates are pair-major with n_v values per pair; the
     # W-valued unit cochains are those whose value coordinate lies in W
     w_units = [pos for pos in range(dim_c) if pos % n_v < cplx.n_w]
-
-    def lift(v) -> tuple[Fraction, ...]:
-        out = [ZERO] * dim_c
-        for pos, c in zip(w_units, v):
-            out[pos] = c
-        return tuple(out)
-
-    units = [lift([ONE if j == i else ZERO for j in range(len(w_units))])
-             for i in range(len(w_units))]
-    residuals = [models.cr_j_residual(cochain_from_coords(cplx, 0, 2, 0, u), data)
+    units = [[(pos, ONE)] for pos in w_units]
+    residuals = [models.cr_j_residual(cochain_from_coords(cplx, 0, 2, 0, dense(u, dim_c)), data)
                  for u in units]
-    kernel = kernel_of_rows(pair_rows_of_columns(residuals, len(residuals[0])), len(w_units))
+    kernel = kernel_of_rows(transpose([nonzero_pairs(r) for r in residuals], len(residuals[0])),
+                            len(w_units))
     lhs = subspace_intersection(b_space, Subspace.from_vectors(dim_c, units))
-    return lhs == Subspace.from_vectors(dim_c, [lift(v) for v in kernel.basis_vectors()])
+    return lhs == Subspace.from_vectors(
+        dim_c, [[(w_units[j], c) for j, c in row] for row in kernel.rows])

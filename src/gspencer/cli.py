@@ -141,12 +141,14 @@ def cmd_prolong(args) -> int:
 
 def _parse_p_range(spec: str) -> list[int]:
     try:
-        if ".." in spec:
-            lo, hi = spec.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(spec)]
+        if ".." not in spec:
+            return [int(spec)]
+        lo, hi = map(int, spec.split("..", 1))
     except ValueError:
         raise InputError(f"--p must be an integer or lo..hi, got {spec!r}") from None
+    if lo > hi:
+        raise InputError(f"--p range {spec!r} is empty: lo exceeds hi")
+    return list(range(lo, hi + 1))
 
 
 def cmd_cohomology(args) -> int:

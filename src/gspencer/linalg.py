@@ -7,12 +7,14 @@ across runs and platforms.
 
 Row reduction takes sparse rows of (column, value) pairs, clears each row's
 denominators once and works on sparse integer rows with gcd normalization;
-only the final normalization reintroduces fractions.  Dense vectors are
-converted to pairs once, at the public functions that take them.
+only the final normalization reintroduces fractions.  Its results, and the
+rows a `Subspace` stores, are sparse too: dense vectors appear only at the
+public functions that take or return them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 from typing import Collection, Iterable, Optional, Sequence
@@ -28,10 +30,6 @@ ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 # vectors: plain tuples of Fraction
 # ---------------------------------------------------------------------------
-
-def vec(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
-
 
 def vzero(n: int) -> tuple[Fraction, ...]:
     return (ZERO,) * n
@@ -71,6 +69,8 @@ def is_zero_vec(a: Sequence[Fraction]) -> bool:
 
 # A sparse row lists the (column, value) pairs of its nonzero entries, in any order.
 PairRow = Collection[tuple[int, Fraction]]
+# A reduced row: its (column, value) pairs sorted by column, the first one its pivot, value 1.
+EchelonRow = tuple[tuple[int, Fraction], ...]
 
 
 def nonzero_pairs(v: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
@@ -78,14 +78,32 @@ def nonzero_pairs(v: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
     return [(k, x) for k, x in enumerate(v) if x]
 
 
-def pair_rows_of_columns(columns: Sequence[Sequence[Fraction]], n: int) -> list[PairRow]:
-    """Sparse rows of the n-row matrix whose columns are the given dense vectors."""
-    rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-    for j, col in enumerate(columns):
-        for i, x in enumerate(col):
-            if x:
-                rows[i].append((j, x))
-    return rows
+def dense(row: Iterable[tuple[int, Fraction]], n: int) -> tuple[Fraction, ...]:
+    """The length-n dense vector of a sparse row."""
+    out = [ZERO] * n
+    for k, x in row:
+        out[k] = x
+    return tuple(out)
+
+
+def transpose(rows: Sequence[PairRow], ncols: int) -> list[list[tuple[int, Fraction]]]:
+    """Sparse rows of the transpose of the matrix with the given sparse rows and
+    ncols columns; each row lists its pairs in increasing column order."""
+    out: list[list[tuple[int, Fraction]]] = [[] for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            out[j].append((i, x))
+    return out
+
+
+def combine(coeffs: Iterable[tuple[int, Fraction]],
+            rows: Sequence[PairRow]) -> list[tuple[int, Fraction]]:
+    """The sparse row sum of c * rows[b] over the (b, c) pairs, sorted by column."""
+    acc: dict[int, Fraction] = {}
+    for b, c in coeffs:
+        for k, x in rows[b]:
+            acc[k] = acc.get(k, ZERO) + c * x
+    return sorted((k, x) for k, x in acc.items() if x)
 
 
 def _clear_column(r: dict[int, int], piv: dict[int, int], c: int) -> None:
@@ -111,9 +129,9 @@ def _clear_column(r: dict[int, int], piv: dict[int, int], c: int) -> None:
             r[k] //= g
 
 
-def _rref_rows(rows: Iterable[PairRow], ncols: int) -> tuple[list[tuple[Fraction, ...]], list[int]]:
-    """Reduced row echelon form of sparse rows: the nonzero reduced rows as dense
-    tuples, top to bottom, and their pivot columns.
+def _rref_rows(rows: Iterable[PairRow]) -> tuple[list[EchelonRow], list[int]]:
+    """Reduced row echelon form of sparse rows: the nonzero reduced rows, top to
+    bottom, and their pivot columns.
 
     Each row's denominators are cleared once, over its pairs.  Kept integer rows
     are zero at each other's pivots: a new row is cleared at the pivots it
@@ -140,10 +158,9 @@ def _rref_rows(rows: Iterable[PairRow], ncols: int) -> tuple[list[tuple[Fraction
     pivots = sorted(kept)
     out = []
     for c in pivots:
-        r, dense = kept[c], [ZERO] * ncols
-        for k, v in r.items():
-            dense[k] = Fraction(v, r[c])
-        out.append(tuple(dense))
+        r = kept[c]
+        pv = r.pop(c)
+        out.append(((c, ONE),) + tuple((k, Fraction(v, pv)) for k, v in sorted(r.items())))
     return out, pivots
 
 
@@ -168,6 +185,13 @@ class RMatrix:
         self.rows = rows
         self.cols = cols
         self.data = grid
+
+    @classmethod
+    def _exact(cls, grid: tuple[tuple[Fraction, ...], ...], rows: int, cols: int) -> "RMatrix":
+        """The matrix of a grid of Fractions with the given shape, unchecked."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.data = rows, cols, grid
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RMatrix":
@@ -220,13 +244,13 @@ class RMatrix:
 
 def rref(m: RMatrix) -> RMatrix:
     """Reduced row echelon form (deterministic, zero rows kept at bottom)."""
-    red, _ = _rref_rows([nonzero_pairs(v) for v in m.data], m.cols)
+    red, _ = _rref_rows(nonzero_pairs(v) for v in m.data)
     pad = [vzero(m.cols)] * (m.rows - len(red))
-    return RMatrix(list(red) + pad, m.rows, m.cols)
+    return RMatrix._exact(tuple(dense(row, m.cols) for row in red) + tuple(pad), m.rows, m.cols)
 
 
 def rank(m: RMatrix) -> int:
-    _, pivots = _rref_rows([nonzero_pairs(v) for v in m.data], m.cols)
+    _, pivots = _rref_rows(nonzero_pairs(v) for v in m.data)
     return len(pivots)
 
 
@@ -235,46 +259,54 @@ def rank(m: RMatrix) -> int:
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """A linear subspace of Q^n held as a reduced row-echelon basis.
+    """A linear subspace of Q^n held as its reduced row-echelon basis.
 
-    ``basis`` is the dim x n matrix whose rows are the basis vectors.  The
-    canonical form makes equality of subspaces a direct comparison and pins
-    down every downstream choice (complements, coset representatives).
-    ``pivot_rows`` are strictly increasing coordinates of Q^n; basis row ``b``
-    has entry 1 at ``pivot_rows[b]``, 0 at every other pivot coordinate and 0
-    left of its own.
+    ``rows`` are the basis vectors as sparse echelon rows: each lists its
+    nonzero (coordinate, value) pairs sorted by coordinate.  ``pivot_rows``
+    are strictly increasing coordinates of Q^n; row ``b`` starts with the pair
+    (``pivot_rows[b]``, 1), is 0 at every other pivot coordinate and 0 left of
+    its own.  The canonical form makes equality of subspaces a direct
+    comparison and pins down every downstream choice (complements, coset
+    representatives).  ``basis`` is the same basis as a dense dim x n
+    `RMatrix`, built on first access.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivot_rows", "_sparse_rows")
+    __slots__ = ("ambient_dim", "rows", "pivot_rows", "_basis")
 
-    def __init__(self, ambient_dim: int, basis: RMatrix, pivot_rows: tuple[int, ...]):
+    def __init__(self, ambient_dim: int, rows: Sequence[EchelonRow], pivot_rows: tuple[int, ...]):
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.rows = tuple(rows)
         self.pivot_rows = pivot_rows
-        self._sparse_rows = None
+        self._basis = None
 
     @classmethod
-    def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
-        rows = []
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise InputError("vector length does not match ambient dimension")
-            rows.append([(k, x if isinstance(x, Fraction) else Fraction(x))
-                         for k, x in enumerate(v) if x])
-        red, pivots = _rref_rows(rows, ambient_dim)
-        return cls(ambient_dim, RMatrix(red, len(red), ambient_dim), tuple(pivots))
+    def from_vectors(cls, ambient_dim: int, rows: Iterable[PairRow]) -> "Subspace":
+        """The span of sparse rows, each the (coordinate, value) pairs of one vector."""
+        rows = list(rows)
+        if any(not 0 <= k < ambient_dim for row in rows for k, _ in row):
+            raise InputError("vector coordinate outside the ambient dimension")
+        red, pivots = _rref_rows(rows)
+        return cls(ambient_dim, red, tuple(pivots))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, RMatrix.zeros(0, ambient_dim), ())
+        return cls(ambient_dim, (), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, RMatrix.identity(ambient_dim), tuple(range(ambient_dim)))
+        return cls(ambient_dim, tuple(((i, ONE),) for i in range(ambient_dim)),
+                   tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.pivot_rows)
+
+    @property
+    def basis(self) -> RMatrix:
+        if self._basis is None:
+            n = self.ambient_dim
+            self._basis = RMatrix._exact(tuple(dense(row, n) for row in self.rows), self.dim, n)
+        return self._basis
 
     def basis_vectors(self) -> tuple[tuple[Fraction, ...], ...]:
         return self.basis.data
@@ -287,60 +319,56 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise InputError("vector length does not match ambient dimension")
         r = list(v)
-        for b, prow in enumerate(self.pivot_rows):
+        for row, prow in zip(self.rows, self.pivot_rows):
             c = r[prow]
             if c:
-                for i, x in enumerate(self.basis.data[b]):
-                    if x:
-                        r[i] -= c * x
+                for k, x in row:
+                    r[k] -= c * x
         return tuple(r)
 
-    def coordinates(self, terms: Iterable[tuple[int, Fraction]]) -> Optional[tuple[Fraction, ...]]:
+    def coordinates(self, terms: Iterable[tuple[int, Fraction]]
+                    ) -> Optional[list[tuple[int, Fraction]]]:
         """Coordinates in the echelon basis of the vector v with the given
-        (coordinate, value) pairs, or None if v is outside.
+        (coordinate, value) pairs, as (basis index, value) pairs in the order
+        of v's pivot terms, or None if v is outside.
 
         The pairs list v's nonzero entries, each coordinate once (zero values
         are harmless).  The basis is reduced, so v's coordinates are its
         entries at the pivot rows, and v is inside exactly when subtracting
-        that combination of the basis rows leaves a zero residual.
+        that combination of the basis rows leaves a zero residual.  The
+        residual at each pivot row cancels exactly, so it is not formed.
         """
-        if self._sparse_rows is None:
-            # each row's nonzero terms off the pivot rows: a row is 1 at its own
-            # pivot and 0 at the others, so the residual there is zero by construction
-            pivots = set(self.pivot_rows)
-            self._sparse_rows = (
-                {prow: b for b, prow in enumerate(self.pivot_rows)},
-                tuple([(k, x) for k, x in enumerate(row) if x and k not in pivots]
-                      for row in self.basis.data))
-        pivot_of, rows = self._sparse_rows
-        coords = [ZERO] * len(rows)
+        pivots, rows = self.pivot_rows, self.rows
+        coords = []
         residual: dict[int, Fraction] = {}
         for k, x in terms:
-            b = pivot_of.get(k)
-            if b is None:
+            b = bisect_left(pivots, k)
+            if b == len(pivots) or pivots[b] != k:
                 residual[k] = residual.get(k, ZERO) + x
-            else:
-                coords[b] = x
-                for kr, y in rows[b]:
+            elif x:
+                coords.append((b, x))
+                for kr, y in rows[b][1:]:
                     residual[kr] = residual.get(kr, ZERO) - x * y
         if any(residual.values()):
             return None
-        return tuple(coords)
+        return coords
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return is_zero_vec(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(c) for c in other.basis_vectors())
+        if other.ambient_dim != self.ambient_dim:
+            raise InputError("ambient dimensions differ")
+        return all(self.coordinates(row) is not None for row in other.rows)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
                 and self.pivot_rows == other.pivot_rows
-                and self.basis == other.basis)
+                and self.rows == other.rows)
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.pivot_rows, self.basis))
+        return hash((self.ambient_dim, self.pivot_rows, self.rows))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -354,20 +382,15 @@ def kernel_of_rows(rows: Sequence[PairRow], ncols: int) -> Subspace:
     # nonzero elsewhere only at pivot columns right of f.  Listed by f, these
     # vectors already are the kernel's reduced row-echelon basis, pivots = free.
     last = ncols - 1
-    red, rev_pivots = _rref_rows([[(last - c, x) for c, x in row] for row in rows], ncols)
-    pivots = [last - c for c in rev_pivots]
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    vectors = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for row, pc in zip(red, pivots):
-            x = row[last - f]
-            if x:
-                v[pc] = -x
-        vectors.append(tuple(v))
-    return Subspace(ncols, RMatrix(vectors, len(vectors), ncols), tuple(free))
+    red, rev_pivots = _rref_rows([(last - c, x) for c, x in row] for row in rows)
+    pivot_set = {last - c for c in rev_pivots}
+    free = tuple(c for c in range(ncols) if c not in pivot_set)
+    kernel = {f: [(f, ONE)] for f in free}
+    for row in reversed(red):  # increasing original pivots keep each kernel row sorted
+        pc = last - row[0][0]
+        for c, x in row[1:]:
+            kernel[last - c].append((pc, -x))
+    return Subspace(ncols, [tuple(kernel[f]) for f in free], free)
 
 
 def kernel_basis(m: RMatrix) -> Subspace:
@@ -380,14 +403,12 @@ def solve_particular(rows: Sequence[PairRow], ncols: int,
     """Particular solution of rows·x = b for sparse rows and dense b, free variables zero."""
     if len(b) != len(rows):
         raise InputError("right-hand side length does not match row count")
-    red, pivots = _rref_rows([[*row, (ncols, bi)] if bi else row for row, bi in zip(rows, b)],
-                             ncols + 1)
+    red, pivots = _rref_rows([*row, (ncols, bi)] if bi else row for row, bi in zip(rows, b))
     if ncols in pivots:
         return None
-    x = [ZERO] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][ncols]
-    return tuple(x)
+    # a reduced row's augmented entry, if any, is its last pair
+    return dense(((pc, row[-1][1]) for row, pc in zip(red, pivots) if row[-1][0] == ncols),
+                 ncols)
 
 
 def solve_linear(m: RMatrix, b: Sequence[Fraction]) -> Optional[tuple[tuple[Fraction, ...], Subspace]]:
@@ -403,14 +424,14 @@ def solve_linear(m: RMatrix, b: Sequence[Fraction]) -> Optional[tuple[tuple[Frac
 def direct_sum_split(v: Sequence[Fraction], parts: Sequence[Subspace]
                      ) -> Optional[list[tuple[Fraction, ...]]]:
     """v's component in each subspace of the direct sum of parts, or None if v is outside it."""
-    cols = [b for s in parts for b in s.basis_vectors()]
-    sol = solve_particular(pair_rows_of_columns(cols, len(v)), len(cols), v)
+    rows = [row for s in parts for row in s.rows]
+    sol = solve_particular(transpose(rows, len(v)), len(rows), v)
     if sol is None:
         return None
     out = []
     start = 0
     for s in parts:
-        out.append(vlincomb(sol[start:start + s.dim], s.basis_vectors(), len(v)))
+        out.append(dense(combine(nonzero_pairs(sol[start:start + s.dim]), s.rows), len(v)))
         start += s.dim
     return out
 
@@ -418,7 +439,7 @@ def direct_sum_split(v: Sequence[Fraction], parts: Sequence[Subspace]
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise InputError("ambient dimensions differ")
-    return Subspace.from_vectors(a.ambient_dim, a.basis_vectors() + b.basis_vectors())
+    return Subspace.from_vectors(a.ambient_dim, a.rows + b.rows)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -427,10 +448,10 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
         raise InputError("ambient dimensions differ")
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
-    ker = kernel_of_rows(pair_rows_of_columns(a.basis.data + b.basis.data, a.ambient_dim),
-                         a.dim + b.dim)
-    return Subspace.from_vectors(a.ambient_dim, [vlincomb(kv[:a.dim], a.basis.data, a.ambient_dim)
-                                                 for kv in ker.basis_vectors()])
+    # [A | B] has the basis vectors as columns: its rows are the transpose of theirs
+    ker = kernel_of_rows(transpose(a.rows + b.rows, a.ambient_dim), a.dim + b.dim)
+    return Subspace.from_vectors(
+        a.ambient_dim, [combine([(j, x) for j, x in kv if j < a.dim], a.rows) for kv in ker.rows])
 
 
 def deterministic_complement(s: Subspace, superspace: Subspace) -> Subspace:
@@ -444,9 +465,8 @@ def deterministic_complement(s: Subspace, superspace: Subspace) -> Subspace:
     """
     if s.ambient_dim != superspace.ambient_dim:
         raise InputError("ambient dimensions differ")
-    sup = superspace.basis_vectors()
-    _, pivots = _rref_rows(pair_rows_of_columns(s.basis.data + sup, s.ambient_dim),
-                           s.dim + superspace.dim)
+    sup = superspace.rows
+    _, pivots = _rref_rows(transpose(s.rows + sup, s.ambient_dim))
     if len(pivots) != superspace.dim:
         raise InputError("first subspace is not contained in the second")
     return Subspace.from_vectors(s.ambient_dim, [sup[c - s.dim] for c in pivots if c >= s.dim])

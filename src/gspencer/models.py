@@ -25,7 +25,7 @@ from math import comb
 
 from .algebra import GradedLieAlgebra
 from .errors import InputError, InternalInvariantError
-from .linalg import (RMatrix, Subspace, ZERO, is_zero_vec, kernel_of_rows, vadd, vlincomb,
+from .linalg import (RMatrix, Subspace, ZERO, dense, is_zero_vec, kernel_of_rows, vadd, vlincomb,
                      vsub)
 from .prolong import LinearLieAlgebra, ProlongationResult, build_graded_algebra
 from .spencer import Cochain, SpencerComplex, standard_complex
@@ -65,24 +65,30 @@ def conformal_deg0_matrices(n: int) -> list[RMatrix]:
     return [_antisym_matrix(n, i, j) for i, j in _antisym_pairs(n)] + [RMatrix.identity(n)]
 
 
-def _decompose_so(n: int, m: RMatrix) -> dict[int, Fraction]:
-    """Coefficients of an antisymmetric matrix over the A_ij basis."""
-    out = {}
-    for idx, (i, j) in enumerate(_antisym_pairs(n)):
-        if m.data[i][j] != -m.data[j][i]:
-            raise InternalInvariantError("matrix is not antisymmetric")
-        if m.data[i][j]:
-            out[idx] = m.data[i][j]
-    for i in range(n):
-        if m.data[i][i]:
-            raise InternalInvariantError("matrix is not antisymmetric")
-    return out
-
-
-def _commutator(a: RMatrix, b: RMatrix) -> RMatrix:
-    ab = a.mat_mul(b)
-    ba = b.mat_mul(a)
-    return RMatrix([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab.data, ba.data)])
+def _so_brackets(n: int, mats: list[RMatrix],
+                 off: int) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """Table entries [X_a, X_b], a < b, formed from the matrices' nonzero entries; the
+    X and the A_ij basis their antisymmetric commutators decompose over both start at off."""
+    pair_index = {ij: off + idx for idx, ij in enumerate(_antisym_pairs(n))}
+    terms = [[(i, j, x) for i, row in enumerate(m.data) for j, x in enumerate(row) if x]
+             for m in mats]
+    table = {}
+    for a, b in combinations(range(len(mats)), 2):
+        comm: dict[tuple[int, int], Fraction] = {}
+        for x_terms, y_terms, sign in ((terms[a], terms[b], 1), (terms[b], terms[a], -1)):
+            for i, j, x in x_terms:
+                for j2, k, y in y_terms:
+                    if j == j2:
+                        comm[(i, k)] = comm.get((i, k), ZERO) + sign * x * y
+        entry = {}
+        for (i, k), v in comm.items():
+            if v and (i == k or comm.get((k, i)) != -v):
+                raise InternalInvariantError("matrix is not antisymmetric")
+            if v and i < k:
+                entry[pair_index[(i, k)]] = v
+        if entry:
+            table[(off + a, off + b)] = entry
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -111,11 +117,7 @@ def space_form_algebra(n_tilde: int, k0: int) -> GradedLieAlgebra:
             entry = {t: -col[t] for t in range(n) if col[t]}
             if entry:
                 table[(k, off + a_idx)] = entry  # [e_k, A] = -A e_k
-    for a_idx in range(len(mats)):
-        for b_idx in range(a_idx + 1, len(mats)):
-            comm = _decompose_so(n, _commutator(mats[a_idx], mats[b_idx]))
-            if comm:
-                table[(off + a_idx, off + b_idx)] = {off + t: c for t, c in comm.items()}
+    table.update(_so_brackets(n, mats, off))
     kind = "graded" if k0 == 0 else "quasi_graded"
     return GradedLieAlgebra(f"space_form({n},{k0})", names, degrees, 1, table, kind)
 
@@ -160,14 +162,7 @@ def conformal_algebra(n_tilde: int) -> GradedLieAlgebra:
             else:
                 entry[i_idx] = -ONE
             table[(l, off1 + k)] = entry
-    # degree 0 commutators
-    for a_idx in range(len(mats)):
-        for b_idx in range(a_idx + 1, len(mats)):
-            comm = _commutator(mats[a_idx], mats[b_idx])
-            if all(is_zero_vec(r) for r in comm.data):
-                continue
-            dec = _decompose_so(n, comm)
-            table[(off0 + a_idx, off0 + b_idx)] = {off0 + t: c for t, c in dec.items()}
+    table.update(_so_brackets(n, mats, off0))  # degree 0 commutators
     # [X, f^k] = sum_l (-X[k][l]) f^l
     for a_idx, m in enumerate(mats):
         for k in range(n):
@@ -233,23 +228,19 @@ class ComplexStructureData:
             n = self.j.rows
             width = layer.ambient_dim // n
             cols = []
-            for bvec in layer.basis_vectors():
+            for row in layer.rows:
+                # J acts on the value index: entry (a, m) of the row moves to (i, m), times J[i][a]
                 out: dict[int, Fraction] = {}
-                for i in range(n):
-                    ji = self.j.data[i]
-                    for a in range(n):
-                        c = ji[a]
+                for pos, v in row:
+                    a, mpos = divmod(pos, width)
+                    for i in range(n):
+                        c = self.j.data[i][a]
                         if c:
-                            base_a = a * width
-                            base_i = i * width
-                            for mpos in range(width):
-                                v = bvec[base_a + mpos]
-                                if v:
-                                    out[base_i + mpos] = out.get(base_i + mpos, ZERO) + c * v
+                            out[i * width + mpos] = out.get(i * width + mpos, ZERO) + c * v
                 coords = layer.coordinates(out.items())
                 if coords is None:
                     raise InternalInvariantError("layer is not closed under J")
-                cols.append(coords)
+                cols.append(dense(coords, layer.dim))
             self._mult_i[d] = cols
         return vlincomb(comp, cols, layer.dim)
 

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import GradedLieAlgebra
 from .errors import InputError, InternalInvariantError
-from .linalg import RMatrix, Subspace, ZERO, kernel_of_rows
+from .linalg import PairRow, RMatrix, Subspace, ZERO, dense, kernel_of_rows, nonzero_pairs
 
 
 @lru_cache(maxsize=None)
@@ -66,8 +66,8 @@ class LinearLieAlgebra:
         return tuple(x for row in m.data for x in row)
 
     def span(self) -> Subspace:
-        return Subspace.from_vectors(self.v_dim * self.v_dim,
-                                     [self.matrix_coords(g) for g in self.generators])
+        return Subspace.from_vectors(self.v_dim * self.v_dim, [nonzero_pairs(self.matrix_coords(g))
+                                                               for g in self.generators])
 
     def check(self) -> Subspace:
         """Verify independence of the generators and closure under commutator.
@@ -87,11 +87,11 @@ class LinearLieAlgebra:
         return sp
 
 
-def _terms(n: int, p: int, t: Sequence[Fraction]) -> list[tuple[int, tuple[int, ...], Fraction]]:
-    """Nonzero entries (i, mono, c) of a V (x) S^{p+1}V* coordinate vector."""
+def _terms(n: int, p: int, t: PairRow) -> list[tuple[int, tuple[int, ...], Fraction]]:
+    """Entries (i, mono, c) of a V (x) S^{p+1}V* vector given by its nonzero pairs."""
     ms = monomials(n, p + 1)
     width = len(ms)
-    return [(k // width, ms[k % width], c) for k, c in enumerate(t) if c]
+    return [(k // width, ms[k % width], c) for k, c in t]
 
 
 def _drop(mono: tuple[int, ...], j: int) -> tuple[int, ...]:
@@ -107,8 +107,9 @@ LayerTerms = tuple[list[tuple[int, tuple[int, ...], Fraction]],
                    dict[int, list[tuple[int, tuple[int, ...], Fraction]]]]
 
 
-def layer_terms(n: int, p: int, t: Sequence[Fraction]) -> LayerTerms:
-    """The nonzero terms of T in V (x) S^{p+1}V*, flat and grouped by index."""
+def layer_terms(n: int, p: int, t: PairRow) -> LayerTerms:
+    """The terms of T in V (x) S^{p+1}V*, given by its nonzero pairs, flat and
+    grouped by index."""
     terms = _terms(n, p, t)
     by_index: dict[int, list[tuple[int, tuple[int, ...], Fraction]]] = {}
     for i, mono, c in terms:
@@ -126,10 +127,8 @@ def _evaluation(n: int, p: int, t: LayerTerms, j: int) -> list[tuple[int, Fracti
 
 def contraction(n: int, p: int, t: Sequence[Fraction], j: int) -> tuple[Fraction, ...]:
     """Evaluation of T in V (x) S^{p+1}V* at basis vector e_j, landing in degree p-1."""
-    out = [ZERO] * (n * len(monomials(n, p)))
-    for k, c in _evaluation(n, p, layer_terms(n, p, t), j):
-        out[k] = c
-    return tuple(out)
+    return dense(_evaluation(n, p, layer_terms(n, p, nonzero_pairs(t)), j),
+                 n * len(monomials(n, p)))
 
 
 def prolong_step(h_p: Subspace, h0: LinearLieAlgebra) -> Subspace:
@@ -149,7 +148,7 @@ def prolong_step(h_p: Subspace, h0: LinearLieAlgebra) -> Subspace:
     dim_hp = h_p.dim
     if dim_hp == 0:
         return Subspace.zero(sym_space_dim(n, p + 1))
-    basis_terms = [_terms(n, p, b) for b in h_p.basis_vectors()]
+    basis_terms = [_terms(n, p, b) for b in h_p.rows]
     # swap rows keyed (j, l, m, i), j < l: the coefficient of T(e_j)(e_l, m)_i
     # minus that of T(e_l)(e_j, m)_i.  Row order is free: the kernel's reduced
     # row-echelon form depends only on the row space.
@@ -163,21 +162,20 @@ def prolong_step(h_p: Subspace, h0: LinearLieAlgebra) -> Subspace:
                 for l in range(s + 1, n):
                     rows.setdefault((s, l, m, i), {})[l * dim_hp + beta] = -c
     ker = kernel_of_rows([entries.items() for entries in rows.values()], n * dim_hp)
-    out_dim = sym_space_dim(n, p + 1)
     width_out = len(monomials(n, p + 2))
     rank_out = mono_rank(n, p + 2)
     vectors = []
-    for a in ker.basis_vectors():
+    for a in ker.rows:
         # T(e_j, m) = sum_beta a[j, beta] h_beta(m), stored at the sorted monomial (j,) + m
-        v = [ZERO] * out_dim
-        for col, ca in enumerate(a):
-            if ca:
-                j, beta = divmod(col, dim_hp)
-                for i, m, c in basis_terms[beta]:
-                    if j <= m[0]:
-                        v[i * width_out + rank_out[(j,) + m]] += ca * c
-        vectors.append(tuple(v))
-    return Subspace.from_vectors(out_dim, vectors)
+        v: dict[int, Fraction] = {}
+        for col, ca in a:
+            j, beta = divmod(col, dim_hp)
+            for i, m, c in basis_terms[beta]:
+                if j <= m[0]:
+                    k = i * width_out + rank_out[(j,) + m]
+                    v[k] = v.get(k, ZERO) + ca * c
+        vectors.append([(k, x) for k, x in v.items() if x])
+    return Subspace.from_vectors(sym_space_dim(n, p + 1), vectors)
 
 
 def insertion_bracket(n: int, p: int, q: int, x_terms: LayerTerms, y_terms: LayerTerms,
@@ -236,8 +234,10 @@ class ProlongationResult:
         raise InputError(f"order {p} was not computed (truncated at {self.truncation_order})")
 
 
-def _component_coords(h_sub: Subspace, terms: list[tuple[int, Fraction]]) -> tuple[Fraction, ...]:
-    """Echelon-basis coordinates in its layer of a vector given by its nonzero pairs."""
+def _component_coords(h_sub: Subspace, terms: list[tuple[int, Fraction]]
+                      ) -> list[tuple[int, Fraction]]:
+    """Echelon-basis coordinates in its layer, as (basis index, value) pairs, of a
+    vector given by its nonzero pairs."""
     coords = h_sub.coordinates(terms)
     if coords is None:
         raise InternalInvariantError(
@@ -283,13 +283,13 @@ def build_graded_algebra(h0: LinearLieAlgebra, max_order: int) -> ProlongationRe
             degrees.append(d)
     height = max(top + 1, 1)
 
-    layer_basis = {d: [layer_terms(n, d, b) for b in orders[d].basis_vectors()]
+    layer_basis = {d: [layer_terms(n, d, b) for b in orders[d].rows]
                    for d in range(0, top + 1)}
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
 
     def put(i: int, j: int, d_target: int, terms: Iterable[tuple[int, Fraction]]) -> None:
         off = layer_offset[d_target]
-        entry = {off + pos: c for pos, c in terms if c}
+        entry = {off + pos: c for pos, c in terms}
         if entry:
             if i < j:
                 table[(i, j)] = entry
@@ -305,7 +305,7 @@ def build_graded_algebra(h0: LinearLieAlgebra, max_order: int) -> ProlongationRe
                 if d == 0:
                     put(i, j, -1, val)  # lands in V directly
                 else:
-                    put(i, j, d - 1, enumerate(_component_coords(orders[d - 1], val)))
+                    put(i, j, d - 1, _component_coords(orders[d - 1], val))
 
     # [X, Y] for nonnegative degrees
     merged: dict = {}
@@ -323,7 +323,7 @@ def build_graded_algebra(h0: LinearLieAlgebra, max_order: int) -> ProlongationRe
                     j = layer_offset[dy] + b
                     t = insertion_bracket(n, dx, dy, xv, by[b], merged)
                     if t:
-                        put(i, j, d_t, enumerate(_component_coords(orders[d_t], t)))
+                        put(i, j, d_t, _component_coords(orders[d_t], t))
 
     assembled = GradedLieAlgebra(
         name=f"prolongation(dimV={n})", names=names, degrees=degrees,

@@ -21,8 +21,9 @@ from typing import Mapping, Optional, Sequence
 from .algebra import (GradedLieAlgebra, adjoint_columns, annihilated_rows,
                       deterministic_rows_annihilating, g_sharp_subalgebra)
 from .errors import InputError, PreconditionError
-from .linalg import (Subspace, ZERO, deterministic_complement, direct_sum_split, is_zero_vec,
-                     kernel_of_rows, solve_particular, vadd, vlincomb, vscale, vzero)
+from .linalg import (ONE, Subspace, ZERO, combine, deterministic_complement, dense,
+                     direct_sum_split, is_zero_vec, kernel_of_rows, nonzero_pairs, solve_particular,
+                     transpose, vadd, vlincomb, vscale, vzero)
 
 
 class WFrame:
@@ -369,28 +370,35 @@ def _d_matrix_rows(c: SpencerComplex, p: int, q: int, r: int) -> list[list[tuple
     # each (row, column) pair gets at most one term: the target tuple fixes t
     rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(n_tgt)]
     if p >= 1 and n_src and n_tgt:
-        d = p - 1
-        ad = c._ad[d]
+        ad = c._ad[p - 1]
+        # [e_frow, w_t] modulo the level-r annihilator, once per (t, frow), as
+        # (target free row, value) pairs with sign -1 and +1
+        signed = []
+        for t in range(c.n_w):
+            plus = []
+            for frow in src_free:
+                vec = ad[t][frow]
+                if p - 1 >= 1:
+                    vec = c.reduce_value(p - 1, r, vec)
+                plus.append([(t_f, vec[k]) for t_f, k in enumerate(tgt_free) if vec[k]])
+            signed.append(([[(t_f, -v) for t_f, v in terms] for terms in plus], plus))
         tgt_rank = {tup: i for i, tup in enumerate(tgt_tuples)}
         for s_t, tup in enumerate(src_tuples):
-            for s_f, frow in enumerate(src_free):
+            # (row offset of the target tuple, term lists of its sign) per t not in tup
+            targets = []
+            for t in range(c.n_w):
+                if t in tup:
+                    continue
+                pos = 0
+                while pos < q and tup[pos] < t:
+                    pos += 1
+                base = tgt_rank[tup[:pos] + (t,) + tup[pos:]] * len(tgt_free)
+                targets.append((base, signed[t][pos % 2]))
+            for s_f in range(len(src_free)):
                 col_idx = s_t * len(src_free) + s_f
-                for t in range(c.n_w):
-                    if t in tup:
-                        continue
-                    pos = 0
-                    while pos < q and tup[pos] < t:
-                        pos += 1
-                    new_tup = tup[:pos] + (t,) + tup[pos:]
-                    sign = -1 if pos % 2 == 0 else 1
-                    vec = ad[t][frow]
-                    if p - 1 >= 1:
-                        vec = c.reduce_value(p - 1, r, vec)
-                    base = tgt_rank[new_tup] * len(tgt_free)
-                    for t_f, frow_t in enumerate(tgt_free):
-                        v = vec[frow_t]
-                        if v:
-                            rows[base + t_f].append((col_idx, sign * v))
+                for base, terms in targets:
+                    for t_f, v in terms[s_f]:
+                        rows[base + t_f].append((col_idx, v))
     c._dmat[key] = rows
     return rows
 
@@ -409,11 +417,8 @@ def _zb_spaces(c: SpencerComplex, p: int, q: int, r: int) -> tuple[Subspace, Sub
         c._check_component_available(p)
         # B is spanned by the columns of d from (p+1, q-1), none listed when dim_c = 0
         up = _d_matrix_rows(c, p + 1, q - 1, r)
-        cols = [[ZERO] * dim_c for _ in range(space_dimension(c, p + 1, q - 1, r))] if up else []
-        for i, row in enumerate(up):
-            for j, x in row:
-                cols[j][i] = x
-        b = Subspace.from_vectors(dim_c, cols)
+        b = Subspace.from_vectors(
+            dim_c, transpose(up, space_dimension(c, p + 1, q - 1, r)) if up else [])
     c._zb[key] = (z, b)
     return z, b
 
@@ -527,7 +532,7 @@ def g_sharp_act(c: SpencerComplex, x_elt: Sequence[Fraction], x: Cochain) -> Coc
     act_w = []
     for wf in c.w_full:
         bw = a.component_part(a.bracket(tuple(x_elt), wf), -1)
-        coords = c.w.coordinates([(k, x) for k, x in enumerate(bw) if x])
+        coords = c.w.coordinates(nonzero_pairs(bw))
         if coords is None:
             raise InputError("element does not preserve W")
         act_w.append(coords)
@@ -541,14 +546,12 @@ def g_sharp_act(c: SpencerComplex, x_elt: Sequence[Fraction], x: Cochain) -> Coc
             br = a.component_part(a.bracket(tuple(x_elt), full), d)
             acc = list(br)
         for pos in range(x.q):
-            coords = act_w[tup[pos]]
-            for j, cj in enumerate(coords):
-                if cj:
-                    idxs = tup[:pos] + (j,) + tup[pos + 1:]
-                    term = x.value_at_indices(idxs)
-                    for i, v in enumerate(term):
-                        if v:
-                            acc[i] -= cj * v
+            for j, cj in act_w[tup[pos]]:
+                idxs = tup[:pos] + (j,) + tup[pos + 1:]
+                term = x.value_at_indices(idxs)
+                for i, v in enumerate(term):
+                    if v:
+                        acc[i] -= cj * v
         if any(acc):
             out[tup] = tuple(acc)
     return Cochain(c, x.p, x.q, 0, out)
@@ -567,7 +570,8 @@ def random_cocycle(c: SpencerComplex, p: int, q: int, r: int, rng,
     """Seeded integer combination of the cocycle basis."""
     z, _ = _zb_spaces(c, p, q, r)
     coeffs = [Fraction(rng.randint(lo, hi)) for _ in range(z.dim)]
-    return cochain_from_coords(c, p, q, r, vlincomb(coeffs, z.basis_vectors(), z.ambient_dim))
+    return cochain_from_coords(c, p, q, r, dense(combine(nonzero_pairs(coeffs), z.rows),
+                                                 z.ambient_dim))
 
 
 @lru_cache(maxsize=None)
@@ -576,9 +580,4 @@ def standard_complex(algebra: GradedLieAlgebra, w_dim: int) -> SpencerComplex:
     n_v = algebra.component_dim(-1)
     if not 1 <= w_dim <= n_v:
         raise InputError("W dimension out of range")
-    vecs = []
-    for i in range(w_dim):
-        v = [ZERO] * n_v
-        v[i] = Fraction(1)
-        vecs.append(tuple(v))
-    return SpencerComplex(algebra, Subspace.from_vectors(n_v, vecs))
+    return SpencerComplex(algebra, Subspace.from_vectors(n_v, [[(i, ONE)] for i in range(w_dim)]))

@@ -5,7 +5,7 @@ import pytest
 from gspencer.algebra import (GradedLieAlgebra, effectiveness_report, g_sharp_subalgebra,
                               grading_report, jacobi_report)
 from gspencer.errors import InputError
-from gspencer.linalg import Subspace
+from gspencer.linalg import Subspace, nonzero_pairs
 from gspencer.models import conformal_algebra, space_form_algebra
 
 from conftest import rng_for, int_vector
@@ -123,7 +123,7 @@ def test_g_sharp_full_w():
 def test_g_sharp_space_form_block():
     # stabilizer of the first two coordinates in so_4: so(W) + so(W-perp)
     a = space_form_algebra(4, 0)
-    w = Subspace.from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    w = Subspace.from_vectors(4, [nonzero_pairs((1, 0, 0, 0)), nonzero_pairs((0, 1, 0, 0))])
     gs = g_sharp_subalgebra(a, w)
     assert gs.dim == 2
     # cross-check against the block form: A1_2 and A3_4 span it
@@ -137,7 +137,7 @@ def test_g_sharp_space_form_block():
 def test_g_sharp_conformal_block():
     # in co_3 over W = first two coordinates the stabilizer is so(W) + R*I
     a = conformal_algebra(3)
-    w = Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)])
+    w = Subspace.from_vectors(3, [nonzero_pairs((1, 0, 0)), nonzero_pairs((0, 1, 0))])
     gs = g_sharp_subalgebra(a, w)
     assert gs.dim == 2
     comp0 = a.component_indices(0)
@@ -149,7 +149,7 @@ def test_g_sharp_conformal_block():
 
 def test_g_sharp_closed_under_bracket():
     a = space_form_algebra(4, 0)
-    w = Subspace.from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    w = Subspace.from_vectors(4, [nonzero_pairs((1, 0, 0, 0)), nonzero_pairs((0, 1, 0, 0))])
     gs = g_sharp_subalgebra(a, w)
     vecs = gs.basis_vectors()
     for x in vecs:

@@ -145,9 +145,9 @@ def test_solve_obstructed_exit_two(tmp_path, capsys):
     c = standard_complex(alg, 4)
     entry = cohomology_dims(c, 1, 2, 0, certificates=True)
     from gspencer.spencer import cochain_to_coords
-    from gspencer.linalg import Subspace
+    from gspencer.linalg import Subspace, nonzero_pairs
     b_span = Subspace.from_vectors(entry.dim_space,
-                                   [cochain_to_coords(b) for b in entry.b_basis]) \
+                                   [nonzero_pairs(cochain_to_coords(b)) for b in entry.b_basis]) \
         if entry.b_basis else Subspace.zero(entry.dim_space)
     gen = next(z for z in entry.z_basis if not b_span.contains(cochain_to_coords(z)))
     path_a = tmp_path / "c4.alg"
@@ -197,6 +197,7 @@ def test_bad_flags_exit_three(tmp_path, capsys):
     table = [
         ("prolong", "--family", "so"),
         conf3 + ("--p", "1..x"),
+        conf3 + ("--p", "5..2"),
         conf3 + ("--p", "-1"),
         conf3 + ("--q", "-1"),
         conf3 + ("--level", "-1"),

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from gspencer.linalg import (InputError, RMatrix, Subspace, deterministic_complement,
-                             kernel_basis, kernel_of_rows, nonzero_pairs, rank, rref,
+                             dense, kernel_basis, kernel_of_rows, nonzero_pairs, rank, rref,
                              solve_linear, subspace_intersection, subspace_sum, vlincomb)
 
 from conftest import rng_for, int_vector
@@ -49,7 +49,7 @@ def test_kernel_identity():
 
 def test_kernel_rank_one():
     k = kernel_basis(mat([[1, 2], [2, 4]]))
-    expected = Subspace.from_vectors(2, [(F(-2), F(1))])
+    expected = Subspace.from_vectors(2, [[(0, F(-2)), (1, F(1))]])
     assert k == expected
 
 
@@ -70,7 +70,7 @@ def test_solve_inconsistent():
 def test_solve_with_kernel():
     x, ker = solve_linear(mat([[1, 0], [0, 0]]), [F(5), F(0)])
     assert x == (F(5), F(0))
-    assert ker == Subspace.from_vectors(2, [(F(0), F(1))])
+    assert ker == Subspace.from_vectors(2, [[(1, F(1))]])
 
 
 def test_solve_dimension_mismatch():
@@ -82,20 +82,24 @@ def e(n, i):
     return tuple(F(1) if j == i else F(0) for j in range(n))
 
 
+def span(n, vectors):
+    return Subspace.from_vectors(n, [nonzero_pairs(v) for v in vectors])
+
+
 def test_intersection_coordinate_planes():
-    a = Subspace.from_vectors(3, [e(3, 0), e(3, 1)])
-    b = Subspace.from_vectors(3, [e(3, 1), e(3, 2)])
-    assert subspace_intersection(a, b) == Subspace.from_vectors(3, [e(3, 1)])
+    a = span(3, [e(3, 0), e(3, 1)])
+    b = span(3, [e(3, 1), e(3, 2)])
+    assert subspace_intersection(a, b) == span(3, [e(3, 1)])
 
 
 def test_intersection_idempotent():
-    s = Subspace.from_vectors(3, [(F(1), F(2), F(0)), (F(0), F(1), F(1))])
+    s = span(3, [(F(1), F(2), F(0)), (F(0), F(1), F(1))])
     assert subspace_intersection(s, s) == s
 
 
 def test_intersection_trivial():
-    a = Subspace.from_vectors(2, [e(2, 0)])
-    b = Subspace.from_vectors(2, [e(2, 1)])
+    a = span(2, [e(2, 0)])
+    b = span(2, [e(2, 1)])
     assert subspace_intersection(a, b).dim == 0
 
 
@@ -110,8 +114,8 @@ def test_dimension_formula_bruteforce():
     rng = rng_for("dimformula")
     for _ in range(40):
         n = rng.randint(2, 5)
-        a = Subspace.from_vectors(n, [int_vector(rng, n) for _ in range(rng.randint(0, n))])
-        b = Subspace.from_vectors(n, [int_vector(rng, n) for _ in range(rng.randint(0, n))])
+        a = span(n, [int_vector(rng, n) for _ in range(rng.randint(0, n))])
+        b = span(n, [int_vector(rng, n) for _ in range(rng.randint(0, n))])
         inter = subspace_intersection(a, b)
         brute_sum_rank = rank(RMatrix(a.basis_vectors() + b.basis_vectors())) \
             if a.dim + b.dim else 0
@@ -125,29 +129,29 @@ def test_complement_of_zero():
 
 
 def test_complement_greedy_picks_e2():
-    s = Subspace.from_vectors(2, [e(2, 0)])
-    assert deterministic_complement(s, Subspace.full(2)) == Subspace.from_vectors(2, [e(2, 1)])
+    s = span(2, [e(2, 0)])
+    assert deterministic_complement(s, Subspace.full(2)) == span(2, [e(2, 1)])
 
 
 def test_complement_of_self():
-    s = Subspace.from_vectors(3, [e(3, 0), e(3, 2)])
+    s = span(3, [e(3, 0), e(3, 2)])
     assert deterministic_complement(s, s).dim == 0
 
 
 def test_complement_containment_error():
     with pytest.raises(InputError):
-        deterministic_complement(Subspace.full(2), Subspace.from_vectors(2, [e(2, 0)]))
+        deterministic_complement(Subspace.full(2), span(2, [e(2, 0)]))
 
 
 def test_complement_direct_sum_property():
     rng = rng_for("complement")
     for _ in range(40):
         n = rng.randint(2, 5)
-        sup = Subspace.from_vectors(n, [int_vector(rng, n) for _ in range(rng.randint(1, n + 1))])
+        sup = span(n, [int_vector(rng, n) for _ in range(rng.randint(1, n + 1))])
         if sup.dim == 0:
             continue
         k = rng.randint(0, sup.dim)
-        sub = Subspace.from_vectors(n, sup.basis_vectors()[:k])
+        sub = Subspace.from_vectors(n, sup.rows[:k])
         comp = deterministic_complement(sub, sup)
         assert subspace_sum(sub, comp) == sup
         assert subspace_intersection(sub, comp).dim == 0
@@ -155,10 +159,10 @@ def test_complement_direct_sum_property():
 
 
 def test_membership():
-    s = Subspace.from_vectors(2, [(F(1), F(1))])
+    s = span(2, [(F(1), F(1))])
     assert s.contains((F(1), F(1)))
     assert s.contains((F(2), F(2)))
-    assert not Subspace.from_vectors(2, [e(2, 1)]).contains((F(1), F(0), ))
+    assert not span(2, [e(2, 1)]).contains((F(1), F(0), ))
     assert s.contains((F(0), F(0)))
     assert Subspace.zero(2).contains((F(0), F(0)))
 
@@ -198,22 +202,22 @@ def test_echelon_kernel_and_rank_match_sympy():
         rows = [tuple(data.draw(entry) for _ in range(n)) for _ in range(m)]
         sm = to_sympy(rows, n)
         red, pivots = sm.rref()
-        space = Subspace.from_vectors(n, rows)
+        space = span(n, rows)
         assert space.basis_vectors() == tuple(tuple(to_fraction(x) for x in red.row(i))
                                               for i in range(len(pivots)))
         assert space.pivot_rows == tuple(pivots)
         null = [tuple(to_fraction(x) for x in v) for v in sm.nullspace()]
-        assert kernel_of_rows([nonzero_pairs(v) for v in rows], n) == Subspace.from_vectors(n, null)
+        assert kernel_of_rows([nonzero_pairs(v) for v in rows], n) == span(n, null)
         assert rank(RMatrix(rows, m, n)) == sm.rank()
         # a drawn vector is outside exactly when appending it raises the rank
         v = tuple(data.draw(entry) for _ in range(n))
         coords = space.coordinates(nonzero_pairs(v))
         assert (coords is None) == (to_sympy(rows + [v], n).rank() > sm.rank())
         if coords is not None:
-            assert vlincomb(coords, space.basis_vectors(), n) == v
+            assert vlincomb(dense(coords, space.dim), space.basis_vectors(), n) == v
         # a combination of the basis gives back its coefficients
         coeffs = tuple(data.draw(entry) for _ in range(space.dim))
         w = vlincomb(coeffs, space.basis_vectors(), n)
-        assert space.coordinates(nonzero_pairs(w)) == coeffs
+        assert space.coordinates(nonzero_pairs(w)) == nonzero_pairs(coeffs)
 
     check()

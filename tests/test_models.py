@@ -5,7 +5,7 @@ import pytest
 
 from gspencer.algebra import grading_report, jacobi_report
 from gspencer.errors import InputError
-from gspencer.linalg import Subspace, subspace_intersection
+from gspencer.linalg import Subspace, nonzero_pairs, subspace_intersection
 from gspencer.models import (co_generators, conformal_algebra,
                              cr_algebra, cr_expected_layer_dim, cr_extend_cochain,
                              cr_integrability_test, cr_w_complex, r21_submodule,
@@ -87,12 +87,10 @@ def test_cr_structure_invariants():
         col = data.j.col(i)
         assert all(col[t] == 0 for t in range(n) if t not in data.u_perp_indices)
     # U = W intersect J(W), dimension 2(m-k)
-    w = Subspace.from_vectors(n, [tuple(F(1) if t == i else F(0) for t in range(n))
-                                  for i in data.w_indices])
-    jw = Subspace.from_vectors(n, [data.j.mat_vec(v) for v in w.basis_vectors()])
+    w = Subspace.from_vectors(n, [[(i, F(1))] for i in data.w_indices])
+    jw = Subspace.from_vectors(n, [nonzero_pairs(data.j.mat_vec(v)) for v in w.basis_vectors()])
     u = subspace_intersection(w, jw)
-    expected_u = Subspace.from_vectors(
-        n, [tuple(F(1) if t == i else F(0) for t in range(n)) for i in data.u_indices])
+    expected_u = Subspace.from_vectors(n, [[(i, F(1))] for i in data.u_indices])
     assert u == expected_u
     assert u.dim == 2 * (2 - 1)
     # J(W) is not contained in W when k >= 1

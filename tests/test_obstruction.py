@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from gspencer.errors import InputError, PreconditionError
-from gspencer.models import conformal_algebra, space_form_algebra
+from gspencer.models import co_generators, conformal_algebra, space_form_algebra
 from gspencer.obstruction import (AdmissibleTuple, ConstantForm, ObstructionCertificate,
                                   admissibility_residuals, bianchi_check,
                                   canonical_omega_minus1, cochain_to_form, empty_tuple,
@@ -13,14 +13,15 @@ from gspencer.obstruction import (AdmissibleTuple, ConstantForm, ObstructionCert
 from gspencer.spencer import (Cochain, WFrame, class_representative, random_cocycle,
                               spencer_d, standard_complex)
 from gspencer.linalg import Subspace
+from gspencer.prolong import build_graded_algebra
 
 from conftest import rng_for, int_vector
+from test_prolong import _conjugated
 
 
 def quasi_frame(n_tilde, k0, w_dim):
     a = space_form_algebra(n_tilde, k0)
-    vecs = [tuple(F(1) if j == i else F(0) for j in range(n_tilde)) for i in range(w_dim)]
-    return WFrame(a, Subspace.from_vectors(n_tilde, vecs))
+    return WFrame(a, Subspace.from_vectors(n_tilde, [[(i, F(1))] for i in range(w_dim)]))
 
 
 def admissible_start(c, rng):
@@ -279,3 +280,21 @@ def test_form_cochain_conversions():
     f = ConstantForm(1, tuple(int_vector(rng, c.algebra.component_dim(1))
                               for _ in range(2)))
     assert cochain_to_form(form_to_cochain(c, f)).columns == f.columns
+
+
+def test_solve_to_top_sound_on_conjugated_complex():
+    # the conjugated co_3 prolongation has real denominators; each solved tuple
+    # must re-verify and each obstruction must carry a nonzero class
+    conj = build_graded_algebra(_conjugated(co_generators(3)), 3).assembled
+    rng = rng_for("conjugated-solve")
+    outcomes = set()
+    for w in (1, 2, 3):
+        c = standard_complex(conj, w)
+        for _ in range(4):
+            t, cert = solve_to_top(c, AdmissibleTuple((admissible_start(c, rng),)))
+            if cert is None:
+                assert all(res.is_zero() for res in admissibility_residuals(c, t))
+            else:
+                assert not cert.class_rep.is_zero()
+            outcomes.add(cert is None)
+    assert outcomes == {True, False}

@@ -140,7 +140,7 @@ def test_certificate_rejects_bracket_outside_its_layer(monkeypatch):
 
     def first_vector_only(h_p, h0):
         layer = full_step(h_p, h0)
-        return Subspace.from_vectors(layer.ambient_dim, layer.basis_vectors()[:1])
+        return Subspace.from_vectors(layer.ambient_dim, layer.rows[:1])
 
     monkeypatch.setattr(prolong, "prolong_step", first_vector_only)
     with pytest.raises(InternalInvariantError):

@@ -4,14 +4,16 @@ from math import comb
 import pytest
 
 from gspencer.errors import InputError, PreconditionError
-from gspencer.linalg import Subspace
-from gspencer.models import conformal_algebra, space_form_algebra
-from gspencer.spencer import (Cochain, class_representative,
+from gspencer.linalg import Subspace, nonzero_pairs
+from gspencer.models import co_generators, conformal_algebra, space_form_algebra
+from gspencer.prolong import build_graded_algebra
+from gspencer.spencer import (Cochain, _d_matrix_rows, class_representative, cochain_to_coords,
                               cohomology_dims, g_sharp_act, is_coboundary,
                               random_cocycle, random_integer_cochain, space_dimension,
                               spencer_d, standard_complex)
 
 from conftest import rng_for
+from test_prolong import _conjugated
 
 
 def test_rejects_quasi_graded():
@@ -37,7 +39,7 @@ def test_annihilator_space_form_centralizer():
     for i in range(n, n_t):
         for j in range(i + 1, n_t):
             pos = comp0.index(a.index_of(f"A{i + 1}_{j + 1}"))
-            expected.append(tuple(F(1) if t == pos else F(0) for t in range(len(comp0))))
+            expected.append([(pos, F(1))])
     assert ann == Subspace.from_vectors(len(comp0), expected)
     assert ann.dim == (n_t - n) * (n_t - n - 1) // 2
 
@@ -153,7 +155,7 @@ def test_cohomology_invariants():
             e = cohomology_dims(c, p, q, 0, certificates=True)
             assert e.dim_h == e.dim_z - e.dim_b >= 0
             z_span = Subspace.from_vectors(
-                e.dim_space, [tuple(cochain_coords(x)) for x in e.z_basis]) \
+                e.dim_space, [nonzero_pairs(cochain_coords(x)) for x in e.z_basis]) \
                 if e.z_basis else Subspace.zero(e.dim_space)
             for b in e.b_basis:
                 assert z_span.contains(tuple(cochain_coords(b)))
@@ -220,7 +222,8 @@ def h12_co4_generator():
     c = standard_complex(conformal_algebra(4), 4)
     e = cohomology_dims(c, 1, 2, 0, certificates=True)
     assert e.dim_h > 0
-    b_span = Subspace.from_vectors(e.dim_space, [cochain_coords(b) for b in e.b_basis]) \
+    b_span = Subspace.from_vectors(e.dim_space,
+                                   [nonzero_pairs(cochain_coords(b)) for b in e.b_basis]) \
         if e.b_basis else Subspace.zero(e.dim_space)
     for z in e.z_basis:
         if not b_span.contains(cochain_coords(z)):
@@ -270,3 +273,26 @@ def test_g_sharp_equivariance_seeded():
         for p, q in ((1, 1), (1, 2), (0, 2)):
             x = random_integer_cochain(c, p, q, 0, rng)
             assert spencer_d(g_sharp_act(c, x_elt, x)) == g_sharp_act(c, x_elt, spencer_d(x))
+
+
+def test_operator_matrix_is_spencer_d_and_squares_to_zero():
+    # the sparse operator rows, applied to canonical coordinates, must give the
+    # coordinates of spencer_d; the conjugated co_3 prolongation has real
+    # denominators, so its annihilators and reductions are not integral
+    conj = build_graded_algebra(_conjugated(co_generators(3)), 3).assembled
+    rng = rng_for("operator-oracle")
+    for alg in (conformal_algebra(4), conj):
+        for w in range(1, alg.component_dim(-1) + 1):
+            c = standard_complex(alg, w)
+            for p in range(1, alg.height + 1):
+                for q in range(3):
+                    for r in range(3):
+                        rows = _d_matrix_rows(c, p, q, r)
+                        for _ in range(2):
+                            x = random_integer_cochain(c, p, q, r, rng)
+                            coords = cochain_to_coords(x)
+                            dx = spencer_d(x)
+                            assert cochain_to_coords(dx) == tuple(
+                                sum((v * coords[j] for j, v in row), F(0)) for row in rows), \
+                                (alg.name, w, p, q, r)
+                            assert spencer_d(dx).is_zero(), (alg.name, w, p, q, r)
