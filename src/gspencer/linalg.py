@@ -14,7 +14,6 @@ public functions that take or return them.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 from typing import Collection, Iterable, Optional, Sequence
@@ -106,6 +105,19 @@ def combine(coeffs: Iterable[tuple[int, Fraction]],
     return sorted((k, x) for k, x in acc.items() if x)
 
 
+def clear_denominators(row: PairRow) -> tuple[int, dict[int, int]]:
+    """(den, entries): den is the lcm of the row's denominators, and entries maps
+    the column of each nonzero value x (int or Fraction) to the int den * x."""
+    den = 1
+    for _, x in row:
+        d = x.denominator
+        if d != 1:
+            den = den * d // gcd(den, d)
+    if den == 1:  # the common integer row: no scaling
+        return 1, {k: x.numerator for k, x in row if x}
+    return den, {k: x.numerator * (den // x.denominator) for k, x in row if x}
+
+
 def _clear_column(r: dict[int, int], piv: dict[int, int], c: int) -> None:
     """Make the integer row r zero at column c with the row piv (nonzero there),
     in place, then divide r by the gcd of its entries."""
@@ -141,12 +153,7 @@ def _rref_rows(rows: Iterable[PairRow]) -> tuple[list[EchelonRow], list[int]]:
     """
     kept: dict[int, dict[int, int]] = {}
     for row in rows:
-        den = 1
-        for _, x in row:
-            d = x.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-        r = {k: x.numerator * (den // x.denominator) for k, x in row if x}
+        r = clear_denominators(row)[1]
         for c in [c for c in r if c in kept]:
             _clear_column(r, kept[c], c)
         if r:
@@ -271,19 +278,24 @@ class Subspace:
     `RMatrix`, built on first access.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivot_rows", "_basis")
+    __slots__ = ("ambient_dim", "rows", "pivot_rows", "_basis", "_integer_view")
 
     def __init__(self, ambient_dim: int, rows: Sequence[EchelonRow], pivot_rows: tuple[int, ...]):
         self.ambient_dim = ambient_dim
         self.rows = tuple(rows)
         self.pivot_rows = pivot_rows
         self._basis = None
+        self._integer_view = None
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, rows: Iterable[PairRow]) -> "Subspace":
         """The span of sparse rows, each the (coordinate, value) pairs of one vector."""
         rows = list(rows)
-        if any(not 0 <= k < ambient_dim for row in rows for k, _ in row):
+        try:
+            outside = any(not 0 <= k < ambient_dim for row in rows for k, _ in row)
+        except (TypeError, ValueError):
+            raise InputError("expected sparse rows of (coordinate, value) pairs") from None
+        if outside:
             raise InputError("vector coordinate outside the ambient dimension")
         red, pivots = _rref_rows(rows)
         return cls(ambient_dim, red, tuple(pivots))
@@ -332,23 +344,33 @@ class Subspace:
         (coordinate, value) pairs, as (basis index, value) pairs in the order
         of v's pivot terms, or None if v is outside.
 
-        The pairs list v's nonzero entries, each coordinate once (zero values
-        are harmless).  The basis is reduced, so v's coordinates are its
-        entries at the pivot rows, and v is inside exactly when subtracting
-        that combination of the basis rows leaves a zero residual.  The
-        residual at each pivot row cancels exactly, so it is not formed.
+        The pairs list v's nonzero ints or Fractions, each coordinate once
+        (zero values are harmless).  The basis is reduced, so v's coordinates
+        are its entries at the pivot rows, and v is inside exactly when
+        subtracting that combination of the basis rows leaves a zero residual,
+        which cancels at the pivot rows and is formed L times over elsewhere,
+        against the rows scaled by the lcm L of their denominators (built on
+        first use): integer input takes only int operations.
         """
-        pivots, rows = self.pivot_rows, self.rows
+        if self._integer_view is None:
+            # one clearing over every row's off-pivot entries, keyed (pivot, column)
+            scale, entries = clear_denominators([((row[0][0], k), y) for row in self.rows
+                                                 for k, y in row[1:]])
+            scaled = {pc: (b, []) for b, pc in enumerate(self.pivot_rows)}
+            for (pc, k), y in entries.items():
+                scaled[pc][1].append((k, y))
+            self._integer_view = scale, scaled
+        scale, scaled = self._integer_view
         coords = []
-        residual: dict[int, Fraction] = {}
+        residual: dict[int, int | Fraction] = {}
         for k, x in terms:
-            b = bisect_left(pivots, k)
-            if b == len(pivots) or pivots[b] != k:
-                residual[k] = residual.get(k, ZERO) + x
+            hit = scaled.get(k)
+            if hit is None:
+                residual[k] = residual.get(k, 0) + scale * x
             elif x:
-                coords.append((b, x))
-                for kr, y in rows[b][1:]:
-                    residual[kr] = residual.get(kr, ZERO) - x * y
+                coords.append((hit[0], x))
+                for kr, y in hit[1]:
+                    residual[kr] = residual.get(kr, 0) - x * y
         if any(residual.values()):
             return None
         return coords

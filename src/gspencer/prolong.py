@@ -24,7 +24,8 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import GradedLieAlgebra
 from .errors import InputError, InternalInvariantError
-from .linalg import PairRow, RMatrix, Subspace, ZERO, dense, kernel_of_rows, nonzero_pairs
+from .linalg import (PairRow, RMatrix, Subspace, ZERO, clear_denominators, dense, kernel_of_rows,
+                     nonzero_pairs)
 
 
 @lru_cache(maxsize=None)
@@ -73,16 +74,23 @@ class LinearLieAlgebra:
         """Verify independence of the generators and closure under commutator.
 
         Returns the generators' span.  Only pairs a < b are commuted, since
-        [b, a] = -[a, b] and [a, a] = 0.
+        [b, a] = -[a, b] and [a, a] = 0, from integer multiples of a and b.
         """
         sp = self.span()
         if sp.dim != len(self.generators):
             raise InputError("generators are linearly dependent")
-        for a, b in combinations(self.generators, 2):
-            comm_coords = [x - y for x, y in
-                           zip(self.matrix_coords(a.mat_mul(b)),
-                               self.matrix_coords(b.mat_mul(a)))]
-            if not sp.contains(comm_coords):
+        n = self.v_dim
+        terms = [[divmod(k, n) + (x,) for k, x in
+                  clear_denominators(nonzero_pairs(self.matrix_coords(g)))[1].items()]
+                 for g in self.generators]
+        for ta, tb in combinations(terms, 2):
+            comm: dict[int, int] = {}
+            for x_terms, y_terms, sign in ((ta, tb, 1), (tb, ta, -1)):
+                for i, j, x in x_terms:
+                    for j2, k, y in y_terms:
+                        if j == j2:
+                            comm[i * n + k] = comm.get(i * n + k, 0) + sign * x * y
+            if sp.coordinates(comm.items()) is None:
                 raise InputError("generators are not closed under commutator")
         return sp
 
@@ -100,26 +108,28 @@ def _drop(mono: tuple[int, ...], j: int) -> tuple[int, ...]:
     return mono[:k] + mono[k + 1:]
 
 
-# A layer vector's nonzero terms (i, mono, c), and the same terms grouped by
-# each index k their monomial holds as k -> [(i, mono minus k, c)]: the terms
-# of T(e_k, ...).
-LayerTerms = tuple[list[tuple[int, tuple[int, ...], Fraction]],
-                   dict[int, list[tuple[int, tuple[int, ...], Fraction]]]]
+# A layer vector T as den * T's nonzero terms (i, mono, c), c an int; the same
+# terms grouped by each index k their monomial holds as k -> [(i, mono minus
+# k, c)], the terms of den * T(e_k, ...); and den.
+LayerTerms = tuple[list[tuple[int, tuple[int, ...], int]],
+                   dict[int, list[tuple[int, tuple[int, ...], int]]], int]
 
 
 def layer_terms(n: int, p: int, t: PairRow) -> LayerTerms:
     """The terms of T in V (x) S^{p+1}V*, given by its nonzero pairs, flat and
-    grouped by index."""
-    terms = _terms(n, p, t)
-    by_index: dict[int, list[tuple[int, tuple[int, ...], Fraction]]] = {}
+    grouped by index, with integer coefficients over T's denominator."""
+    den, entries = clear_denominators(t)
+    terms = _terms(n, p, entries.items())
+    by_index: dict[int, list[tuple[int, tuple[int, ...], int]]] = {}
     for i, mono, c in terms:
         for k in dict.fromkeys(mono):
             by_index.setdefault(k, []).append((i, _drop(mono, k), c))
-    return terms, by_index
+    return terms, by_index, den
 
 
-def _evaluation(n: int, p: int, t: LayerTerms, j: int) -> list[tuple[int, Fraction]]:
-    """Nonzero (coordinate, value) pairs of T(e_j, ...) in degree p-1, by coordinate."""
+def _evaluation(n: int, p: int, t: LayerTerms, j: int) -> list[tuple[int, int]]:
+    """Nonzero (coordinate, value) pairs of T(e_j, ...) in degree p-1, by
+    coordinate, as integers over T's denominator t[2]."""
     width_out = len(monomials(n, p))
     rank_out = mono_rank(n, p)
     return sorted((i * width_out + rank_out[rest], c) for i, rest, c in t[1].get(j, ()))
@@ -127,7 +137,8 @@ def _evaluation(n: int, p: int, t: LayerTerms, j: int) -> list[tuple[int, Fracti
 
 def contraction(n: int, p: int, t: Sequence[Fraction], j: int) -> tuple[Fraction, ...]:
     """Evaluation of T in V (x) S^{p+1}V* at basis vector e_j, landing in degree p-1."""
-    return dense(_evaluation(n, p, layer_terms(n, p, nonzero_pairs(t)), j),
+    terms = layer_terms(n, p, nonzero_pairs(t))
+    return dense(((k, Fraction(c, terms[2])) for k, c in _evaluation(n, p, terms, j)),
                  n * len(monomials(n, p)))
 
 
@@ -179,9 +190,10 @@ def prolong_step(h_p: Subspace, h0: LinearLieAlgebra) -> Subspace:
 
 
 def insertion_bracket(n: int, p: int, q: int, x_terms: LayerTerms, y_terms: LayerTerms,
-                      merged: Optional[dict] = None) -> list[tuple[int, Fraction]]:
+                      merged: Optional[dict] = None) -> list[tuple[int, int]]:
     """Bracket of X in degree p and Y in degree q (both >= 0), given by their
-    `layer_terms`, as its nonzero (coordinate, value) pairs by coordinate.
+    `layer_terms`, as its nonzero (coordinate, value) pairs by coordinate, the
+    values integers over the product of X's and Y's denominators.
 
     Computed by the closed insertion formula [X,Y] = X(Y(.), ...) summed over
     argument subsets, minus the same with X and Y swapped.  The result T is
@@ -195,8 +207,8 @@ def insertion_bracket(n: int, p: int, q: int, x_terms: LayerTerms, y_terms: Laye
     d_out = p + q + 1
     width_out = len(monomials(n, d_out))
     rank_out = mono_rank(n, d_out)
-    out: dict[int, Fraction] = {}
-    for (_, a_by_index), (b_terms, _), sign in ((x_terms, y_terms, 1), (y_terms, x_terms, -1)):
+    out: dict[int, int] = {}
+    for a_by_index, b_terms, sign in ((x_terms[1], y_terms[0], 1), (y_terms[1], x_terms[0], -1)):
         # [A, B](m) sums A(B(m_S), m_rest) over position subsets S: a term
         # e_k (x) sub of B meets every term of A whose monomial holds k
         for k, sub, cb in b_terms:
@@ -210,7 +222,7 @@ def insertion_bracket(n: int, p: int, q: int, x_terms: LayerTerms, y_terms: Laye
                     hit = merged[(sub, rest)] = (
                         rank_out[mono], prod(comb(mono.count(s), sub.count(s)) for s in set(sub)))
                 pos = i * width_out + hit[0]
-                out[pos] = out.get(pos, ZERO) + hit[1] * ca * scb
+                out[pos] = out.get(pos, 0) + hit[1] * ca * scb
     return sorted((pos, c) for pos, c in out.items() if c)
 
 
@@ -232,17 +244,6 @@ class ProlongationResult:
                 and p >= self.stabilization_order:
             return 0
         raise InputError(f"order {p} was not computed (truncated at {self.truncation_order})")
-
-
-def _component_coords(h_sub: Subspace, terms: list[tuple[int, Fraction]]
-                      ) -> list[tuple[int, Fraction]]:
-    """Echelon-basis coordinates in its layer, as (basis index, value) pairs, of a
-    vector given by its nonzero pairs."""
-    coords = h_sub.coordinates(terms)
-    if coords is None:
-        raise InternalInvariantError(
-            "bracket left its prolongation layer; h^0 is not closed or data is corrupt")
-    return coords
 
 
 @lru_cache(maxsize=None)
@@ -287,9 +288,15 @@ def build_graded_algebra(h0: LinearLieAlgebra, max_order: int) -> ProlongationRe
                    for d in range(0, top + 1)}
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
 
-    def put(i: int, j: int, d_target: int, terms: Iterable[tuple[int, Fraction]]) -> None:
+    def put(i: int, j: int, d_target: int, terms: Iterable[tuple[int, int]], den: int) -> None:
+        # terms: [i, j] in degree d_target as integers over den, certified in that layer
+        if d_target >= 0:
+            terms = orders[d_target].coordinates(terms)
+            if terms is None:
+                raise InternalInvariantError(
+                    "bracket left its prolongation layer; h^0 is not closed or data is corrupt")
         off = layer_offset[d_target]
-        entry = {off + pos: c for pos, c in terms}
+        entry = {off + pos: Fraction(c, den) for pos, c in terms}
         if entry:
             if i < j:
                 table[(i, j)] = entry
@@ -301,11 +308,7 @@ def build_graded_algebra(h0: LinearLieAlgebra, max_order: int) -> ProlongationRe
         for b, xv in enumerate(layer_basis[d]):
             i = layer_offset[d] + b
             for j in range(n):
-                val = _evaluation(n, d, xv, j)
-                if d == 0:
-                    put(i, j, -1, val)  # lands in V directly
-                else:
-                    put(i, j, d - 1, _component_coords(orders[d - 1], val))
+                put(i, j, d - 1, _evaluation(n, d, xv, j), xv[2])
 
     # [X, Y] for nonnegative degrees
     merged: dict = {}
@@ -323,7 +326,7 @@ def build_graded_algebra(h0: LinearLieAlgebra, max_order: int) -> ProlongationRe
                     j = layer_offset[dy] + b
                     t = insertion_bracket(n, dx, dy, xv, by[b], merged)
                     if t:
-                        put(i, j, d_t, _component_coords(orders[d_t], t))
+                        put(i, j, d_t, t, xv[2] * by[b][2])
 
     assembled = GradedLieAlgebra(
         name=f"prolongation(dimV={n})", names=names, degrees=degrees,

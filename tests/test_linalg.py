@@ -221,3 +221,32 @@ def test_echelon_kernel_and_rank_match_sympy():
         assert space.coordinates(nonzero_pairs(w)) == nonzero_pairs(coeffs)
 
     check()
+
+
+def test_from_vectors_rejects_dense_vectors():
+    with pytest.raises(InputError, match="pairs"):
+        Subspace.from_vectors(2, [(F(1), F(0))])
+
+
+def test_coordinates_integer_certificate_matches_sympy():
+    """Echelon rows with denominators 3 and 5; int, Fraction and mixed input agree."""
+    sympy = pytest.importorskip("sympy")
+    spanning = [(3, 0, 1, 2), (0, 5, 2, 0)]
+    space = span(4, [tuple(F(x) for x in v) for v in spanning])
+    assert {x.denominator for row in space.rows for _, x in row} == {1, 3, 5}
+    reduced = sympy.Matrix(spanning).rref()[0]
+
+    def oracle(v):
+        try:
+            sol = reduced.T.gauss_jordan_solve(sympy.Matrix(v))[0]
+        except ValueError:
+            return None
+        return [(b, F(int(c.p), int(c.q))) for b, c in enumerate(sol) if c]
+
+    # 15 * (2 row_0 - 3 row_1) is inside; changing its last entry, off both
+    # pivots, takes it outside
+    member, outsider = (30, -45, -8, 20), (30, -45, -8, 21)
+    assert oracle(member) == [(0, 30), (1, -45)] and oracle(outsider) is None
+    for v in (member, outsider):
+        for w in (v, tuple(F(x) for x in v), (v[0], F(v[1]), v[2], F(v[3]))):
+            assert space.coordinates(nonzero_pairs(w)) == oracle(v), w
