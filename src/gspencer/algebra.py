@@ -13,29 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InputError
-from .linalg import PairRow, Subspace, ZERO, dense, kernel_of_rows, nonzero_pairs
+from .linalg import (PairRow, Subspace, ZERO, clear_denominators, combine, dense, kernel_of_rows,
+                     nonzero_pairs)
 
 SparseVec = dict[int, Fraction]
-
-
-def _sparse_bracket_sparse(a: GradedLieAlgebra, x: Iterable[tuple[int, Fraction]],
-                           y: Iterable[tuple[int, Fraction]]) -> SparseVec:
-    """Bracket of two vectors given by their (index, value) pairs."""
-    acc: SparseVec = {}
-    for i, xi in x:
-        for j, yj in y:
-            if i == j:
-                continue
-            for t, c in a.bracket_basis(i, j).items():
-                v = acc.get(t, ZERO) + xi * yj * c
-                if v:
-                    acc[t] = v
-                else:
-                    acc.pop(t, None)
-    return acc
 
 
 def check_names_and_truncation(names: Sequence[str], height: int,
@@ -130,8 +114,9 @@ class GradedLieAlgebra:
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Bilinear extension of the structure constants; exactly antisymmetric."""
-        return dense(_sparse_bracket_sparse(self, nonzero_pairs(x), nonzero_pairs(y)).items(),
-                     self.dim)
+        y_terms = nonzero_pairs(y)
+        return dense(combine((b.items(), xi * yj) for i, xi in nonzero_pairs(x) for j, yj in y_terms
+                             if (b := self.bracket_basis(i, j))), self.dim)
 
     # -- coordinates --------------------------------------------------------
 
@@ -197,26 +182,30 @@ def jacobi_report(a: GradedLieAlgebra) -> list[JacobiViolation]:
     truncated = a.truncated_at is not None
     n = a.dim
     deg = a.degrees
+    # the whole table times the lcm L of its denominators, as ints, both orientations;
+    # a double bracket then sums ints scaled by L^2
+    scale, entries = clear_denominators([((i, j, t), c) for (i, j), coeffs in a._table.items()
+                                         for t, c in coeffs.items()])
+    table: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (i, j, t), c in entries.items():
+        table.setdefault((i, j), []).append((t, c))
+        table.setdefault((j, i), []).append((t, -c))
     for i in range(n):
         for j in range(i + 1, n):
-            bij = a.bracket_basis(i, j)
             for k in range(j + 1, n):
                 if truncated and (deg[i] + deg[j] > top or deg[j] + deg[k] > top
                                   or deg[i] + deg[k] > top
                                   or deg[i] + deg[j] + deg[k] > top):
                     continue
-                acc: SparseVec = {}
+                acc: dict[int, int] = {}
                 for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                    byz = bij if (y, z) == (i, j) else a.bracket_basis(y, z)
-                    for t, c in _sparse_bracket_sparse(a, ((x, 1),), byz.items()).items():
-                        v = acc.get(t, ZERO) + c
-                        if v:
-                            acc[t] = v
-                        else:
-                            acc.pop(t, None)
-                if acc:
-                    out.append(JacobiViolation((i, j, k), (a.names[i], a.names[j], a.names[k]),
-                                               dense(acc.items(), n)))
+                    for t, c in table.get((y, z), ()):
+                        for s, e in table.get((x, t), ()):
+                            acc[s] = acc.get(s, 0) + c * e
+                if any(acc.values()):
+                    out.append(JacobiViolation(
+                        (i, j, k), (a.names[i], a.names[j], a.names[k]),
+                        dense(((s, Fraction(v, scale * scale)) for s, v in acc.items()), n)))
     return out
 
 
@@ -264,25 +253,34 @@ def effectiveness_report(a: GradedLieAlgebra) -> list[str]:
 
 
 def adjoint_columns(a: GradedLieAlgebra, d: int,
-                    w_full: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
-    """Columns of ad(w) from the degree-d component to degree d-1, one per basis element."""
-    return [a.component_part(a.bracket(a.basis_element(i), w_full), d - 1)
+                    w_row: PairRow) -> list[list[tuple[int, Fraction]]]:
+    """Columns of ad(w) from the degree-d component to degree d-1, one per basis
+    element e_i of degree d: the degree-(d-1) part of [e_i, w] as sorted
+    (component coordinate, value) pairs, read from the structure constants.
+
+    w is given by its (coordinate, value) pairs in the degree-(-1) component.
+    """
+    v_idx = a.component_indices(-1)
+    target = {t: pos for pos, t in enumerate(a.component_indices(d - 1))}
+    return [combine(([(target[t], c) for t, c in a.bracket_basis(i, v_idx[k]).items()
+                      if t in target], x) for k, x in w_row)
             for i in a.component_indices(d)]
 
 
 def annihilated_rows(ann_rows: Sequence[PairRow],
-                     column_sets: Sequence[Sequence[Sequence[Fraction]]]) -> list[PairRow]:
-    """The sparse rows r·M for every column set M and sparse annihilator row r,
-    zero rows dropped.
+                     column_sets: Sequence[Sequence[PairRow]]) -> list[PairRow]:
+    """The sparse rows r·M for every set M of sparse columns and sparse
+    annihilator row r, zero rows dropped.
 
     Their common kernel is the set of x with M x inside the subspace that the
     rows annihilate, for every M.
     """
+    lookups = [dict(terms) for terms in ann_rows]
     rows = []
     for cols in column_sets:
-        for terms in ann_rows:
+        for r in lookups:
             row = [(j, s) for j, col in enumerate(cols)
-                   if (s := sum((x * col[k] for k, x in terms if col[k]), ZERO))]
+                   if (s := sum((x * r[k] for k, x in col if k in r), ZERO))]
             if row:
                 rows.append(row)
     return rows
@@ -298,7 +296,7 @@ def g_sharp_subalgebra(a: GradedLieAlgebra, w: Subspace) -> Subspace:
         raise InputError("W must live in the degree -1 component")
     if not a.component_indices(0):
         return Subspace.zero(0)
-    ad_w = [adjoint_columns(a, 0, a.embed_component(-1, wv)) for wv in w.basis_vectors()]
+    ad_w = [adjoint_columns(a, 0, row) for row in w.rows]
     return kernel_of_rows(annihilated_rows(deterministic_rows_annihilating(w), ad_w),
                           a.component_dim(0))
 

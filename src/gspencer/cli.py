@@ -12,11 +12,12 @@ import sys
 import time
 
 from . import models
-from .algebra import GradedLieAlgebra, effectiveness_report, grading_report, jacobi_report
+from .algebra import (GradedLieAlgebra, adjoint_columns, effectiveness_report, grading_report,
+                      jacobi_report)
 from .claims import paper_claims
 from .errors import InputError, ParseError, PreconditionError, ValidationError
 from .fileio import parse_algebra, parse_cochain, serialize_cochain
-from .linalg import RMatrix
+from .linalg import RMatrix, dense
 from .prolong import LinearLieAlgebra, build_graded_algebra
 from .spencer import cohomology_dims, is_coboundary, class_representative, standard_complex
 
@@ -51,15 +52,11 @@ def _read_text(path: str) -> str:
 def _linear_algebra_from_flags(args) -> LinearLieAlgebra:
     if args.algebra:
         alg = parse_algebra(_read_text(args.algebra))
-        v_idx = alg.component_indices(-1)
-        n = len(v_idx)
-        gens = []
-        for i in alg.component_indices(0):
-            cols = [alg.component_part(alg.bracket(alg.basis_element(i),
-                                                   alg.basis_element(vj)), -1)
-                    for vj in v_idx]
-            gens.append(RMatrix.from_cols(cols, n))
-        return LinearLieAlgebra(n, tuple(gens))
+        n = alg.component_dim(-1)
+        # ad[j][i] = [e_i, v_j], column j of the i-th degree-0 generator
+        ad = [adjoint_columns(alg, 0, [(j, 1)]) for j in range(n)]
+        return LinearLieAlgebra(n, tuple(RMatrix.from_cols([dense(col[i], n) for col in ad], n)
+                                         for i in range(alg.component_dim(0))))
     if args.family == "so":
         if args.dim is None:
             raise InputError("--family so needs --dim")

@@ -95,13 +95,13 @@ def transpose(rows: Sequence[PairRow], ncols: int) -> list[list[tuple[int, Fract
     return out
 
 
-def combine(coeffs: Iterable[tuple[int, Fraction]],
-            rows: Sequence[PairRow]) -> list[tuple[int, Fraction]]:
-    """The sparse row sum of c * rows[b] over the (b, c) pairs, sorted by column."""
+def combine(terms: Iterable[tuple[PairRow, Fraction]]) -> list[tuple[int, Fraction]]:
+    """The sparse row sum of c * row over the (row, c) pairs, sorted by column."""
     acc: dict[int, Fraction] = {}
-    for b, c in coeffs:
-        for k, x in rows[b]:
-            acc[k] = acc.get(k, ZERO) + c * x
+    for row, c in terms:
+        if c:
+            for k, x in row:
+                acc[k] = acc.get(k, ZERO) + c * x
     return sorted((k, x) for k, x in acc.items() if x)
 
 
@@ -323,20 +323,19 @@ class Subspace:
     def basis_vectors(self) -> tuple[tuple[Fraction, ...], ...]:
         return self.basis.data
 
-    def reduce(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Canonical coset representative of v modulo this subspace.
+    def reduce(self, terms: Iterable[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
+        """Canonical coset representative, modulo this subspace, of the vector
+        with the given (coordinate, value) pairs, as pairs sorted by coordinate.
 
         Subtracts basis vectors so the result vanishes on all pivot rows.
         """
-        if len(v) != self.ambient_dim:
-            raise InputError("vector length does not match ambient dimension")
-        r = list(v)
+        r = dict(terms)
         for row, prow in zip(self.rows, self.pivot_rows):
-            c = r[prow]
+            c = r.get(prow)
             if c:
                 for k, x in row:
-                    r[k] -= c * x
-        return tuple(r)
+                    r[k] = r.get(k, ZERO) - c * x
+        return sorted((k, x) for k, x in r.items() if x)
 
     def coordinates(self, terms: Iterable[tuple[int, Fraction]]
                     ) -> Optional[list[tuple[int, Fraction]]]:
@@ -376,7 +375,9 @@ class Subspace:
         return coords
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return is_zero_vec(self.reduce(v))
+        if len(v) != self.ambient_dim:
+            raise InputError("vector length does not match ambient dimension")
+        return self.coordinates(nonzero_pairs(v)) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -453,7 +454,7 @@ def direct_sum_split(v: Sequence[Fraction], parts: Sequence[Subspace]
     out = []
     start = 0
     for s in parts:
-        out.append(dense(combine(nonzero_pairs(sol[start:start + s.dim]), s.rows), len(v)))
+        out.append(dense(combine(zip(s.rows, sol[start:start + s.dim])), len(v)))
         start += s.dim
     return out
 
@@ -473,7 +474,7 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     # [A | B] has the basis vectors as columns: its rows are the transpose of theirs
     ker = kernel_of_rows(transpose(a.rows + b.rows, a.ambient_dim), a.dim + b.dim)
     return Subspace.from_vectors(
-        a.ambient_dim, [combine([(j, x) for j, x in kv if j < a.dim], a.rows) for kv in ker.rows])
+        a.ambient_dim, [combine((a.rows[j], x) for j, x in kv if j < a.dim) for kv in ker.rows])
 
 
 def deterministic_complement(s: Subspace, superspace: Subspace) -> Subspace:

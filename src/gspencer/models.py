@@ -27,7 +27,7 @@ from .algebra import GradedLieAlgebra
 from .errors import InputError, InternalInvariantError
 from .linalg import (RMatrix, Subspace, ZERO, dense, is_zero_vec, kernel_of_rows, vadd, vlincomb,
                      vsub)
-from .prolong import LinearLieAlgebra, ProlongationResult, build_graded_algebra
+from .prolong import LinearLieAlgebra, ProlongationResult, build_graded_algebra, matrix_commutator
 from .spencer import Cochain, SpencerComplex, standard_complex
 
 ONE = Fraction(1)
@@ -74,12 +74,7 @@ def _so_brackets(n: int, mats: list[RMatrix],
              for m in mats]
     table = {}
     for a, b in combinations(range(len(mats)), 2):
-        comm: dict[tuple[int, int], Fraction] = {}
-        for x_terms, y_terms, sign in ((terms[a], terms[b], 1), (terms[b], terms[a], -1)):
-            for i, j, x in x_terms:
-                for j2, k, y in y_terms:
-                    if j == j2:
-                        comm[(i, k)] = comm.get((i, k), ZERO) + sign * x * y
+        comm = matrix_commutator(terms[a], terms[b])
         entry = {}
         for (i, k), v in comm.items():
             if v and (i == k or comm.get((k, i)) != -v):

@@ -16,7 +16,8 @@ from typing import Optional, Sequence, Union
 
 from .errors import InputError, InternalInvariantError, PreconditionError
 from .linalg import RMatrix, direct_sum_split, is_zero_vec, vadd, vscale, vsub, vzero
-from .spencer import Cochain, SpencerComplex, WFrame, class_representative, is_coboundary, spencer_d
+from .spencer import (Cochain, SpencerComplex, WFrame, alternating_bracket_sum,
+                      class_representative, is_coboundary, spencer_d)
 
 HALF = Fraction(1, 2)
 
@@ -139,17 +140,9 @@ def total_curvature(frame: WFrame, t: AdmissibleTuple, p: int) -> Cochain:
 
 
 def _d_of_form(frame: WFrame, f: ConstantForm) -> Cochain:
-    """The 2-form (w_a, w_b) -> [w_a, f(w_b)] - [w_b, f(w_a)], degree shifted down."""
-    a = frame.algebra
-    vals = {}
-    for i, j in combinations(range(frame.n_w), 2):
-        x = a.embed_component(f.degree, f.column(j))
-        y = a.embed_component(f.degree, f.column(i))
-        v = vsub(a.bracket(frame.w_full[i], x), a.bracket(frame.w_full[j], y))
-        val = a.component_part(v, f.degree - 1)
-        if not is_zero_vec(val):
-            vals[(i, j)] = val
-    return Cochain(frame, f.degree, 2, 0, vals)
+    """The 2-form (w_a, w_b) -> [w_a, f(w_b)] - [w_b, f(w_a)], degree shifted down:
+    the generalized Spencer differential of f read as a (degree+1, 1)-cochain."""
+    return alternating_bracket_sum(form_to_cochain(frame, f))
 
 
 def admissibility_residuals(frame: WFrame, t: AdmissibleTuple) -> list[Cochain]:
@@ -159,9 +152,6 @@ def admissibility_residuals(frame: WFrame, t: AdmissibleTuple) -> list[Cochain]:
         omega = total_curvature(frame, t, s)
         out.append(omega + _d_of_form(frame, t.forms[s]))
     return out
-# note: [omega^{-1}, omega^s] evaluated on (w_a, w_b) equals
-# [w_a, omega^s(w_b)] - [w_b, omega^s(w_a)], which is the generalized Spencer
-# differential of omega^s read as a (s+1, 1)-cochain
 
 
 def check_admissible(frame: WFrame, t: AdmissibleTuple, p: int) -> None:

@@ -84,15 +84,24 @@ class LinearLieAlgebra:
                   clear_denominators(nonzero_pairs(self.matrix_coords(g)))[1].items()]
                  for g in self.generators]
         for ta, tb in combinations(terms, 2):
-            comm: dict[int, int] = {}
-            for x_terms, y_terms, sign in ((ta, tb, 1), (tb, ta, -1)):
-                for i, j, x in x_terms:
-                    for j2, k, y in y_terms:
-                        if j == j2:
-                            comm[i * n + k] = comm.get(i * n + k, 0) + sign * x * y
-            if sp.coordinates(comm.items()) is None:
+            comm = matrix_commutator(ta, tb)
+            if sp.coordinates((i * n + k, v) for (i, k), v in comm.items()) is None:
                 raise InputError("generators are not closed under commutator")
         return sp
+
+
+def matrix_commutator(x_terms: Sequence[tuple[int, int, Fraction]],
+                      y_terms: Sequence[tuple[int, int, Fraction]]
+                      ) -> dict[tuple[int, int], Fraction]:
+    """The entries (i, k) -> v of XY - YX, for matrices X and Y given by their
+    nonzero entries (i, j, x) (ints or Fractions); some v may be zero."""
+    comm: dict[tuple[int, int], Fraction] = {}
+    for a_terms, b_terms, sign in ((x_terms, y_terms, 1), (y_terms, x_terms, -1)):
+        for i, j, x in a_terms:
+            for j2, k, y in b_terms:
+                if j == j2:
+                    comm[(i, k)] = comm.get((i, k), 0) + sign * x * y
+    return comm
 
 
 def _terms(n: int, p: int, t: PairRow) -> list[tuple[int, tuple[int, ...], Fraction]]:

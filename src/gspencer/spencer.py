@@ -47,6 +47,10 @@ class WFrame:
         self.w_vectors = w.basis_vectors()
         self.n_w = w.dim
         self.w_full = [algebra.embed_component(-1, v) for v in self.w_vectors]
+        # _ad[d][t][i]: the degree-(d-1) part of [e_i, w_t] as sorted pairs, e_i the
+        # i-th basis element of degree d
+        self._ad = {d: [adjoint_columns(algebra, d, row) for row in w.rows]
+                    for d in range(0, self.top_degree() + 1)}
 
     def top_degree(self) -> int:
         return self.algebra.max_represented_degree()
@@ -64,9 +68,6 @@ class SpencerComplex(WFrame):
         if algebra.grading_kind != "graded":
             raise InputError("Spencer complexes require a graded algebra")
         top = self.top_degree()
-        # _ad[d][t][i]: degree-(d-1) part of [e_i, w_t], e_i the i-th basis element of degree d
-        self._ad: dict[int, list[list[tuple[Fraction, ...]]]] = {
-            d: [adjoint_columns(algebra, d, wf) for wf in self.w_full] for d in range(0, top + 1)}
         # annihilator filtration c_r per component degree
         self._ann: dict[tuple[int, int], Subspace] = {}
         n_v = algebra.component_dim(-1)
@@ -119,7 +120,7 @@ class SpencerComplex(WFrame):
         """Canonical representative of a degree-(p-1) value modulo c_r."""
         if p == 0 or r == 0:
             return tuple(vec)
-        return self._annihilator_raw(p - 1, r).reduce(vec)
+        return dense(self._annihilator_raw(p - 1, r).reduce(nonzero_pairs(vec)), len(vec))
 
     def free_rows(self, p: int, r: int) -> tuple[int, ...]:
         """Component rows that parametrize the quotient by c_r (all rows for p = 0)."""
@@ -292,30 +293,32 @@ def spencer_d(x: Cochain) -> Cochain:
     For p = 0 the target space does not exist; the zero cochain in bidegree
     (0, q+1) is returned by convention.
     """
-    c = x.frame
-    if not isinstance(c, SpencerComplex):
+    if not isinstance(x.frame, SpencerComplex):
         raise InputError("spencer_d needs a SpencerComplex")
-    if x.p == 0:
-        return Cochain.zero(c, 0, x.q + 1, x.level)
-    if c.algebra.component_dim(x.p - 1) == 0:
-        return Cochain.zero(c, x.p - 1, x.q + 1, x.level)
-    d = x.p - 1
-    ad = c._ad[d]
-    nd = c.algebra.component_dim(d - 1)
+    return alternating_bracket_sum(x)
+
+
+def alternating_bracket_sum(x: Cochain) -> Cochain:
+    """The sum that defines `spencer_d`, on a cochain over any frame:
+    (dx)(w_0..w_q) = sum_i (-1)^i [w_i, x(w_0..^w_i..w_q)].
+
+    It needs no annihilator, so it also serves level-0 cochains over a
+    quasi-graded `WFrame`.
+    """
+    c = x.frame
+    if x.p == 0 or not x.values:
+        return Cochain.zero(c, max(x.p - 1, 0), x.q + 1, x.level)
+    ad = c._ad[x.p - 1]
+    nd = c.algebra.component_dim(x.p - 2)
     out: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     for tup in combinations(range(c.n_w), x.q + 1):
-        acc = None
-        for pos, t in enumerate(tup):
-            rest = tup[:pos] + tup[pos + 1:]
-            val = x.values.get(rest)
-            if val is None:
-                continue
-            term = vlincomb(val, ad[t], nd)
-            if pos % 2 == 0:  # (-1)^i with i = pos+1 one-based
-                term = vscale(Fraction(-1), term)
-            acc = term if acc is None else vadd(acc, term)
-        if acc is not None and not is_zero_vec(acc):
-            out[tup] = acc
+        # [x(rest), w_t] enters with sign (-1)^(pos+1), pos the place of t in tup
+        row = combine((col, -v if pos % 2 == 0 else v)
+                      for pos, t in enumerate(tup)
+                      if (val := x.values.get(tup[:pos] + tup[pos + 1:])) is not None
+                      for col, v in zip(ad[t], val) if v)
+        if row:
+            out[tup] = dense(row, nd)
     return Cochain(c, x.p - 1, x.q + 1, x.level, out)
 
 
@@ -371,16 +374,16 @@ def _d_matrix_rows(c: SpencerComplex, p: int, q: int, r: int) -> list[list[tuple
     rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(n_tgt)]
     if p >= 1 and n_src and n_tgt:
         ad = c._ad[p - 1]
-        # [e_frow, w_t] modulo the level-r annihilator, once per (t, frow), as
-        # (target free row, value) pairs with sign -1 and +1
+        # values of degree p-2 >= 0 are taken modulo the level-r annihilator
+        ann = c._annihilator_raw(p - 2, r) if p >= 2 and r else None
+        free_pos = {k: t_f for t_f, k in enumerate(tgt_free)}
+        # [e_frow, w_t] reduced, once per (t, frow), as (target free row, value)
+        # pairs with sign -1 and +1
         signed = []
         for t in range(c.n_w):
-            plus = []
-            for frow in src_free:
-                vec = ad[t][frow]
-                if p - 1 >= 1:
-                    vec = c.reduce_value(p - 1, r, vec)
-                plus.append([(t_f, vec[k]) for t_f, k in enumerate(tgt_free) if vec[k]])
+            plus = [[(free_pos[k], v) for k, v in (ad[t][frow] if ann is None
+                                                   else ann.reduce(ad[t][frow]))]
+                    for frow in src_free]
             signed.append(([[(t_f, -v) for t_f, v in terms] for terms in plus], plus))
         tgt_rank = {tup: i for i, tup in enumerate(tgt_tuples)}
         for s_t, tup in enumerate(src_tuples):
@@ -530,9 +533,8 @@ def g_sharp_act(c: SpencerComplex, x_elt: Sequence[Fraction], x: Cochain) -> Coc
         raise InputError("element does not preserve W")
     # [X, w_j] expressed back in W coordinates
     act_w = []
-    for wf in c.w_full:
-        bw = a.component_part(a.bracket(tuple(x_elt), wf), -1)
-        coords = c.w.coordinates(nonzero_pairs(bw))
+    for j in range(c.n_w):
+        coords = c.w.coordinates(combine(zip(c._ad[0][j], comp0)))
         if coords is None:
             raise InputError("element does not preserve W")
         act_w.append(coords)
@@ -570,8 +572,7 @@ def random_cocycle(c: SpencerComplex, p: int, q: int, r: int, rng,
     """Seeded integer combination of the cocycle basis."""
     z, _ = _zb_spaces(c, p, q, r)
     coeffs = [Fraction(rng.randint(lo, hi)) for _ in range(z.dim)]
-    return cochain_from_coords(c, p, q, r, dense(combine(nonzero_pairs(coeffs), z.rows),
-                                                 z.ambient_dim))
+    return cochain_from_coords(c, p, q, r, dense(combine(zip(z.rows, coeffs)), z.ambient_dim))
 
 
 @lru_cache(maxsize=None)

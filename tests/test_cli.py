@@ -81,6 +81,16 @@ def test_prolong_from_algebra_file(tmp_path, capsys):
     assert code == 0
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert rows[0][:2] == ["1", "0"]  # so_3 is of finite type at order 1
+    # the degree-0 generators read off conformal(3), and off the co_3 prolongation
+    # conjugated by a rational g (rational structure constants), are co_3 again
+    conf = tmp_path / "conf3.alg"
+    conf.write_text(serialize_algebra(conformal_algebra(3)))
+    flags = ("--max-order", "3", "--format", "csv")
+    expected = run_cli(capsys, "prolong", "--family", "co", "--dim", "3", *flags)[:2]
+    assert expected[0] == 0 and "finite type" in expected[1]
+    for alg_path in (conf, Path(__file__).resolve().parent / "golden" / "co3_conj_order3.alg"):
+        assert run_cli(capsys, "prolong", "--algebra", str(alg_path), *flags)[:2] == expected, \
+            alg_path.name
 
 
 def test_cohomology_table_conformal(capsys):

@@ -1,19 +1,30 @@
 from fractions import Fraction as F
+from itertools import combinations
 from math import comb
 
 import pytest
 
+from gspencer.algebra import adjoint_columns
 from gspencer.errors import InputError, PreconditionError
-from gspencer.linalg import Subspace, nonzero_pairs
+from gspencer.linalg import Subspace, dense, nonzero_pairs, vsub
 from gspencer.models import co_generators, conformal_algebra, space_form_algebra
+from gspencer.obstruction import ConstantForm, _d_of_form
 from gspencer.prolong import build_graded_algebra
-from gspencer.spencer import (Cochain, _d_matrix_rows, class_representative, cochain_to_coords,
-                              cohomology_dims, g_sharp_act, is_coboundary,
-                              random_cocycle, random_integer_cochain, space_dimension,
-                              spencer_d, standard_complex)
+from gspencer.spencer import (Cochain, SpencerComplex, WFrame, _d_matrix_rows,
+                              class_representative, cochain_to_coords, cohomology_dims,
+                              g_sharp_act, is_coboundary, random_cocycle, random_integer_cochain,
+                              space_dimension, spencer_d, standard_complex)
 
 from conftest import rng_for
 from test_prolong import _conjugated
+
+# W = span((3/5)e1 + (4/5)e3, e2): not a coordinate subspace, and its first
+# echelon row, e1 + (4/3)e3, has a denominator and two terms
+TWO_TERM_W = ([(0, F(3, 5)), (2, F(4, 5))], [(1, F(1))])
+
+
+def two_term_w(n_v, dim=2):
+    return Subspace.from_vectors(n_v, TWO_TERM_W[:dim])
 
 
 def test_rejects_quasi_graded():
@@ -282,17 +293,58 @@ def test_operator_matrix_is_spencer_d_and_squares_to_zero():
     conj = build_graded_algebra(_conjugated(co_generators(3)), 3).assembled
     rng = rng_for("operator-oracle")
     for alg in (conformal_algebra(4), conj):
-        for w in range(1, alg.component_dim(-1) + 1):
-            c = standard_complex(alg, w)
+        n_v = alg.component_dim(-1)
+        complexes = [standard_complex(alg, w) for w in range(1, n_v + 1)]
+        complexes += [SpencerComplex(alg, two_term_w(n_v, dim)) for dim in (1, 2)]
+        for c in complexes:
             for p in range(1, alg.height + 1):
                 for q in range(3):
                     for r in range(3):
+                        where = (alg.name, c.w.rows, p, q, r)
                         rows = _d_matrix_rows(c, p, q, r)
                         for _ in range(2):
                             x = random_integer_cochain(c, p, q, r, rng)
                             coords = cochain_to_coords(x)
                             dx = spencer_d(x)
                             assert cochain_to_coords(dx) == tuple(
-                                sum((v * coords[j] for j, v in row), F(0)) for row in rows), \
-                                (alg.name, w, p, q, r)
-                            assert spencer_d(dx).is_zero(), (alg.name, w, p, q, r)
+                                sum((v * coords[j] for j, v in row), F(0)) for row in rows), where
+                            assert spencer_d(dx).is_zero(), where
+
+
+def test_adjoint_columns_match_dense_brackets():
+    # every column of ad(w) read from the structure constants is the degree-(d-1)
+    # part of the dense bracket [e_i, w], for rows with denominators and two terms
+    conj = build_graded_algebra(_conjugated(co_generators(3)), 3).assembled
+    for a in (conformal_algebra(4), conj):
+        n_v = a.component_dim(-1)
+        for row in two_term_w(n_v).rows + TWO_TERM_W:
+            w_full = a.embed_component(-1, dense(row, n_v))
+            for d in range(a.height):
+                expected = [nonzero_pairs(a.component_part(a.bracket(a.basis_element(i), w_full),
+                                                           d - 1))
+                            for i in a.component_indices(d)]
+                assert adjoint_columns(a, d, row) == expected, (a.name, row, d)
+
+
+def test_d_of_form_matches_dense_brackets():
+    # d f (w_a, w_b) = [w_a, f(w_b)] - [w_b, f(w_a)], over the two-term W, also on
+    # quasi-graded frames
+    rng = rng_for("d-of-form")
+    frames = [SpencerComplex(conformal_algebra(4), two_term_w(4))]
+    frames += [WFrame(space_form_algebra(n, k0), two_term_w(n)) for n, k0 in ((3, 1), (4, -2))]
+    for frame in frames:
+        a = frame.algebra
+        w_full = [a.embed_component(-1, v) for v in frame.w.basis_vectors()]
+        for deg in range(a.height):
+            f = ConstantForm(deg, tuple(
+                tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(a.component_dim(deg)))
+                for _ in range(frame.n_w)))
+            expected = {}
+            for i, j in combinations(range(frame.n_w), 2):
+                f_i, f_j = (a.embed_component(deg, f.column(k)) for k in (i, j))
+                v = a.component_part(vsub(a.bracket(w_full[i], f_j), a.bracket(w_full[j], f_i)),
+                                     deg - 1)
+                if any(v):
+                    expected[(i, j)] = v
+            assert expected
+            assert _d_of_form(frame, f).values == expected, (a.name, deg)
