@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InputError
-from .linalg import (PairRow, Subspace, ZERO, clear_denominators, combine, dense, kernel_of_rows,
-                     nonzero_pairs)
+from .linalg import (ONE, PairRow, Subspace, ZERO, clear_denominators, combine, dense,
+                     kernel_of_rows, nonzero_pairs)
 
 SparseVec = dict[int, Fraction]
 
@@ -117,6 +117,16 @@ class GradedLieAlgebra:
         y_terms = nonzero_pairs(y)
         return dense(combine((b.items(), xi * yj) for i, xi in nonzero_pairs(x) for j, yj in y_terms
                              if (b := self.bracket_basis(i, j))), self.dim)
+
+    def component_bracket(self, dx: int, x: PairRow, dy: int, y: PairRow,
+                          d: int) -> list[tuple[int, Fraction]]:
+        """The degree-d part of [x, y] as sorted (component coordinate, value)
+        pairs, for x and y given by their pairs in the degree-dx and degree-dy
+        components; read from the structure constants."""
+        xs, ys = self.component_indices(dx), self.component_indices(dy)
+        pos, deg = self._index_in_component, self.degrees
+        return combine(([(pos[t], c) for t, c in self.bracket_basis(xs[k], ys[m]).items()
+                         if deg[t] == d], u * v) for k, u in x for m, v in y)
 
     # -- coordinates --------------------------------------------------------
 
@@ -256,15 +266,12 @@ def adjoint_columns(a: GradedLieAlgebra, d: int,
                     w_row: PairRow) -> list[list[tuple[int, Fraction]]]:
     """Columns of ad(w) from the degree-d component to degree d-1, one per basis
     element e_i of degree d: the degree-(d-1) part of [e_i, w] as sorted
-    (component coordinate, value) pairs, read from the structure constants.
+    (component coordinate, value) pairs.
 
     w is given by its (coordinate, value) pairs in the degree-(-1) component.
     """
-    v_idx = a.component_indices(-1)
-    target = {t: pos for pos, t in enumerate(a.component_indices(d - 1))}
-    return [combine(([(target[t], c) for t, c in a.bracket_basis(i, v_idx[k]).items()
-                      if t in target], x) for k, x in w_row)
-            for i in a.component_indices(d)]
+    return [a.component_bracket(d, ((i, ONE),), -1, w_row, d - 1)
+            for i in range(a.component_dim(d))]
 
 
 def annihilated_rows(ann_rows: Sequence[PairRow],

@@ -55,8 +55,8 @@ def _linear_algebra_from_flags(args) -> LinearLieAlgebra:
         n = alg.component_dim(-1)
         # ad[j][i] = [e_i, v_j], column j of the i-th degree-0 generator
         ad = [adjoint_columns(alg, 0, [(j, 1)]) for j in range(n)]
-        return LinearLieAlgebra(n, tuple(RMatrix.from_cols([dense(col[i], n) for col in ad], n)
-                                         for i in range(alg.component_dim(0))))
+        return LinearLieAlgebra(n, tuple(RMatrix(tuple(zip(*(dense(col[i], n) for col in ad))),
+                                                 n, n) for i in range(alg.component_dim(0))))
     if args.family == "so":
         if args.dim is None:
             raise InputError("--family so needs --dim")

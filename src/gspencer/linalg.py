@@ -58,10 +58,6 @@ def vlincomb(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]],
     return tuple(out)
 
 
-def is_zero_vec(a: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in a)
-
-
 # ---------------------------------------------------------------------------
 # sparse rows and the integer row reduction engine
 # ---------------------------------------------------------------------------
@@ -207,12 +203,6 @@ class RMatrix:
     @classmethod
     def identity(cls, n: int) -> "RMatrix":
         return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)), n, n)
-
-    @classmethod
-    def from_cols(cls, cols: Sequence[Sequence[Fraction]], nrows: int) -> "RMatrix":
-        if not cols:
-            return cls.zeros(nrows, 0)
-        return cls(tuple(tuple(col[i] for col in cols) for i in range(nrows)), nrows, len(cols))
 
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.data)

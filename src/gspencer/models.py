@@ -25,8 +25,7 @@ from math import comb
 
 from .algebra import GradedLieAlgebra
 from .errors import InputError, InternalInvariantError
-from .linalg import (RMatrix, Subspace, ZERO, dense, is_zero_vec, kernel_of_rows, vadd, vlincomb,
-                     vsub)
+from .linalg import RMatrix, Subspace, ZERO, dense, kernel_of_rows, vadd, vlincomb, vsub
 from .prolong import LinearLieAlgebra, ProlongationResult, build_graded_algebra, matrix_commutator
 from .spencer import Cochain, SpencerComplex, standard_complex
 
@@ -386,4 +385,4 @@ def cr_integrability_test(t: Cochain, data: ComplexStructureData) -> bool:
     True iff, for all u1, u2 in U: T(u1,u2) - T(J u1, J u2) lies in U and
     equals -J T(J u1, u2) - J T(u1, J u2), i.e. iff the J-residual vanishes.
     """
-    return is_zero_vec(cr_j_residual(t, data))
+    return not any(cr_j_residual(t, data))

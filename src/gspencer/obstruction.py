@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .linalg import RMatrix, direct_sum_split, is_zero_vec, vadd, vscale, vsub, vzero
+from .linalg import ONE, RMatrix, combine, dense, direct_sum_split, nonzero_pairs, vadd, vzero
 from .spencer import (Cochain, SpencerComplex, WFrame, alternating_bracket_sum,
                       class_representative, is_coboundary, spencer_d)
 
@@ -42,10 +42,10 @@ class ConstantForm:
 
     def matrix(self) -> RMatrix:
         nd = len(self.columns[0]) if self.columns else 0
-        return RMatrix.from_cols(list(self.columns), nd)
+        return RMatrix(tuple(zip(*self.columns)), nd, self.n_w)
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(col) for col in self.columns)
+        return not any(any(col) for col in self.columns)
 
     def __add__(self, other: "ConstantForm") -> "ConstantForm":
         if self.degree != other.degree or self.n_w != other.n_w:
@@ -96,20 +96,12 @@ def _check_form(frame: WFrame, f: ConstantForm) -> None:
             raise InputError("form value has wrong component dimension")
 
 
-def _omega_value(frame: WFrame, t: AdmissibleTuple, r: int, j: int) -> tuple[Fraction, ...]:
-    """Full-algebra coordinates of omega^r(w_j), r = -1..order-1."""
-    a = frame.algebra
-    if r == -1:
-        return frame.w_full[j]
-    return a.embed_component(r, t.forms[r].column(j))
-
-
 def total_curvature(frame: WFrame, t: AdmissibleTuple, p: int) -> Cochain:
     """Total curvature of order p+1: the degree-(p-1) valued 2-form.
 
     Sums the half brackets of the forms of complementary degrees plus the
-    projected degree-(p-1) part of the bracket of the implicit inclusion with
-    itself (nonzero only for quasi-graded algebras).
+    degree-(p-1) part of the bracket of the implicit inclusion with itself
+    (nonzero only for quasi-graded algebras).
     """
     if p < 0:
         raise InputError("order must be nonnegative")
@@ -118,24 +110,18 @@ def total_curvature(frame: WFrame, t: AdmissibleTuple, p: int) -> Cochain:
     for f in t.forms:
         _check_form(frame, f)
     a = frame.algebra
+    # the component pairs of omega^{-1}(w_j) = w_j and of omega^r(w_j), r = 0..p-1
+    w = frame.w.rows
+    omega = [[nonzero_pairs(col) for col in f.columns] for f in t.forms[:p]]
     nd = a.component_dim(p - 1)
     vals = {}
     for i, j in combinations(range(frame.n_w), 2):
-        acc = vzero(a.dim)
-        for r in range(0, p):
-            x_i = _omega_value(frame, t, r, i)
-            y_j = _omega_value(frame, t, p - 1 - r, j)
-            x_j = _omega_value(frame, t, r, j)
-            y_i = _omega_value(frame, t, p - 1 - r, i)
-            acc = vadd(acc, vsub(a.bracket(x_i, y_j), a.bracket(x_j, y_i)))
-        acc = vscale(HALF, acc)
-        # [omega^{-1}, omega^{-1}] term, projected onto degree p-1
-        ww = a.bracket(frame.w_full[i], frame.w_full[j])
-        if not is_zero_vec(ww):
-            acc = vadd(acc, a.project_degree(ww, p - 1))
-        val = a.component_part(acc, p - 1)
-        if not is_zero_vec(val):
-            vals[(i, j)] = val
+        terms = [(a.component_bracket(r, omega[r][x], p - 1 - r, omega[p - 1 - r][y], p - 1), s)
+                 for r in range(p) for x, y, s in ((i, j, HALF), (j, i, -HALF))]
+        terms.append((a.component_bracket(-1, w[i], -1, w[j], p - 1), ONE))
+        row = combine(terms)
+        if row:
+            vals[(i, j)] = dense(row, nd)
     return Cochain(frame, p, 2, 0, vals)
 
 
@@ -286,7 +272,7 @@ class CurvatureDecomposition:
             v = self.identified_hat_value(tup)
             for tail in self.tails:
                 v = vadd(v, tail.value(tup))
-            if not is_zero_vec(v):
+            if any(v):
                 vals[tup] = v
         return Cochain(c, self.p, 2, 0, vals)
 
@@ -311,7 +297,7 @@ def level_decompose(c: SpencerComplex, omega: Cochain, r: int) -> CurvatureDecom
     if r > 0 and d >= 0:
         split = {tup: _split_by_chain(c, d, v) for tup, v in omega.values.items()}
         for s in range(r):
-            vals = {tup: parts[s] for tup, parts in split.items() if not is_zero_vec(parts[s])}
+            vals = {tup: parts[s] for tup, parts in split.items() if any(parts[s])}
             tails.append(Cochain(c, omega.p, 2, 0, vals))
     return CurvatureDecomposition(complex=c, level=r, p=omega.p, hat=hat,
                                   tails=tuple(tails))
@@ -336,18 +322,16 @@ def strong_equiv_transport(c: SpencerComplex, omega0: ConstantForm,
         raise InputError("expected a degree-1 component vector")
     if not admissibility_residuals(c, AdmissibleTuple((omega0,)))[0].is_zero():
         raise PreconditionError("omega0 is not admissible at order 0")
-    varpi_full = a.embed_component(1, tuple(Fraction(x) for x in varpi1))
+    varpi = [(k, Fraction(x)) for k, x in enumerate(varpi1) if x]
     new_cols = []
     eps_cols = []
-    for j in range(c.n_w):
-        wj = c.w_full[j]
-        shift = a.bracket(wj, varpi_full)
-        new_cols.append(a.component_part(
-            vadd(a.embed_component(0, omega0.column(j)), shift), 0))
-        om_full = a.embed_component(0, omega0.column(j))
-        eps = vadd(a.bracket(om_full, varpi_full),
-                   vscale(HALF, a.bracket(shift, varpi_full)))
-        eps_cols.append(a.component_part(eps, 1))
+    for w_row, col in zip(c.w.rows, omega0.columns):
+        om = nonzero_pairs(col)
+        shift = a.component_bracket(-1, w_row, 1, varpi, 0)
+        new_cols.append(dense(combine(((om, ONE), (shift, ONE))), a.component_dim(0)))
+        eps = combine(((a.component_bracket(0, om, 1, varpi, 1), ONE),
+                       (a.component_bracket(0, shift, 1, varpi, 1), HALF)))
+        eps_cols.append(dense(eps, a.component_dim(1)))
     omega0_new = ConstantForm(0, tuple(new_cols))
     eps1 = ConstantForm(1, tuple(eps_cols))
     # exact identity: Omega'^0 = Omega^0 - [omega^{-1}, eps^1]

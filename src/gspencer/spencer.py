@@ -22,8 +22,8 @@ from .algebra import (GradedLieAlgebra, adjoint_columns, annihilated_rows,
                       deterministic_rows_annihilating, g_sharp_subalgebra)
 from .errors import InputError, PreconditionError
 from .linalg import (ONE, Subspace, ZERO, combine, deterministic_complement, dense,
-                     direct_sum_split, is_zero_vec, kernel_of_rows, nonzero_pairs, solve_particular,
-                     transpose, vadd, vlincomb, vscale, vzero)
+                     direct_sum_split, kernel_of_rows, nonzero_pairs, solve_particular, transpose,
+                     vadd, vlincomb, vscale, vzero)
 
 
 class WFrame:
@@ -46,7 +46,6 @@ class WFrame:
         self.w = w
         self.w_vectors = w.basis_vectors()
         self.n_w = w.dim
-        self.w_full = [algebra.embed_component(-1, v) for v in self.w_vectors]
         # _ad[d][t][i]: the degree-(d-1) part of [e_i, w_t] as sorted pairs, e_i the
         # i-th basis element of degree d
         self._ad = {d: [adjoint_columns(algebra, d, row) for row in w.rows]
@@ -136,7 +135,7 @@ class SpencerComplex(WFrame):
         return self._gsharp
 
     def _check_component_available(self, d: int) -> None:
-        if d > self.top_degree() and d <= self.algebra.height - 1:
+        if self.algebra.truncated_at is not None and d > self.algebra.truncated_at:
             raise InputError(
                 f"component of degree {d} lies beyond the truncation order "
                 f"{self.algebra.truncated_at}; result would not be trustworthy")
@@ -183,10 +182,10 @@ class Cochain:
                 raise InputError(f"tuple {tup} is not strictly increasing in range")
             if len(vec) != nd:
                 raise InputError("value vector has wrong component dimension")
-            v = tuple(Fraction(c) for c in vec)
+            v = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in vec)
             if p >= 1 and level > 0:
                 v = frame.reduce_value(p, level, v)
-            if not is_zero_vec(v):
+            if any(v):
                 clean[tup] = v
         self.frame = frame
         self.p = p
@@ -531,6 +530,7 @@ def g_sharp_act(c: SpencerComplex, x_elt: Sequence[Fraction], x: Cochain) -> Coc
     comp0 = a.component_part(x_elt, 0)
     if not c.g_sharp().contains(comp0):
         raise InputError("element does not preserve W")
+    x_pairs = nonzero_pairs(comp0)
     # [X, w_j] expressed back in W coordinates
     act_w = []
     for j in range(c.n_w):
@@ -541,21 +541,12 @@ def g_sharp_act(c: SpencerComplex, x_elt: Sequence[Fraction], x: Cochain) -> Coc
     d = x.p - 1
     out: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     for tup in combinations(range(c.n_w), x.q):
-        val = x.values.get(tup)
-        acc = list(vzero(a.component_dim(d)))
-        if val is not None:
-            full = a.embed_component(d, val)
-            br = a.component_part(a.bracket(tuple(x_elt), full), d)
-            acc = list(br)
-        for pos in range(x.q):
-            for j, cj in act_w[tup[pos]]:
-                idxs = tup[:pos] + (j,) + tup[pos + 1:]
-                term = x.value_at_indices(idxs)
-                for i, v in enumerate(term):
-                    if v:
-                        acc[i] -= cj * v
-        if any(acc):
-            out[tup] = tuple(acc)
+        terms = [(a.component_bracket(0, x_pairs, d, nonzero_pairs(x.value(tup)), d), ONE)]
+        terms += [(nonzero_pairs(x.value_at_indices(tup[:pos] + (j,) + tup[pos + 1:])), -cj)
+                  for pos in range(x.q) for j, cj in act_w[tup[pos]]]
+        row = combine(terms)
+        if row:
+            out[tup] = dense(row, a.component_dim(d))
     return Cochain(c, x.p, x.q, 0, out)
 
 

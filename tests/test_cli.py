@@ -215,6 +215,8 @@ def test_bad_flags_exit_three(tmp_path, capsys):
         ("cohomology", "--algebra", str(bad_alg["x"]), "--w-dim", "2"),
         ("validate", str(bad_alg["7"])),
         ("cohomology", "--algebra", str(bad_alg["7"]), "--w-dim", "2", "--p", "0..3"),
+        ("cohomology", "--family", "cr", "--m", "2", "--k", "1", "--w-dim", "3",
+         "--max-order", "2", "--p", "3"),
         ("validate", str(bad_alg["-1"])),
         ("solve", "--family", "conformal", "--dim", "3", "--cochain", str(bad_coch)),
         ("validate", missing),

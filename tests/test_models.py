@@ -10,7 +10,7 @@ from gspencer.models import (co_generators, conformal_algebra,
                              cr_algebra, cr_expected_layer_dim, cr_extend_cochain,
                              cr_integrability_test, cr_w_complex, r21_submodule,
                              so_generators, space_form_algebra)
-from gspencer.spencer import Cochain, random_cocycle, spencer_d
+from gspencer.spencer import Cochain, cohomology_dims, random_cocycle, spencer_d
 
 from conftest import rng_for
 
@@ -130,6 +130,13 @@ def test_cr_parameter_validation():
         cr_algebra(3, 0, 2)
     with pytest.raises(InputError):
         cr_algebra(2, 1, 0)
+
+
+def test_cr_cohomology_beyond_truncation_rejected():
+    # B in bidegree (3, 2) needs the degree-3 layer, which order 2 truncates away
+    alg, data = cr_algebra(2, 1, 2)
+    with pytest.raises(InputError):
+        cohomology_dims(cr_w_complex(alg, data), 3, 2, 0)
 
 
 def test_cr_extension_zero_and_restriction():

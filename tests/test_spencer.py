@@ -8,7 +8,8 @@ from gspencer.algebra import adjoint_columns
 from gspencer.errors import InputError, PreconditionError
 from gspencer.linalg import Subspace, dense, nonzero_pairs, vsub
 from gspencer.models import co_generators, conformal_algebra, space_form_algebra
-from gspencer.obstruction import ConstantForm, _d_of_form
+from gspencer.obstruction import (AdmissibleTuple, ConstantForm, _d_of_form, cochain_to_form,
+                                  strong_equiv_transport, total_curvature)
 from gspencer.prolong import build_graded_algebra
 from gspencer.spencer import (Cochain, SpencerComplex, WFrame, _d_matrix_rows,
                               class_representative, cochain_to_coords, cohomology_dims,
@@ -75,7 +76,7 @@ def test_annihilator_adjoint_inclusion():
             ann = c.annihilator(d, r)
             for v in ann.basis_vectors():
                 full = a.embed_component(d, v)
-                for wf in c.w_full:
+                for wf in (a.embed_component(-1, w) for w in c.w_vectors):
                     br = a.component_part(a.bracket(full, wf), d - 1)
                     if d - 1 >= 0:
                         assert c.annihilator(d - 1, r - 1).contains(br)
@@ -348,3 +349,71 @@ def test_d_of_form_matches_dense_brackets():
                     expected[(i, j)] = v
             assert expected
             assert _d_of_form(frame, f).values == expected, (a.name, deg)
+
+
+def _random_form(rng, a, deg, n_w):
+    return ConstantForm(deg, tuple(
+        tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(a.component_dim(deg)))
+        for _ in range(n_w)))
+
+
+def test_total_curvature_matches_dense_brackets():
+    # Omega^{p-1}(w_i, w_j) is the degree-(p-1) part of
+    # 1/2 sum_r ([w^r(w_i), w^{p-1-r}(w_j)] - [w^r(w_j), w^{p-1-r}(w_i)]) + [w_i, w_j],
+    # over the two-term W, also on quasi-graded frames where [w_i, w_j] survives
+    rng = rng_for("curvature-dense")
+    conj = build_graded_algebra(_conjugated(co_generators(3)), 3).assembled
+    frames = [SpencerComplex(conformal_algebra(4), two_term_w(4)),
+              WFrame(conj, two_term_w(conj.component_dim(-1)))]
+    frames += [WFrame(space_form_algebra(n, k0), two_term_w(n)) for n, k0 in ((3, 1), (4, -2))]
+    for frame in frames:
+        a = frame.algebra
+        w_full = [a.embed_component(-1, v) for v in frame.w.basis_vectors()]
+        for _ in range(2):
+            t = AdmissibleTuple(tuple(_random_form(rng, a, deg, frame.n_w)
+                                      for deg in range(a.height)))
+
+            def omega(r, k):
+                return w_full[k] if r == -1 else a.embed_component(r, t.forms[r].column(k))
+
+            seen_nonzero = False
+            for p in range(a.height + 1):
+                expected = {}
+                for i, j in combinations(range(frame.n_w), 2):
+                    acc = a.bracket(w_full[i], w_full[j])
+                    for r in range(p):
+                        acc = [x + (u - v) / 2 for x, u, v in
+                               zip(acc, a.bracket(omega(r, i), omega(p - 1 - r, j)),
+                                   a.bracket(omega(r, j), omega(p - 1 - r, i)))]
+                    v = a.component_part(acc, p - 1)
+                    if any(v):
+                        expected[(i, j)] = v
+                seen_nonzero = seen_nonzero or bool(expected)
+                assert total_curvature(frame, t, p).values == expected, (a.name, p)
+            assert seen_nonzero, a.name
+
+
+def test_strong_equiv_transport_matches_dense_formula():
+    # omega0'(w_j) = omega0(w_j) + [w_j, varpi] and
+    # eps(w_j) = [omega0(w_j), varpi] + 1/2 [[w_j, varpi], varpi], over the two-term W
+    rng = rng_for("transport-dense")
+    c = SpencerComplex(conformal_algebra(4), two_term_w(4))
+    a = c.algebra
+    w_full = [a.embed_component(-1, v) for v in c.w.basis_vectors()]
+    for _ in range(3):
+        omega0 = cochain_to_form(random_cocycle(c, 1, 1, 0, rng).scale(F(2, 3)))
+        assert not omega0.is_zero()
+        varpi = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(a.component_dim(1))]
+        varpi_full = a.embed_component(1, varpi)
+        new_cols, eps_cols = [], []
+        for j, wj in enumerate(w_full):
+            shift = a.bracket(wj, varpi_full)
+            om = a.embed_component(0, omega0.column(j))
+            new_cols.append(a.component_part([x + y for x, y in zip(om, shift)], 0))
+            eps_cols.append(a.component_part(
+                [x + y / 2 for x, y in zip(a.bracket(om, varpi_full),
+                                           a.bracket(shift, varpi_full))], 1))
+        omega0_new, eps1 = strong_equiv_transport(c, omega0, varpi)
+        assert omega0_new.columns == tuple(new_cols)
+        assert eps1.columns == tuple(eps_cols)
+        assert not eps1.is_zero()
