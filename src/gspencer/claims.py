@@ -158,7 +158,7 @@ def verify_cr_integrability_equivalence(m: int, k: int) -> bool:
     # W-valued unit cochains are those whose value coordinate lies in W
     w_units = [pos for pos in range(dim_c) if pos % n_v < cplx.n_w]
     units = [[(pos, ONE)] for pos in w_units]
-    residuals = [models.cr_j_residual(cochain_from_coords(cplx, 0, 2, 0, dense(u, dim_c)), data)
+    residuals = [models.cr_j_residual(cochain_from_coords(cplx, 0, 2, 0, u), data)
                  for u in units]
     kernel = kernel_of_rows(transpose([nonzero_pairs(r) for r in residuals], len(residuals[0])),
                             len(w_units))

@@ -189,12 +189,8 @@ def parse_algebra(text: str, validate: bool = True) -> GradedLieAlgebra:
     return alg
 
 
-def _format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def _format_combination(alg: GradedLieAlgebra, entry: dict[int, Fraction]) -> str:
-    parts = [f"{_format_rational(c)}*{alg.names[t]}" for t, c in sorted(entry.items())]
+    parts = [f"{c}*{alg.names[t]}" for t, c in sorted(entry.items())]
     return " + ".join(parts)
 
 
@@ -242,7 +238,7 @@ def parse_cochain(text: str, alg: GradedLieAlgebra) -> Cochain:
     cplx = standard_complex(alg, n_w)
     comp_idx = alg.component_indices(p - 1)
     comp_pos = {i: pos for pos, i in enumerate(comp_idx)}
-    values: dict[tuple[int, ...], list[Fraction]] = {}
+    values: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
     for ln0, raw in enumerate(lines, start=1):
         if ln0 <= header_ln:
             continue
@@ -272,7 +268,7 @@ def parse_cochain(text: str, alg: GradedLieAlgebra) -> Cochain:
         key = tuple(t - 1 for t in idxs)
         if key in values:
             raise ParseError("tuple listed twice", ln0)
-        vec = [Fraction(0)] * len(comp_idx)
+        vec = []
         for coeff, nm in _parse_combination(rhs.strip(), ln0):
             if nm not in alg.names:
                 raise ParseError(f"unknown basis element {nm!r}", ln0)
@@ -280,7 +276,8 @@ def parse_cochain(text: str, alg: GradedLieAlgebra) -> Cochain:
             if alg.degrees[bi] != p - 1:
                 raise ParseError(f"basis element {nm!r} has degree {alg.degrees[bi]}, "
                                  f"need {p - 1}", ln0)
-            vec[comp_pos[bi]] += coeff
+            vec.append((comp_pos[bi], coeff))
+        # the Cochain constructor sums repeated names and drops zeros
         values[key] = vec
     return Cochain(cplx, p, q, level, values)
 
@@ -289,9 +286,8 @@ def serialize_cochain(x: Cochain) -> str:
     alg = x.frame.algebra
     comp_idx = alg.component_indices(x.p - 1)
     out = [f"cochain p {x.p} q {x.q} level {x.level} W {x.frame.n_w}"]
-    for tup in sorted(x.values):
-        vec = x.values[tup]
-        entry = {comp_idx[pos]: c for pos, c in enumerate(vec) if c}
+    for tup, row in sorted(x.values.items()):
+        entry = {comp_idx[k]: c for k, c in row}
         idx_s = ",".join(str(t + 1) for t in tup)
         out.append(f"({idx_s}) = {_format_combination(alg, entry)}")
     return "\n".join(out) + "\n"

@@ -30,20 +30,12 @@ ONE = Fraction(1)
 # vectors: plain tuples of Fraction
 # ---------------------------------------------------------------------------
 
-def vzero(n: int) -> tuple[Fraction, ...]:
-    return (ZERO,) * n
-
-
 def vadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(x + y for x, y in zip(a, b))
 
 
 def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c: Fraction, a: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(c * x for x in a)
 
 
 def vlincomb(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]],
@@ -242,8 +234,8 @@ class RMatrix:
 def rref(m: RMatrix) -> RMatrix:
     """Reduced row echelon form (deterministic, zero rows kept at bottom)."""
     red, _ = _rref_rows(nonzero_pairs(v) for v in m.data)
-    pad = [vzero(m.cols)] * (m.rows - len(red))
-    return RMatrix._exact(tuple(dense(row, m.cols) for row in red) + tuple(pad), m.rows, m.cols)
+    pad = ((ZERO,) * m.cols,) * (m.rows - len(red))
+    return RMatrix._exact(tuple(dense(row, m.cols) for row in red) + pad, m.rows, m.cols)
 
 
 def rank(m: RMatrix) -> int:
@@ -435,8 +427,9 @@ def solve_linear(m: RMatrix, b: Sequence[Fraction]) -> Optional[tuple[tuple[Frac
 
 
 def direct_sum_split(v: Sequence[Fraction], parts: Sequence[Subspace]
-                     ) -> Optional[list[tuple[Fraction, ...]]]:
-    """v's component in each subspace of the direct sum of parts, or None if v is outside it."""
+                     ) -> Optional[list[list[tuple[int, Fraction]]]]:
+    """v's component in each subspace of the direct sum of parts, as sorted
+    (coordinate, value) pairs, or None if v is outside the sum."""
     rows = [row for s in parts for row in s.rows]
     sol = solve_particular(transpose(rows, len(v)), len(rows), v)
     if sol is None:
@@ -444,7 +437,7 @@ def direct_sum_split(v: Sequence[Fraction], parts: Sequence[Subspace]
     out = []
     start = 0
     for s in parts:
-        out.append(dense(combine(zip(s.rows, sol[start:start + s.dim])), len(v)))
+        out.append(combine(zip(s.rows, sol[start:start + s.dim])))
         start += s.dim
     return out
 

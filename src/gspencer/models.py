@@ -25,7 +25,8 @@ from math import comb
 
 from .algebra import GradedLieAlgebra
 from .errors import InputError, InternalInvariantError
-from .linalg import RMatrix, Subspace, ZERO, dense, kernel_of_rows, vadd, vlincomb, vsub
+from .linalg import (RMatrix, Subspace, ZERO, dense, kernel_of_rows, nonzero_pairs, vadd, vlincomb,
+                     vsub)
 from .prolong import LinearLieAlgebra, ProlongationResult, build_graded_algebra, matrix_commutator
 from .spencer import Cochain, SpencerComplex, standard_complex
 
@@ -339,16 +340,16 @@ def cr_extend_cochain(x: Cochain, data: ComplexStructureData) -> Cochain:
         return x.evaluate([u[:n_w], v[:n_w]])
 
     unit = [tuple(ONE if t == i else ZERO for t in range(n_v)) for i in range(n_v)]
-    vals: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+    vals: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for i, jdx in combinations(range(n_v), 2):
         if jdx < n_w:
-            vals[(i, jdx)] = x.value((i, jdx))
+            vals[(i, jdx)] = x.values.get((i, jdx), ())
         elif i < n_w:
             # value(e_i, e_j) = + i * x(J e_j, e_i), j in the W-complement
             base = eval_w(j_col(jdx), unit[i])
-            vals[(i, jdx)] = data.mult_i_component(a, d, base)
+            vals[(i, jdx)] = nonzero_pairs(data.mult_i_component(a, d, base))
         else:
-            vals[(i, jdx)] = tuple(-c for c in eval_w(j_col(i), j_col(jdx)))
+            vals[(i, jdx)] = [(k, -c) for k, c in nonzero_pairs(eval_w(j_col(i), j_col(jdx)))]
     return Cochain(full, x.p, 2, 0, vals)
 
 

@@ -15,9 +15,9 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .linalg import ONE, RMatrix, combine, dense, direct_sum_split, nonzero_pairs, vadd, vzero
-from .spencer import (Cochain, SpencerComplex, WFrame, alternating_bracket_sum,
-                      class_representative, is_coboundary, spencer_d)
+from .linalg import ONE, PairRow, RMatrix, combine, dense, direct_sum_split
+from .spencer import (Cochain, SpencerComplex, WFrame, alternating_bracket_sum, canonical_pairs,
+                      check_coordinates, class_representative, is_coboundary, spencer_d)
 
 HALF = Fraction(1, 2)
 
@@ -27,41 +27,45 @@ class ConstantForm:
     """A constant 1-form on W with values in one degree component.
 
     ``columns`` holds the value at each W basis vector, in component
-    coordinates of the stated degree.
+    coordinates of the stated degree, as its sorted nonzero (coordinate,
+    Fraction) pairs; the constructor takes pairs in any order.
     """
 
     degree: int
-    columns: tuple[tuple[Fraction, ...], ...]
+    columns: tuple[tuple[tuple[int, Fraction], ...], ...]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return self.columns[j]
+    def __post_init__(self):
+        object.__setattr__(self, "columns", tuple(canonical_pairs(col) for col in self.columns))
+
+    def column(self, j: int, n: int) -> tuple[Fraction, ...]:
+        """The value at w_j as a dense vector of the n-dimensional component."""
+        return dense(self.columns[j], n)
 
     @property
     def n_w(self) -> int:
         return len(self.columns)
 
-    def matrix(self) -> RMatrix:
-        nd = len(self.columns[0]) if self.columns else 0
-        return RMatrix(tuple(zip(*self.columns)), nd, self.n_w)
+    def matrix(self, n: int) -> RMatrix:
+        """The n x n_w matrix whose columns are the dense values."""
+        return RMatrix(tuple(zip(*(self.column(j, n) for j in range(self.n_w)))), n, self.n_w)
 
     def is_zero(self) -> bool:
-        return not any(any(col) for col in self.columns)
+        return not any(self.columns)
 
     def __add__(self, other: "ConstantForm") -> "ConstantForm":
         if self.degree != other.degree or self.n_w != other.n_w:
             raise InputError("forms are incompatible")
-        return ConstantForm(self.degree, tuple(vadd(a, b) for a, b in
-                                               zip(self.columns, other.columns)))
+        # the constructor sums the pairs of a coordinate
+        return ConstantForm(self.degree, tuple(a + b for a, b in zip(self.columns, other.columns)))
 
 
 def zero_form(frame: WFrame, degree: int) -> ConstantForm:
-    nd = frame.algebra.component_dim(degree)
-    return ConstantForm(degree, tuple(vzero(nd) for _ in range(frame.n_w)))
+    return ConstantForm(degree, ((),) * frame.n_w)
 
 
 def canonical_omega_minus1(frame: WFrame) -> ConstantForm:
     """The inclusion of W into V as a constant degree-(-1) form."""
-    return ConstantForm(-1, tuple(tuple(v) for v in frame.w_vectors))
+    return ConstantForm(-1, frame.w.rows)
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,7 @@ def _check_form(frame: WFrame, f: ConstantForm) -> None:
         raise InputError("form does not match the frame's W")
     nd = frame.algebra.component_dim(f.degree)
     for col in f.columns:
-        if len(col) != nd:
-            raise InputError("form value has wrong component dimension")
+        check_coordinates(col, nd)
 
 
 def total_curvature(frame: WFrame, t: AdmissibleTuple, p: int) -> Cochain:
@@ -112,16 +115,13 @@ def total_curvature(frame: WFrame, t: AdmissibleTuple, p: int) -> Cochain:
     a = frame.algebra
     # the component pairs of omega^{-1}(w_j) = w_j and of omega^r(w_j), r = 0..p-1
     w = frame.w.rows
-    omega = [[nonzero_pairs(col) for col in f.columns] for f in t.forms[:p]]
-    nd = a.component_dim(p - 1)
+    omega = [f.columns for f in t.forms[:p]]
     vals = {}
     for i, j in combinations(range(frame.n_w), 2):
         terms = [(a.component_bracket(r, omega[r][x], p - 1 - r, omega[p - 1 - r][y], p - 1), s)
                  for r in range(p) for x, y, s in ((i, j, HALF), (j, i, -HALF))]
         terms.append((a.component_bracket(-1, w[i], -1, w[j], p - 1), ONE))
-        row = combine(terms)
-        if row:
-            vals[(i, j)] = dense(row, nd)
+        vals[(i, j)] = combine(terms)
     return Cochain(frame, p, 2, 0, vals)
 
 
@@ -152,15 +152,13 @@ def check_admissible(frame: WFrame, t: AdmissibleTuple, p: int) -> None:
 
 
 def form_to_cochain(frame: WFrame, f: ConstantForm) -> Cochain:
-    vals = {(j,): f.column(j) for j in range(f.n_w)}
-    return Cochain(frame, f.degree + 1, 1, 0, vals)
+    return Cochain(frame, f.degree + 1, 1, 0, {(j,): col for j, col in enumerate(f.columns)})
 
 
 def cochain_to_form(x: Cochain) -> ConstantForm:
     if x.q != 1 or x.level != 0:
         raise InputError("expected a level-0 1-cochain")
-    cols = [x.value((j,)) for j in range(x.frame.n_w)]
-    return ConstantForm(x.p - 1, tuple(cols))
+    return ConstantForm(x.p - 1, tuple(x.values.get((j,), ()) for j in range(x.frame.n_w)))
 
 
 @dataclass(frozen=True)
@@ -176,7 +174,7 @@ def bianchi_check(c: SpencerComplex, t: AdmissibleTuple, p: int) -> list[Bianchi
     if omega.p == 0:
         return []
     d_omega = spencer_d(omega)
-    return [BianchiViolation(tup, vec) for tup, vec in sorted(d_omega.values.items())]
+    return [BianchiViolation(tup, d_omega.value(tup)) for tup in sorted(d_omega.values)]
 
 
 @dataclass(frozen=True)
@@ -206,9 +204,8 @@ def solve_next(c: SpencerComplex, t: AdmissibleTuple, p: int
             raise InternalInvariantError("solver and class reduction disagree")
         return ObstructionCertificate(p, rep)
     form = cochain_to_form(y)
-    extended = t.extended(form)
-    residual = admissibility_residuals(c, extended)[p]
-    if not residual.is_zero():
+    # the order-p residual of the extended tuple: the forms below p are unchanged
+    if not (omega + _d_of_form(c, form)).is_zero():
         raise InternalInvariantError("solved form fails re-verification")
     return form
 
@@ -254,32 +251,27 @@ class CurvatureDecomposition:
     hat: Cochain
     tails: tuple[Cochain, ...]
 
-    def identified_hat_value(self, tup: tuple[int, ...]) -> tuple[Fraction, ...]:
-        c = self.complex
-        d = self.p - 1
-        v = self.hat.value(tup)
-        if d < 0 or self.level == 0:
-            return v
-        out = vzero(len(v))
-        for part in _split_by_chain(c, d, v)[self.level:]:
-            out = vadd(out, part)
-        return out
+    def identified_hat_value(self, tup: tuple[int, ...]) -> list[tuple[int, Fraction]]:
+        """The hat value at tup as the sum of its parts in the complements
+        c_s^perp, s >= level, as sorted (coordinate, value) pairs."""
+        v = self.hat.values.get(tuple(tup), ())
+        if self.p < 1 or self.level == 0:
+            return list(v)
+        parts = _split_by_chain(self.complex, self.p - 1, v)
+        return combine((part, ONE) for part in parts[self.level:])
 
     def reassemble(self) -> Cochain:
-        c = self.complex
-        vals = {}
-        for tup in combinations(range(c.n_w), 2):
-            v = self.identified_hat_value(tup)
-            for tail in self.tails:
-                v = vadd(v, tail.value(tup))
-            if any(v):
-                vals[tup] = v
-        return Cochain(c, self.p, 2, 0, vals)
+        # the constructor sums the pairs of a coordinate
+        vals = {tup: [*self.identified_hat_value(tup),
+                      *(pair for tail in self.tails for pair in tail.values.get(tup, ()))]
+                for tup in combinations(range(self.complex.n_w), 2)}
+        return Cochain(self.complex, self.p, 2, 0, vals)
 
 
-def _split_by_chain(c: SpencerComplex, d: int, v: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
-    """Components of a degree-d value in the fixed complements c_s^perp, s = 0..d+1."""
-    parts = direct_sum_split(v, c.complement_chain(d))
+def _split_by_chain(c: SpencerComplex, d: int, v: PairRow) -> list[list[tuple[int, Fraction]]]:
+    """Components, as sorted pairs, of a degree-d value given by its pairs in the
+    fixed complements c_s^perp, s = 0..d+1."""
+    parts = direct_sum_split(dense(v, c.algebra.component_dim(d)), c.complement_chain(d))
     if parts is None:
         raise InternalInvariantError("complement chain does not span the component")
     return parts
@@ -297,8 +289,7 @@ def level_decompose(c: SpencerComplex, omega: Cochain, r: int) -> CurvatureDecom
     if r > 0 and d >= 0:
         split = {tup: _split_by_chain(c, d, v) for tup, v in omega.values.items()}
         for s in range(r):
-            vals = {tup: parts[s] for tup, parts in split.items() if any(parts[s])}
-            tails.append(Cochain(c, omega.p, 2, 0, vals))
+            tails.append(Cochain(c, omega.p, 2, 0, {tup: parts[s] for tup, parts in split.items()}))
     return CurvatureDecomposition(complex=c, level=r, p=omega.p, hat=hat,
                                   tails=tuple(tails))
 
@@ -325,13 +316,11 @@ def strong_equiv_transport(c: SpencerComplex, omega0: ConstantForm,
     varpi = [(k, Fraction(x)) for k, x in enumerate(varpi1) if x]
     new_cols = []
     eps_cols = []
-    for w_row, col in zip(c.w.rows, omega0.columns):
-        om = nonzero_pairs(col)
+    for w_row, om in zip(c.w.rows, omega0.columns):
         shift = a.component_bracket(-1, w_row, 1, varpi, 0)
-        new_cols.append(dense(combine(((om, ONE), (shift, ONE))), a.component_dim(0)))
-        eps = combine(((a.component_bracket(0, om, 1, varpi, 1), ONE),
-                       (a.component_bracket(0, shift, 1, varpi, 1), HALF)))
-        eps_cols.append(dense(eps, a.component_dim(1)))
+        new_cols.append(combine(((om, ONE), (shift, ONE))))
+        eps_cols.append(combine(((a.component_bracket(0, om, 1, varpi, 1), ONE),
+                                 (a.component_bracket(0, shift, 1, varpi, 1), HALF))))
     omega0_new = ConstantForm(0, tuple(new_cols))
     eps1 = ConstantForm(1, tuple(eps_cols))
     # exact identity: Omega'^0 = Omega^0 - [omega^{-1}, eps^1]

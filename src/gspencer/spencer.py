@@ -6,8 +6,9 @@ kernel of W); for p = 0 the values live in the full degree-(-1) component.
 The operator sends (p, q) to (p-1, q+1) by the alternating bracket sum.
 
 Cochains store one canonical representative per strictly increasing index
-tuple, reduced against the echelon basis of the annihilator, so equality of
-cosets is plain equality of stored data.
+tuple, reduced against the echelon basis of the annihilator and held as its
+sorted nonzero (coordinate, value) pairs, so equality of cosets is plain
+equality of stored data.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import (GradedLieAlgebra, adjoint_columns, annihilated_rows,
                       deterministic_rows_annihilating, g_sharp_subalgebra)
 from .errors import InputError, PreconditionError
-from .linalg import (ONE, Subspace, ZERO, combine, deterministic_complement, dense,
-                     direct_sum_split, kernel_of_rows, nonzero_pairs, solve_particular, transpose,
-                     vadd, vlincomb, vscale, vzero)
+from .linalg import (ONE, PairRow, Subspace, ZERO, combine, deterministic_complement, dense,
+                     direct_sum_split, kernel_of_rows, nonzero_pairs, solve_particular, transpose)
 
 
 class WFrame:
@@ -115,12 +115,6 @@ class SpencerComplex(WFrame):
             raise InputError(f"degree {p_deg} is not a nonnegative degree of the algebra")
         return list(self._chain[p_deg])
 
-    def reduce_value(self, p: int, r: int, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Canonical representative of a degree-(p-1) value modulo c_r."""
-        if p == 0 or r == 0:
-            return tuple(vec)
-        return dense(self._annihilator_raw(p - 1, r).reduce(nonzero_pairs(vec)), len(vec))
-
     def free_rows(self, p: int, r: int) -> tuple[int, ...]:
         """Component rows that parametrize the quotient by c_r (all rows for p = 0)."""
         nd = self.algebra.component_dim(p - 1)
@@ -157,35 +151,55 @@ def _parity_sort(idxs: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(lst), sign
 
 
+def canonical_pairs(vec: PairRow) -> tuple[tuple[int, Fraction], ...]:
+    """A component value given as (int coordinate, int or Fraction) pairs in any
+    order, as its sorted nonzero (coordinate, Fraction) pairs, repeats summed."""
+    try:
+        row = tuple(combine(((vec, ONE),)))
+        # ONE * x is a Fraction exactly when x is an int or a Fraction
+        if all(type(k) is int and type(x) is Fraction for k, x in row):
+            return row
+    except (TypeError, ValueError):
+        pass
+    raise InputError("expected a value as (int coordinate, int or Fraction value) pairs")
+
+
+def check_coordinates(row: Sequence[tuple[int, Fraction]], n: int) -> None:
+    """Reject a canonical value with a coordinate outside 0..n-1."""
+    if row and (row[0][0] < 0 or row[-1][0] >= n):
+        raise InputError(f"value coordinate outside the component 0..{n - 1}")
+
+
 class Cochain:
     """An element of the level-r Spencer space in bidegree (p, q).
 
     ``values`` maps strictly increasing q-tuples of W-basis indices to the
-    canonical representative (component coordinates of degree p-1, reduced
-    against the annihilator echelon basis).  Missing tuples are zero.
+    canonical representative: a degree-(p-1) component value, reduced against
+    the annihilator echelon basis, as its sorted nonzero (coordinate, Fraction)
+    pairs.  The constructor takes pairs in any order.  Missing tuples are zero.
     """
 
     __slots__ = ("frame", "p", "q", "level", "values")
 
     def __init__(self, frame: WFrame, p: int, q: int, level: int,
-                 values: Mapping[tuple[int, ...], Sequence[Fraction]]):
+                 values: Mapping[tuple[int, ...], PairRow]):
         if p < 0 or q < 0 or level < 0:
             raise InputError("p, q and level must be nonnegative")
         if level > 0 and not isinstance(frame, SpencerComplex):
             raise InputError("level > 0 cochains need a SpencerComplex")
         nd = frame.algebra.component_dim(p - 1)
-        clean: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+        ann = frame._annihilator_raw(p - 1, level) if p >= 1 and level > 0 else None
+        clean: dict[tuple[int, ...], tuple[tuple[int, Fraction], ...]] = {}
         for tup, vec in values.items():
             tup = tuple(tup)
             if len(tup) != q or any(not 0 <= t < frame.n_w for t in tup) \
                     or any(tup[i] >= tup[i + 1] for i in range(q - 1)):
                 raise InputError(f"tuple {tup} is not strictly increasing in range")
-            if len(vec) != nd:
-                raise InputError("value vector has wrong component dimension")
-            v = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in vec)
-            if p >= 1 and level > 0:
-                v = frame.reduce_value(p, level, v)
-            if any(v):
+            v = canonical_pairs(vec)
+            check_coordinates(v, nd)
+            if ann is not None:
+                v = tuple(ann.reduce(v))
+            if v:
                 clean[tup] = v
         self.frame = frame
         self.p = p
@@ -209,8 +223,9 @@ class Cochain:
     def __add__(self, other: "Cochain") -> "Cochain":
         self._compatible(other)
         vals = dict(self.values)
-        for tup, vec in other.values.items():
-            vals[tup] = vadd(vals[tup], vec) if tup in vals else vec
+        for tup, row in other.values.items():
+            # the constructor sums the pairs of a coordinate
+            vals[tup] = vals.get(tup, ()) + row
         return Cochain(self.frame, self.p, self.q, self.level, vals)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
@@ -219,7 +234,7 @@ class Cochain:
     def scale(self, c) -> "Cochain":
         c = Fraction(c)
         return Cochain(self.frame, self.p, self.q, self.level,
-                       {t: vscale(c, v) for t, v in self.values.items()})
+                       {t: [(k, c * x) for k, x in row] for t, row in self.values.items()})
 
     def __neg__(self) -> "Cochain":
         return self.scale(Fraction(-1))
@@ -243,27 +258,17 @@ class Cochain:
     # -- evaluation -------------------------------------------------------------
 
     def value(self, tup: tuple[int, ...]) -> tuple[Fraction, ...]:
-        nd = self.frame.algebra.component_dim(self.p - 1)
-        return self.values.get(tuple(tup), vzero(nd))
-
-    def value_at_indices(self, idxs: Sequence[int]) -> tuple[Fraction, ...]:
-        """Evaluation on arbitrary basis indices, with alternation synthesized."""
-        nd = self.frame.algebra.component_dim(self.p - 1)
-        if len(set(idxs)) < len(idxs):
-            return vzero(nd)
-        tup, sign = _parity_sort(idxs)
-        v = self.values.get(tup)
-        if v is None:
-            return vzero(nd)
-        return v if sign == 1 else vscale(Fraction(-1), v)
+        """The value at a strictly increasing tuple as a dense component vector."""
+        return dense(self.values.get(tuple(tup), ()), self.frame.algebra.component_dim(self.p - 1))
 
     def evaluate(self, vectors: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
-        """Multilinear alternating evaluation on W-coordinate vectors."""
+        """Multilinear alternating evaluation on W-coordinate vectors, as a dense
+        component vector."""
         if len(vectors) != self.q:
             raise InputError("wrong number of arguments")
         vs = [tuple(v) for v in vectors]
-        return vlincomb([_minor_det(vs, tup) for tup in self.values], list(self.values.values()),
-                        self.frame.algebra.component_dim(self.p - 1))
+        return dense(combine((row, _minor_det(vs, tup)) for tup, row in self.values.items()),
+                     self.frame.algebra.component_dim(self.p - 1))
 
     def project_to_level(self, r: int) -> "Cochain":
         """Image under the natural projection onto the level-r complex."""
@@ -308,16 +313,12 @@ def alternating_bracket_sum(x: Cochain) -> Cochain:
     if x.p == 0 or not x.values:
         return Cochain.zero(c, max(x.p - 1, 0), x.q + 1, x.level)
     ad = c._ad[x.p - 1]
-    nd = c.algebra.component_dim(x.p - 2)
-    out: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+    out = {}
     for tup in combinations(range(c.n_w), x.q + 1):
         # [x(rest), w_t] enters with sign (-1)^(pos+1), pos the place of t in tup
-        row = combine((col, -v if pos % 2 == 0 else v)
-                      for pos, t in enumerate(tup)
-                      if (val := x.values.get(tup[:pos] + tup[pos + 1:])) is not None
-                      for col, v in zip(ad[t], val) if v)
-        if row:
-            out[tup] = dense(row, nd)
+        out[tup] = combine((ad[t][k], -v if pos % 2 == 0 else v)
+                           for pos, t in enumerate(tup)
+                           for k, v in x.values.get(tup[:pos] + tup[pos + 1:], ()))
     return Cochain(c, x.p - 1, x.q + 1, x.level, out)
 
 
@@ -331,30 +332,29 @@ def space_dimension(c: SpencerComplex, p: int, q: int, r: int) -> int:
 
 
 def cochain_to_coords(x: Cochain) -> tuple[Fraction, ...]:
+    """The dense coordinates of x in the canonical basis of its space: per tuple
+    in increasing order, the value at each free row."""
     c = x.frame
     free = c.free_rows(x.p, x.level)
-    coords = []
-    for tup in combinations(range(c.n_w), x.q):
-        val = x.values.get(tup)
-        if val is None:
-            coords.extend([ZERO] * len(free))
-        else:
-            coords.extend(val[i] for i in free)
+    # a reduced value vanishes on the annihilator's pivot rows, so its pairs sit on free rows
+    slot = {k: i for i, k in enumerate(free)}
+    coords = [ZERO] * space_dimension(c, x.p, x.q, x.level)
+    for b, tup in enumerate(combinations(range(c.n_w), x.q)):
+        for k, v in x.values.get(tup, ()):
+            coords[b * len(free) + slot[k]] = v
     return tuple(coords)
 
 
 def cochain_from_coords(c: SpencerComplex, p: int, q: int, r: int,
-                        coords: Sequence[Fraction]) -> Cochain:
+                        coords: Iterable[tuple[int, Fraction]]) -> Cochain:
+    """The cochain with the given (coordinate, value) pairs in the canonical
+    basis of `cochain_to_coords`; zero values are allowed."""
     free = c.free_rows(p, r)
-    nd = c.algebra.component_dim(p - 1)
-    vals = {}
-    pos = 0
-    for tup in combinations(range(c.n_w), q):
-        vec = [ZERO] * nd
-        for i in free:
-            vec[i] = Fraction(coords[pos])
-            pos += 1
-        vals[tup] = tuple(vec)
+    tuples = list(combinations(range(c.n_w), q))
+    vals: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
+    for k, x in coords:
+        b, i = divmod(k, len(free))
+        vals.setdefault(tuples[b], []).append((free[i], x))
     return Cochain(c, p, q, r, vals)
 
 
@@ -452,8 +452,8 @@ def cohomology_dims(c: SpencerComplex, p: int, q: int, r: int,
     entry = CohomologyEntry(p=p, q=q, level=r, dim_space=space_dimension(c, p, q, r),
                             dim_z=z.dim, dim_b=b.dim, dim_h=z.dim - b.dim)
     if certificates:
-        entry.z_basis = [cochain_from_coords(c, p, q, r, v) for v in z.basis_vectors()]
-        entry.b_basis = [cochain_from_coords(c, p, q, r, v) for v in b.basis_vectors()]
+        entry.z_basis = [cochain_from_coords(c, p, q, r, row) for row in z.rows]
+        entry.b_basis = [cochain_from_coords(c, p, q, r, row) for row in b.rows]
     return entry
 
 
@@ -461,9 +461,9 @@ def _require_cocycle(c: SpencerComplex, z: Cochain) -> None:
     dz = spencer_d(z)
     if not dz.is_zero():
         parts = []
-        for tup, vec in sorted(dz.values.items()):
-            comp_names = [c.algebra.names[c.algebra.component_indices(dz.p - 1)[i]]
-                          for i, v in enumerate(vec) if v]
+        for tup, row in sorted(dz.values.items()):
+            comp_names = [c.algebra.names[c.algebra.component_indices(dz.p - 1)[k]]
+                          for k, _ in row]
             parts.append(f"{tup}: {', '.join(comp_names)}")
         raise PreconditionError(
             "input is not a cocycle; nonzero components of its differential: "
@@ -490,7 +490,7 @@ def is_coboundary(c: SpencerComplex, z: Cochain) -> Optional[Cochain]:
     sol = solve_particular(rows, n_src, target)
     if sol is None:
         return None
-    return cochain_from_coords(c, z.p + 1, z.q - 1, z.level, sol)
+    return cochain_from_coords(c, z.p + 1, z.q - 1, z.level, enumerate(sol))
 
 
 def class_representative(c: SpencerComplex, z: Cochain) -> Cochain:
@@ -539,14 +539,18 @@ def g_sharp_act(c: SpencerComplex, x_elt: Sequence[Fraction], x: Cochain) -> Coc
             raise InputError("element does not preserve W")
         act_w.append(coords)
     d = x.p - 1
-    out: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+    out = {}
     for tup in combinations(range(c.n_w), x.q):
-        terms = [(a.component_bracket(0, x_pairs, d, nonzero_pairs(x.value(tup)), d), ONE)]
-        terms += [(nonzero_pairs(x.value_at_indices(tup[:pos] + (j,) + tup[pos + 1:])), -cj)
-                  for pos in range(x.q) for j, cj in act_w[tup[pos]]]
-        row = combine(terms)
-        if row:
-            out[tup] = dense(row, a.component_dim(d))
+        terms = [(a.component_bracket(0, x_pairs, d, x.values.get(tup, ()), d), ONE)]
+        for pos in range(x.q):
+            for j, cj in act_w[tup[pos]]:
+                # x at the tuple with w_j in place pos: zero on a repeat, else
+                # the stored value at the sorted tuple times the permutation sign
+                idxs = tup[:pos] + (j,) + tup[pos + 1:]
+                if len(set(idxs)) == len(idxs):
+                    key, sign = _parity_sort(idxs)
+                    terms.append((x.values.get(key, ()), -cj if sign == 1 else cj))
+        out[tup] = combine(terms)
     return Cochain(c, x.p, x.q, 0, out)
 
 
@@ -554,8 +558,7 @@ def random_integer_cochain(c: SpencerComplex, p: int, q: int, r: int, rng,
                            lo: int = -3, hi: int = 3) -> Cochain:
     """Seeded integer cochain in canonical coordinates (test utility)."""
     n = space_dimension(c, p, q, r)
-    coords = [Fraction(rng.randint(lo, hi)) for _ in range(n)]
-    return cochain_from_coords(c, p, q, r, coords)
+    return cochain_from_coords(c, p, q, r, [(k, rng.randint(lo, hi)) for k in range(n)])
 
 
 def random_cocycle(c: SpencerComplex, p: int, q: int, r: int, rng,
@@ -563,7 +566,7 @@ def random_cocycle(c: SpencerComplex, p: int, q: int, r: int, rng,
     """Seeded integer combination of the cocycle basis."""
     z, _ = _zb_spaces(c, p, q, r)
     coeffs = [Fraction(rng.randint(lo, hi)) for _ in range(z.dim)]
-    return cochain_from_coords(c, p, q, r, dense(combine(zip(z.rows, coeffs)), z.ambient_dim))
+    return cochain_from_coords(c, p, q, r, combine(zip(z.rows, coeffs)))
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,8 @@ from gspencer.algebra import GradedLieAlgebra
 from gspencer.errors import InputError, ParseError, ValidationError
 from gspencer.fileio import parse_algebra, parse_cochain, serialize_algebra, serialize_cochain
 from gspencer.models import conformal_algebra, cr_algebra, space_form_algebra
-from gspencer.spencer import random_integer_cochain, standard_complex
+from gspencer.spencer import (cochain_from_coords, random_integer_cochain, space_dimension,
+                              standard_complex)
 
 from conftest import rng_for
 
@@ -164,3 +165,28 @@ def test_cochain_level_reduction_applied():
     text = f"cochain p 1 q 1 level 1 W 2\n(1) = {terms}\n"
     x = parse_cochain(text, alg)
     assert x.is_zero()
+
+
+def test_rational_cochain_roundtrip_both_directions():
+    rng = rng_for("cochainio-rational")
+    alg = conformal_algebra(4)
+    c = standard_complex(alg, 3)
+    for p in (1, 2):
+        for q in (1, 2):
+            for r in (0, 1, 2):
+                n = space_dimension(c, p, q, r)
+                x = cochain_from_coords(c, p, q, r, [(k, F(rng.randint(-3, 3), rng.randint(1, 4)))
+                                                     for k in range(n)])
+                assert x.is_zero() == (n == 0)
+                text = serialize_cochain(x)
+                assert parse_cochain(text, alg) == x
+                assert serialize_cochain(parse_cochain(text, alg)) == text
+
+
+def test_cochain_terms_of_one_name_are_summed():
+    alg = conformal_algebra(3)
+    x = parse_cochain("cochain p 1 q 2 level 0 W 2\n(1,2) = 1/2*A1_2 + 1/3*A1_2\n", alg)
+    assert x.values == {(0, 1): ((alg.component_indices(0).index(alg.index_of("A1_2")),
+                                  F(5, 6)),)}
+    y = parse_cochain("cochain p 1 q 2 level 0 W 2\n(1,2) = 1*I + -1*I\n", alg)
+    assert y.values == {}

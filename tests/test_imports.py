@@ -1,11 +1,13 @@
-"""Every library module references each name it imports (no linter is assumed)."""
+"""Every library module references each name it imports, and every library
+function is referenced somewhere (no linter is assumed)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gspencer"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gspencer"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -21,3 +23,40 @@ def test_no_unused_imports(path):
             imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == [], f"{path.name} imports names it never references"
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _references(node, enclosing, out):
+    """Add to out every name node references outside a def of that name: Name
+    ids, Attribute attrs and the dotted parts of string constants (the
+    benchmark tracer names its targets as strings like "Subspace.reduce")."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        enclosing = enclosing | {node.name}
+    if isinstance(node, ast.Name):
+        names = [node.id]
+    elif isinstance(node, ast.Attribute):
+        names = [node.attr]
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        names = [part for part in node.value.split(".") if part.isidentifier()]
+    else:
+        names = []
+    out.update(name for name in names if name not in enclosing)
+    for child in ast.iter_child_nodes(node):
+        _references(child, enclosing, out)
+
+
+def test_every_library_function_is_referenced():
+    # a function or method nobody calls is dead code left behind by a refactor
+    files = [*SRC.glob("*.py"), *(ROOT / "tests").rglob("*.py"),
+             *(ROOT / "perfbench").rglob("*.py")]
+    referenced = set()
+    for path in files:
+        _references(ast.parse(path.read_text(encoding="utf-8")), frozenset(), referenced)
+    defined = {node.name for path in SRC.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not _is_dunder(node.name)}
+    assert sorted(defined - referenced) == [], "functions defined but never referenced"

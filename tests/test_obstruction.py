@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from gspencer.errors import InputError, PreconditionError
+from gspencer import obstruction
+from gspencer.errors import InputError, InternalInvariantError, PreconditionError
 from gspencer.models import co_generators, conformal_algebra, space_form_algebra
 from gspencer.obstruction import (AdmissibleTuple, ConstantForm, ObstructionCertificate,
                                   admissibility_residuals, bianchi_check,
@@ -12,7 +13,7 @@ from gspencer.obstruction import (AdmissibleTuple, ConstantForm, ObstructionCert
                                   zero_form)
 from gspencer.spencer import (Cochain, WFrame, class_representative, random_cocycle,
                               spencer_d, standard_complex)
-from gspencer.linalg import Subspace
+from gspencer.linalg import Subspace, nonzero_pairs
 from gspencer.prolong import build_graded_algebra
 
 from conftest import rng_for, int_vector
@@ -32,14 +33,14 @@ def admissible_start(c, rng):
 def test_canonical_inclusion_full():
     c = standard_complex(conformal_algebra(3), 3)
     omm = canonical_omega_minus1(c)
-    assert omm.matrix().data == tuple(tuple(F(1) if i == j else F(0) for j in range(3))
+    assert omm.matrix(3).data == tuple(tuple(F(1) if i == j else F(0) for j in range(3))
                                       for i in range(3))
 
 
 def test_canonical_inclusion_proper():
     c = standard_complex(space_form_algebra(4, 0), 2)
     omm = canonical_omega_minus1(c)
-    m = omm.matrix()
+    m = omm.matrix(4)
     assert m.rows == 4 and m.cols == 2
     assert m.col(0) == (F(1), F(0), F(0), F(0))
     assert m.col(1) == (F(0), F(1), F(0), F(0))
@@ -106,7 +107,7 @@ def test_bianchi_rejects_non_admissible():
     a = c.algebra
     for _ in range(20):
         cols = tuple(int_vector(rng, a.component_dim(0)) for _ in range(3))
-        om0 = ConstantForm(0, cols)
+        om0 = ConstantForm(0, tuple(nonzero_pairs(col) for col in cols))
         t = AdmissibleTuple((om0,))
         if not admissibility_residuals(c, t)[0].is_zero():
             with pytest.raises(PreconditionError):
@@ -221,7 +222,7 @@ def test_level_decompose_space_form_split():
         dec = level_decompose(c, x, 1)
         assert len(dec.tails) == 1
         for tup, v in dec.tails[0].values.items():
-            assert all(c_ == 0 for pos, c_ in enumerate(v) if pos not in perp_positions)
+            assert all(pos in perp_positions for pos, _ in v)
         assert dec.reassemble() == x
     # conformal(4), W = 3, p = 2: two tails at r = 2
     c = standard_complex(conformal_algebra(4), 3)
@@ -277,7 +278,7 @@ def test_strong_equiv_height_check():
 def test_form_cochain_conversions():
     rng = rng_for("conv")
     c = standard_complex(conformal_algebra(3), 2)
-    f = ConstantForm(1, tuple(int_vector(rng, c.algebra.component_dim(1))
+    f = ConstantForm(1, tuple(nonzero_pairs(int_vector(rng, c.algebra.component_dim(1)))
                               for _ in range(2)))
     assert cochain_to_form(form_to_cochain(c, f)).columns == f.columns
 
@@ -298,3 +299,55 @@ def test_solve_to_top_sound_on_conjugated_complex():
                 assert not cert.class_rep.is_zero()
             outcomes.add(cert is None)
     assert outcomes == {True, False}
+
+
+def _solvable_order1_start(c, rng):
+    """An admissible order-0 tuple whose order-1 equation is solvable."""
+    for _ in range(20):
+        t = AdmissibleTuple((admissible_start(c, rng),))
+        if isinstance(solve_next(c, t, 1), ConstantForm):
+            return t
+    raise AssertionError("no solvable start found")
+
+
+def test_solve_next_forms_each_curvature_once(monkeypatch):
+    # re-verifying the solved form reuses the order-1 curvature: only the
+    # admissibility check's order 0 and the order-1 curvature are formed
+    c = standard_complex(conformal_algebra(4), 3)
+    t = _solvable_order1_start(c, rng_for("solve-next-orders"))
+    orders = []
+    real = obstruction.total_curvature
+
+    def recording(frame, tup, p):
+        orders.append(p)
+        return real(frame, tup, p)
+
+    monkeypatch.setattr(obstruction, "total_curvature", recording)
+    assert isinstance(solve_next(c, t, 1), ConstantForm)
+    assert orders == [0, 1]
+
+
+def test_solve_next_reverification_rejects_a_wrong_form(monkeypatch):
+    c = standard_complex(conformal_algebra(4), 3)
+    t = _solvable_order1_start(c, rng_for("solve-next-perturbed"))
+    real = obstruction.cochain_to_form
+
+    def perturbed(y):
+        f = real(y)
+        return f + ConstantForm(f.degree, (((0, F(1)),),) * f.n_w)
+
+    monkeypatch.setattr(obstruction, "cochain_to_form", perturbed)
+    with pytest.raises(InternalInvariantError, match="solved form fails re-verification"):
+        solve_next(c, t, 1)
+
+
+def test_form_coordinates_checked_against_the_component():
+    c = standard_complex(conformal_algebra(3), 2)
+    n = c.algebra.component_dim(0)
+    for bad in (-1, n):
+        f = ConstantForm(0, (((bad, F(1)),), ()))
+        with pytest.raises(InputError):
+            total_curvature(c, AdmissibleTuple((f,)), 1)
+    ok = ConstantForm(0, (((n - 1, F(1)),), ((0, 2), (0, -2))))
+    assert ok.columns == (((n - 1, F(1)),), ())
+    total_curvature(c, AdmissibleTuple((ok,)), 1)

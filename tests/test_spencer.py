@@ -122,9 +122,8 @@ def test_d_squared_zero_seeded():
 def test_d_hand_instance():
     # x(e1) = E21 - E12 = -A12 in the flat 3-dimensional model: dx(e1,e2) = -e1
     c = standard_complex(space_form_algebra(3, 0), 3)
-    val = [F(0)] * 3
-    val[0] = F(-1)  # component coords over (A1_2, A1_3, A2_3)
-    x = Cochain(c, 1, 1, 0, {(0,): tuple(val)})
+    # component coords over (A1_2, A1_3, A2_3)
+    x = Cochain(c, 1, 1, 0, {(0,): [(0, F(-1))]})
     dx = spencer_d(x)
     assert dx.value((0, 1)) == (F(-1), F(0), F(0))
     assert dx.value((0, 2)) == (F(0), F(0), F(0))
@@ -143,8 +142,8 @@ def test_well_definedness_on_cosets():
             x = random_integer_cochain(c, p, 2, r, rng)
             perturbed = {}
             for tup, v in x.values.items():
-                bump = ann.basis_vectors()[rng.randrange(ann.dim)]
-                perturbed[tup] = tuple(a + 2 * b for a, b in zip(v, bump))
+                bump = ann.rows[rng.randrange(ann.dim)]
+                perturbed[tup] = v + tuple((k, 2 * b) for k, b in bump)
             y = Cochain(c, p, 2, r, perturbed)
             assert y == x  # canonical reduction makes cosets equal
             assert spencer_d(y) == spencer_d(x)
@@ -337,23 +336,23 @@ def test_d_of_form_matches_dense_brackets():
         a = frame.algebra
         w_full = [a.embed_component(-1, v) for v in frame.w.basis_vectors()]
         for deg in range(a.height):
-            f = ConstantForm(deg, tuple(
-                tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(a.component_dim(deg)))
-                for _ in range(frame.n_w)))
+            f = _random_form(rng, a, deg, frame.n_w)
             expected = {}
             for i, j in combinations(range(frame.n_w), 2):
-                f_i, f_j = (a.embed_component(deg, f.column(k)) for k in (i, j))
+                f_i, f_j = (a.embed_component(deg, f.column(k, a.component_dim(deg)))
+                            for k in (i, j))
                 v = a.component_part(vsub(a.bracket(w_full[i], f_j), a.bracket(w_full[j], f_i)),
                                      deg - 1)
                 if any(v):
-                    expected[(i, j)] = v
+                    expected[(i, j)] = tuple(nonzero_pairs(v))
             assert expected
             assert _d_of_form(frame, f).values == expected, (a.name, deg)
 
 
 def _random_form(rng, a, deg, n_w):
     return ConstantForm(deg, tuple(
-        tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(a.component_dim(deg)))
+        nonzero_pairs([F(rng.randint(-3, 3), rng.randint(1, 3))
+                       for _ in range(a.component_dim(deg))])
         for _ in range(n_w)))
 
 
@@ -374,7 +373,8 @@ def test_total_curvature_matches_dense_brackets():
                                       for deg in range(a.height)))
 
             def omega(r, k):
-                return w_full[k] if r == -1 else a.embed_component(r, t.forms[r].column(k))
+                return w_full[k] if r == -1 else \
+                    a.embed_component(r, t.forms[r].column(k, a.component_dim(r)))
 
             seen_nonzero = False
             for p in range(a.height + 1):
@@ -387,7 +387,7 @@ def test_total_curvature_matches_dense_brackets():
                                    a.bracket(omega(r, j), omega(p - 1 - r, i)))]
                     v = a.component_part(acc, p - 1)
                     if any(v):
-                        expected[(i, j)] = v
+                        expected[(i, j)] = tuple(nonzero_pairs(v))
                 seen_nonzero = seen_nonzero or bool(expected)
                 assert total_curvature(frame, t, p).values == expected, (a.name, p)
             assert seen_nonzero, a.name
@@ -408,12 +408,39 @@ def test_strong_equiv_transport_matches_dense_formula():
         new_cols, eps_cols = [], []
         for j, wj in enumerate(w_full):
             shift = a.bracket(wj, varpi_full)
-            om = a.embed_component(0, omega0.column(j))
+            om = a.embed_component(0, omega0.column(j, a.component_dim(0)))
             new_cols.append(a.component_part([x + y for x, y in zip(om, shift)], 0))
             eps_cols.append(a.component_part(
                 [x + y / 2 for x, y in zip(a.bracket(om, varpi_full),
                                            a.bracket(shift, varpi_full))], 1))
         omega0_new, eps1 = strong_equiv_transport(c, omega0, varpi)
-        assert omega0_new.columns == tuple(new_cols)
-        assert eps1.columns == tuple(eps_cols)
+        assert omega0_new.columns == tuple(tuple(nonzero_pairs(col)) for col in new_cols)
+        assert eps1.columns == tuple(tuple(nonzero_pairs(col)) for col in eps_cols)
         assert not eps1.is_zero()
+
+
+def test_cochain_values_are_canonical_pairs():
+    # unsorted, repeated, zero-valued and int pairs build the canonical cochain
+    c = standard_complex(conformal_algebra(3), 2)
+    canonical = Cochain(c, 1, 1, 0, {(0,): [(0, F(1, 2)), (3, F(-2))], (1,): [(2, F(5))]})
+    messy = Cochain(c, 1, 1, 0, {(0,): [(3, -2), (1, 0), (0, F(1, 6)), (0, F(1, 3))],
+                                 (1,): [(2, 5), (1, F(2)), (1, -2)]})
+    assert messy == canonical
+    assert messy.values == {(0,): ((0, F(1, 2)), (3, F(-2))), (1,): ((2, F(5)),)}
+    assert all(type(x) is F for row in messy.values.values() for _, x in row)
+    assert Cochain(c, 1, 1, 0, {(0,): [(2, 1), (2, -1)]}).is_zero()
+    assert messy.value((0,)) == (F(1, 2), F(0), F(0), F(-2))
+
+
+def test_cochain_rejects_coordinates_outside_the_component():
+    c = standard_complex(conformal_algebra(3), 2)
+    n = c.algebra.component_dim(0)
+    for bad in (-1, n):
+        with pytest.raises(InputError):
+            Cochain(c, 1, 1, 0, {(0,): [(bad, F(1))]})
+        with pytest.raises(InputError):
+            Cochain(c, 1, 2, 1, {(0, 1): [(0, F(1)), (bad, F(2))]})
+    for bad_value in ((F(1), F(0), F(0), F(0)), [(0, 0.5)], [(1.0, F(1))], [(0, "1/2")]):
+        with pytest.raises(InputError):  # a dense tuple, a float, a float coordinate, a string
+            Cochain(c, 1, 1, 0, {(0,): bad_value})
+    assert Cochain(c, 1, 1, 0, {(0,): [(n - 1, F(1))]}).value((0,))[n - 1] == 1
