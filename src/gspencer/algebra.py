@@ -121,12 +121,14 @@ class GradedLieAlgebra:
     def component_bracket(self, dx: int, x: PairRow, dy: int, y: PairRow,
                           d: int) -> list[tuple[int, Fraction]]:
         """The degree-d part of [x, y] as sorted (component coordinate, value)
-        pairs, for x and y given by their pairs in the degree-dx and degree-dy
-        components; read from the structure constants."""
+        pairs, for x and y given by their pairs, each coordinate once, in the
+        degree-dx and degree-dy components; read from the structure constants."""
         xs, ys = self.component_indices(dx), self.component_indices(dy)
         pos, deg = self._index_in_component, self.degrees
-        return combine(([(pos[t], c) for t, c in self.bracket_basis(xs[k], ys[m]).items()
-                         if deg[t] == d], u * v) for k, u in x for m, v in y)
+        (sx, xi), (sy, yi) = clear_denominators(x), clear_denominators(y)
+        out = combine(([(pos[t], c) for t, c in self.bracket_basis(xs[k], ys[m]).items()
+                        if deg[t] == d], u * v) for k, u in xi.items() for m, v in yi.items())
+        return out if sx * sy == 1 else [(k, v / (sx * sy)) for k, v in out]
 
     # -- coordinates --------------------------------------------------------
 

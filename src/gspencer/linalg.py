@@ -5,11 +5,12 @@ and complements are exact.  Every result is canonical (reduced row echelon
 forms, greedy complements in basis order), which makes it bit-reproducible
 across runs and platforms.
 
-Row reduction takes sparse rows of (column, value) pairs, clears each row's
-denominators once and works on sparse integer rows with gcd normalization;
-only the final normalization reintroduces fractions.  Its results, and the
-rows a `Subspace` stores, are sparse too: dense vectors appear only at the
-public functions that take or return them.
+Row reduction and sparse sums (`combine`) work on integers: a row's
+denominators are cleared once and its integer entries gcd-normalized, a sum
+keeps int numerators over one running denominator, and a Fraction is built
+only for each nonzero entry of a result.  Results, and the rows a `Subspace`
+stores, are sparse too: dense vectors appear only at the public functions
+that take or return them.
 """
 
 from __future__ import annotations
@@ -84,13 +85,21 @@ def transpose(rows: Sequence[PairRow], ncols: int) -> list[list[tuple[int, Fract
 
 
 def combine(terms: Iterable[tuple[PairRow, Fraction]]) -> list[tuple[int, Fraction]]:
-    """The sparse row sum of c * row over the (row, c) pairs, sorted by column."""
-    acc: dict[int, Fraction] = {}
+    """The sparse row sum of c * row over the (row, c) pairs of ints or Fractions, sorted
+    by column; a product's denominator raises the running one only if it does not divide it."""
+    acc: dict[int, int] = {}
+    den = 1
     for row, c in terms:
         if c:
+            cn, cd = c.numerator, c.denominator
             for k, x in row:
-                acc[k] = acc.get(k, ZERO) + c * x
-    return sorted((k, x) for k, x in acc.items() if x)
+                d = cd * x.denominator
+                if den % d:
+                    m = d // gcd(den, d)
+                    den *= m
+                    acc = {j: v * m for j, v in acc.items()}
+                acc[k] = acc.get(k, 0) + cn * x.numerator * (den // d)
+    return sorted((k, Fraction(v, den)) for k, v in acc.items() if v)
 
 
 def clear_denominators(row: PairRow) -> tuple[int, dict[int, int]]:

@@ -155,10 +155,13 @@ def canonical_pairs(vec: PairRow) -> tuple[tuple[int, Fraction], ...]:
     """A component value given as (int coordinate, int or Fraction) pairs in any
     order, as its sorted nonzero (coordinate, Fraction) pairs, repeats summed."""
     try:
-        row = tuple(combine(((vec, ONE),)))
-        # ONE * x is a Fraction exactly when x is an int or a Fraction
-        if all(type(k) is int and type(x) is Fraction for k, x in row):
-            return row
+        row = tuple(vec)
+        if all(type(k) is int and type(x) in (int, Fraction) for k, x in row):
+            # kept as given when already canonical: increasing coordinates, nonzero Fractions
+            if all(type(x) is Fraction and x and k > h
+                   for (h, _), (k, x) in zip(((-1, 0),) + row, row)):
+                return row
+            return tuple(combine(((row, 1),)))
     except (TypeError, ValueError):
         pass
     raise InputError("expected a value as (int coordinate, int or Fraction value) pairs")

@@ -5,10 +5,12 @@ import pytest
 from gspencer.algebra import (GradedLieAlgebra, effectiveness_report, g_sharp_subalgebra,
                               grading_report, jacobi_report)
 from gspencer.errors import InputError
-from gspencer.linalg import Subspace, nonzero_pairs
-from gspencer.models import conformal_algebra, space_form_algebra
+from gspencer.linalg import Subspace, dense, nonzero_pairs
+from gspencer.models import co_generators, conformal_algebra, space_form_algebra
+from gspencer.prolong import build_graded_algebra
 
 from conftest import rng_for, int_vector
+from test_prolong import _conjugated
 
 
 def test_bracket_antisymmetry_random():
@@ -21,6 +23,29 @@ def test_bracket_antisymmetry_random():
         xy = a.bracket(x, y)
         yx = a.bracket(y, x)
         assert all(u == -v for u, v in zip(xy, yx))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: conformal_algebra(4),
+    lambda: build_graded_algebra(_conjugated(co_generators(3)), 3).assembled],
+    ids=["conformal4", "co3_conjugated"])
+def test_component_bracket_matches_dense_bracket(build):
+    # rational x and y (denominators 2, 3, 4, 6, 10 cancel in part against each
+    # other and the structure constants) in every pair of degrees, every target degree
+    a = build()
+    rng = rng_for("component-bracket")
+    degrees = range(-1, a.height)
+    for dx in degrees:
+        for dy in degrees:
+            for _ in range(3):
+                x, y = ([(k, F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 10))))
+                         for k in range(a.component_dim(deg)) if rng.random() < 0.6]
+                        for deg in (dx, dy))
+                full = a.bracket(a.embed_component(dx, dense(x, a.component_dim(dx))),
+                                 a.embed_component(dy, dense(y, a.component_dim(dy))))
+                for d in degrees:
+                    assert a.component_bracket(dx, x, dy, y, d) == \
+                        nonzero_pairs(a.component_part(full, d)), (dx, dy, d)
 
 
 def test_space_form_coordinate_bracket():

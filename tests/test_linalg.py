@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gspencer.linalg import (InputError, RMatrix, Subspace, deterministic_complement,
+from gspencer.linalg import (InputError, RMatrix, Subspace, combine, deterministic_complement,
                              dense, kernel_basis, kernel_of_rows, nonzero_pairs, rank, rref,
                              solve_linear, subspace_intersection, subspace_sum, vlincomb)
 
@@ -219,6 +219,40 @@ def test_echelon_kernel_and_rank_match_sympy():
         coeffs = tuple(data.draw(entry) for _ in range(space.dim))
         w = vlincomb(coeffs, space.basis_vectors(), n)
         assert space.coordinates(nonzero_pairs(w)) == nonzero_pairs(coeffs)
+
+    check()
+
+
+def test_combine_matches_fraction_sum():
+    """combine against a plain Fraction dict sum, with int and Fraction values and
+    coefficients, zero coefficients, repeated columns and huge entries."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    near_2_70 = st.builds(lambda s, d: s * 2**70 + d, st.sampled_from((1, -1)), st.integers(-3, 3))
+    value = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=12),
+                      st.fractions(max_denominator=10**15), near_2_70,
+                      st.builds(F, near_2_70, st.integers(1, 10**20)))
+    row = st.lists(st.tuples(st.integers(0, 5), value), max_size=6)
+
+    # cancels to the empty row; the last term's denominator 21 does not divide 2,
+    # so the running denominator is raised after columns 0 and 1 hold sums
+    cancelling = [([(0, F(1, 3)), (2, 5)], F(3, 7)), ([(2, F(5)), (0, F(1, 3))], F(-3, 7))]
+    late = [([(0, 1), (1, 2)], 1), ([(1, F(1, 2))], 2), ([(0, F(1, 3)), (3, 0)], F(5, 7))]
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(st.tuples(row, value), max_size=5))
+    @hypothesis.example(cancelling)
+    @hypothesis.example(late)
+    def check(terms):
+        expect: dict[int, F] = {}
+        for r, c in terms:
+            for k, x in r:
+                expect[k] = expect.get(k, F(0)) + F(c) * F(x)
+        out = combine((r, c) for r, c in terms)
+        assert out == sorted((k, x) for k, x in expect.items() if x)
+        assert all(type(x) is F for _, x in out)
+        if terms is cancelling:
+            assert out == []
 
     check()
 

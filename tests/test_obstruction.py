@@ -17,7 +17,7 @@ from gspencer.linalg import Subspace, nonzero_pairs
 from gspencer.prolong import build_graded_algebra
 
 from conftest import rng_for, int_vector
-from test_prolong import _conjugated
+from test_prolong import _conjugated, _random_block_conjugated
 
 
 def quasi_frame(n_tilde, k0, w_dim):
@@ -284,21 +284,23 @@ def test_form_cochain_conversions():
 
 
 def test_solve_to_top_sound_on_conjugated_complex():
-    # the conjugated co_3 prolongation has real denominators; each solved tuple
-    # must re-verify and each obstruction must carry a nonzero class
-    conj = build_graded_algebra(_conjugated(co_generators(3)), 3).assembled
-    rng = rng_for("conjugated-solve")
-    outcomes = set()
-    for w in (1, 2, 3):
-        c = standard_complex(conj, w)
-        for _ in range(4):
-            t, cert = solve_to_top(c, AdmissibleTuple((admissible_start(c, rng),)))
-            if cert is None:
-                assert all(res.is_zero() for res in admissibility_residuals(c, t))
-            else:
-                assert not cert.class_rep.is_zero()
-            outcomes.add(cert is None)
-    assert outcomes == {True, False}
+    # the conjugated co_3 prolongations (fixed and seeded random conjugator) have
+    # real denominators; each solved tuple must re-verify and each obstruction
+    # must carry a nonzero class
+    for h0 in (_conjugated(co_generators(3)), _random_block_conjugated(co_generators(3), "co3")[0]):
+        conj = build_graded_algebra(h0, 3).assembled
+        rng = rng_for("conjugated-solve")
+        outcomes = set()
+        for w in (1, 2, 3):
+            c = standard_complex(conj, w)
+            for _ in range(4):
+                t, cert = solve_to_top(c, AdmissibleTuple((admissible_start(c, rng),)))
+                if cert is None:
+                    assert all(res.is_zero() for res in admissibility_residuals(c, t))
+                else:
+                    assert not cert.class_rep.is_zero()
+                outcomes.add(cert is None)
+        assert outcomes == {True, False}
 
 
 def _solvable_order1_start(c, rng):

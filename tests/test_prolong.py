@@ -19,6 +19,8 @@ from gspencer.prolong import (LinearLieAlgebra, build_graded_algebra, contractio
                               monomials, prolong_step, sym_space_dim)
 from gspencer.spencer import cohomology_dims, standard_complex
 
+from conftest import rng_for
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -211,11 +213,55 @@ def test_prolongation_invariant_under_rational_conjugation(h0, max_order):
     assert conj.finite_type == plain.finite_type
 
 
-@pytest.mark.parametrize("h0", [co_generators(3), glc_generators(2)], ids=["co3", "glc2"])
-def test_conjugated_assembled_round_trip(h0):
+def _inverse_and_det(g):
+    """g^-1 (None if singular) and det g by Gauss-Jordan on Fractions,
+    independent of the library."""
+    n = len(g)
+    aug = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(g)]
+    det = F(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if aug[r][c]), None)
+        if p is None:
+            return None, F(0)
+        aug[c], aug[p] = aug[p], aug[c]
+        piv = aug[c][c]
+        det *= piv if p == c else -piv
+        aug[c] = [x / piv for x in aug[c]]
+        for r in range(n):
+            if r != c and (f := aug[r][c]):
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug], det
+
+
+def _random_block_conjugated(h0: LinearLieAlgebra, tag: str) -> tuple[LinearLieAlgebra, int]:
+    """(g h0 g^-1, w) for a seeded random rational g, block upper triangular for
+    V = span(e_1..e_w) + the rest with a drawn 1 <= w < dim V, and det g not 0 or
+    +-1, so g^-1 has real denominators; g preserves span(e_1..e_w)."""
+    rng = rng_for(f"block-conjugate:{tag}")
+    n = h0.v_dim
+    w = rng.randint(1, n - 1)
+    ginv, det = None, F(0)
+    while det in (0, 1, -1):
+        g = [[F(0) if i >= w > j else F(rng.randint(-3, 3), rng.randint(1, 4)) for j in range(n)]
+             for i in range(n)]
+        ginv, det = _inverse_and_det(g)
+    gm, gi = RMatrix(g), RMatrix(ginv)
+    assert gm.mat_mul(gi) == RMatrix.identity(n)
+    return LinearLieAlgebra(n, tuple(gm.mat_mul(a).mat_mul(gi) for a in h0.generators)), w
+
+
+@pytest.mark.parametrize("conjugate, max_order", [
+    (lambda: _conjugated(co_generators(3)), 3),
+    (lambda: _conjugated(glc_generators(2)), 3),
+    (lambda: _random_block_conjugated(so_generators(3), "so3")[0], 1),
+    (lambda: _random_block_conjugated(co_generators(3), "co3")[0], 2),
+    (lambda: _random_block_conjugated(glc_generators(2), "glc2")[0], 2)],
+    ids=["co3", "glc2", "so3-random", "co3-random", "glc2-random"])
+def test_conjugated_assembled_round_trip(conjugate, max_order):
     # rational structure constants survive serialize -> parse (with its Jacobi
     # and grading checks) -> serialize
-    a = build_graded_algebra(_conjugated(h0), 3).assembled
+    a = build_graded_algebra(conjugate(), max_order).assembled
+    assert any(c.denominator > 1 for coeffs in a._table.values() for c in coeffs.values())
     text = serialize_algebra(a)
     again = parse_algebra(text, validate=True)
     assert serialize_algebra(again) == text
