@@ -287,7 +287,7 @@ def test_solve_to_top_sound_on_conjugated_complex():
     # the conjugated co_3 prolongations (fixed and seeded random conjugator) have
     # real denominators; each solved tuple must re-verify and each obstruction
     # must carry a nonzero class
-    for h0 in (_conjugated(co_generators(3)), _random_block_conjugated(co_generators(3), "co3")[0]):
+    for h0 in (_conjugated(co_generators(3)), _random_block_conjugated(co_generators(3), "co3")):
         conj = build_graded_algebra(h0, 3).assembled
         rng = rng_for("conjugated-solve")
         outcomes = set()
