@@ -124,10 +124,18 @@ class GradedLieAlgebra:
         pairs, for x and y given by their pairs, each coordinate once, in the
         degree-dx and degree-dy components; read from the structure constants."""
         xs, ys = self.component_indices(dx), self.component_indices(dy)
-        pos, deg = self._index_in_component, self.degrees
+        pos, deg, table = self._index_in_component, self.degrees, self._table
         (sx, xi), (sy, yi) = clear_denominators(x), clear_denominators(y)
-        out = combine(([(pos[t], c) for t, c in self.bracket_basis(xs[k], ys[m]).items()
-                        if deg[t] == d], u * v) for k, u in xi.items() for m, v in yi.items())
+        terms = []
+        for k, u in xi.items():
+            i = xs[k]
+            for m, v in yi.items():
+                j = ys[m]
+                # the constants are stored for i < j; [e_j, e_i] = -[e_i, e_j]
+                if i != j and (b := table.get((i, j) if i < j else (j, i))):
+                    terms.append(([(pos[t], c) for t, c in b.items() if deg[t] == d],
+                                  u * v if i < j else -u * v))
+        out = combine(terms)
         return out if sx * sy == 1 else [(k, v / (sx * sy)) for k, v in out]
 
     # -- coordinates --------------------------------------------------------

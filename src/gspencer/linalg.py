@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Collection, Iterable, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, InternalInvariantError
 
 Rational = Fraction
 
@@ -413,16 +413,24 @@ def kernel_basis(m: RMatrix) -> Subspace:
 
 
 def solve_particular(rows: Sequence[PairRow], ncols: int,
-                     b: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
-    """Particular solution of rows·x = b for sparse rows and dense b, free variables zero."""
-    if len(b) != len(rows):
-        raise InputError("right-hand side length does not match row count")
-    red, pivots = _rref_rows([*row, (ncols, bi)] if bi else row for row, bi in zip(rows, b))
-    if ncols in pivots:
-        return None
-    # a reduced row's augmented entry, if any, is its last pair
-    return dense(((pc, row[-1][1]) for row, pc in zip(red, pivots) if row[-1][0] == ncols),
-                 ncols)
+                     targets: Sequence[PairRow]) -> list[list[tuple[int, Fraction]]]:
+    """Particular solutions of rows·x = t, free variables zero, for sparse rows and
+    sparse targets t (one entry per row index), from one elimination of [rows | T^T];
+    each solution as sorted (column, value) pairs.  Every target must lie in the
+    image of the rows."""
+    aug = [list(row) for row in rows]
+    for k, t in enumerate(targets):
+        for i, x in t:
+            aug[i].append((ncols + k, x))
+    red, pivots = _rref_rows(aug)
+    if pivots and pivots[-1] >= ncols:
+        raise InternalInvariantError("solve target outside the image of the rows")
+    sols: list[list[tuple[int, Fraction]]] = [[] for _ in targets]
+    for row, pc in zip(red, pivots):
+        for c, x in row:
+            if c >= ncols:
+                sols[c - ncols].append((pc, x))
+    return sols
 
 
 def solve_linear(m: RMatrix, b: Sequence[Fraction]) -> Optional[tuple[tuple[Fraction, ...], Subspace]]:
@@ -430,25 +438,52 @@ def solve_linear(m: RMatrix, b: Sequence[Fraction]) -> Optional[tuple[tuple[Frac
 
     The particular solution sets all free variables to zero.
     """
+    if len(b) != m.rows:
+        raise InputError("right-hand side length does not match row count")
     rows = [nonzero_pairs(row) for row in m.data]
-    x = solve_particular(rows, m.cols, b)
-    return None if x is None else (x, kernel_of_rows(rows, m.cols))
-
-
-def direct_sum_split(v: Sequence[Fraction], parts: Sequence[Subspace]
-                     ) -> Optional[list[list[tuple[int, Fraction]]]]:
-    """v's component in each subspace of the direct sum of parts, as sorted
-    (coordinate, value) pairs, or None if v is outside the sum."""
-    rows = [row for s in parts for row in s.rows]
-    sol = solve_particular(transpose(rows, len(v)), len(rows), v)
-    if sol is None:
+    target = nonzero_pairs(b)
+    if Subspace.from_vectors(m.rows, transpose(rows, m.cols)).coordinates(target) is None:
         return None
-    out = []
-    start = 0
-    for s in parts:
-        out.append(combine(zip(s.rows, sol[start:start + s.dim])))
-        start += s.dim
-    return out
+    x = solve_particular(rows, m.cols, [target])[0]
+    return dense(x, m.cols), kernel_of_rows(rows, m.cols)
+
+
+class LinearMap:
+    """A linear map on a subspace, given by the image of each echelon row of its
+    domain as sorted (coordinate, value) pairs.  Built once, it answers each query
+    with one `Subspace.coordinates` call and one `combine`."""
+
+    __slots__ = ("domain", "images")
+
+    def __init__(self, domain: Subspace, images: Sequence[list[tuple[int, Fraction]]]):
+        self.domain = domain
+        self.images = images
+
+    def apply(self, terms: PairRow) -> Optional[list[tuple[int, Fraction]]]:
+        """The image, as sorted pairs, of the vector with the given (coordinate,
+        value) pairs, each coordinate once, or None if it is outside the domain."""
+        den, entries = clear_denominators(terms)
+        coords = self.domain.coordinates(entries.items())
+        if coords is None:
+            return None
+        return combine((self.images[b], Fraction(x, den)) for b, x in coords)
+
+
+def split_map(domain: Subspace, parts: Sequence[Subspace], keep: Sequence[int]) -> LinearMap:
+    """The map sending each vector of domain, a subspace of the direct sum of parts,
+    to its components in the parts listed in keep: the component in parts[keep[i]]
+    at coordinates shifted by i times the ambient dimension.
+
+    The components of domain's echelon rows come from one transposed solve, with
+    the parts' basis vectors as columns."""
+    n = domain.ambient_dim
+    rows = [row for s in parts for row in s.rows]
+    shift = [n * keep.index(s) if s in keep else None for s, part in enumerate(parts)
+             for _ in part.rows]
+    sols = solve_particular(transpose(rows, n), len(rows), domain.rows)
+    return LinearMap(domain, [combine(([(k + shift[j], x) for k, x in rows[j]], c)
+                                      for j, c in sol if shift[j] is not None)
+                              for sol in sols])
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

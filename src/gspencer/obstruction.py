@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .linalg import ONE, PairRow, RMatrix, combine, dense, direct_sum_split
+from .linalg import ONE, PairRow, RMatrix, Subspace, combine, dense, split_map
 from .spencer import (Cochain, SpencerComplex, WFrame, alternating_bracket_sum, canonical_pairs,
                       check_coordinates, class_representative, is_coboundary, spencer_d)
 
@@ -271,9 +271,15 @@ class CurvatureDecomposition:
 def _split_by_chain(c: SpencerComplex, d: int, v: PairRow) -> list[list[tuple[int, Fraction]]]:
     """Components, as sorted pairs, of a degree-d value given by its pairs in the
     fixed complements c_s^perp, s = 0..d+1."""
-    parts = direct_sum_split(dense(v, c.algebra.component_dim(d)), c.complement_chain(d))
-    if parts is None:
-        raise InternalInvariantError("complement chain does not span the component")
+    chain = c.complement_chain(d)
+    n = c.algebra.component_dim(d)
+    if d not in c._chain_split:
+        # the chain spans the component, so the map is defined on all of it
+        c._chain_split[d] = split_map(Subspace.full(n), chain, range(len(chain)))
+    parts: list[list[tuple[int, Fraction]]] = [[] for _ in chain]
+    for k, x in c._chain_split[d].apply(v):
+        s, i = divmod(k, n)
+        parts[s].append((i, x))
     return parts
 
 

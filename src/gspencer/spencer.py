@@ -22,8 +22,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .algebra import (GradedLieAlgebra, adjoint_columns, annihilated_rows,
                       deterministic_rows_annihilating, g_sharp_subalgebra)
 from .errors import InputError, PreconditionError
-from .linalg import (ONE, PairRow, Subspace, ZERO, combine, deterministic_complement, dense,
-                     direct_sum_split, kernel_of_rows, nonzero_pairs, solve_particular, transpose)
+from .linalg import (ONE, LinearMap, PairRow, Subspace, ZERO, clear_denominators, combine,
+                     deterministic_complement, dense, kernel_of_rows, nonzero_pairs,
+                     solve_particular, split_map, transpose)
 
 
 class WFrame:
@@ -59,7 +60,10 @@ class SpencerComplex(WFrame):
     """Spencer complex data: annihilator filtration, fixed complements, caches.
 
     Annihilators and their complements are computed eagerly at construction;
-    operator matrices and cocycle/coboundary spaces are memoized on first use.
+    operator matrices, cocycle/coboundary spaces and the solve maps are memoized
+    on first use.  The solve maps (coboundary preimages, class projections, the
+    level split) are built by the queries that use them, never by
+    `cohomology_dims`, so a cold table pays for none of them.
     """
 
     def __init__(self, algebra: GradedLieAlgebra, w: Subspace):
@@ -85,8 +89,14 @@ class SpencerComplex(WFrame):
                                                        self._annihilator_raw(d, s + 1))
                               for s in range(0, d + 2)]
         self._dmat: dict[tuple[int, int, int], list[list[tuple[int, Fraction]]]] = {}
+        self._z: dict[tuple[int, int, int], Subspace] = {}
         self._zb: dict[tuple[int, int, int], tuple[Subspace, Subspace]] = {}
-        self._zb_complement: dict[tuple[int, int, int], Subspace] = {}
+        # per (p, q, level): B -> C^{p+1,q-1}, a coboundary to its particular preimage,
+        # and Z -> K, a cocycle to its part in the fixed complement K of B in Z
+        self._preimage: dict[tuple[int, int, int], LinearMap] = {}
+        self._zb_complement: dict[tuple[int, int, int], LinearMap] = {}
+        # per degree d: a component value to its parts in the fixed complements c_s^perp
+        self._chain_split: dict[int, LinearMap] = {}
         self._gsharp: Subspace | None = None
 
     # -- filtration ----------------------------------------------------------
@@ -316,12 +326,13 @@ def alternating_bracket_sum(x: Cochain) -> Cochain:
     if x.p == 0 or not x.values:
         return Cochain.zero(c, max(x.p - 1, 0), x.q + 1, x.level)
     ad = c._ad[x.p - 1]
+    # each stored value with sign -1 and +1
+    signed = {tup: ([(k, -v) for k, v in row], row) for tup, row in x.values.items()}
     out = {}
     for tup in combinations(range(c.n_w), x.q + 1):
         # [x(rest), w_t] enters with sign (-1)^(pos+1), pos the place of t in tup
-        out[tup] = combine((ad[t][k], -v if pos % 2 == 0 else v)
-                           for pos, t in enumerate(tup)
-                           for k, v in x.values.get(tup[:pos] + tup[pos + 1:], ()))
+        out[tup] = combine((ad[t][k], v) for pos, t in enumerate(tup)
+                           for k, v in signed.get(tup[:pos] + tup[pos + 1:], ((), ()))[pos % 2])
     return Cochain(c, x.p - 1, x.q + 1, x.level, out)
 
 
@@ -337,15 +348,18 @@ def space_dimension(c: SpencerComplex, p: int, q: int, r: int) -> int:
 def cochain_to_coords(x: Cochain) -> tuple[Fraction, ...]:
     """The dense coordinates of x in the canonical basis of its space: per tuple
     in increasing order, the value at each free row."""
+    return dense(_coordinate_pairs(x), space_dimension(x.frame, x.p, x.q, x.level))
+
+
+def _coordinate_pairs(x: Cochain) -> list[tuple[int, Fraction]]:
+    """The nonzero coordinates of x in the basis of `cochain_to_coords`, as
+    (coordinate, value) pairs, each coordinate once."""
     c = x.frame
     free = c.free_rows(x.p, x.level)
     # a reduced value vanishes on the annihilator's pivot rows, so its pairs sit on free rows
     slot = {k: i for i, k in enumerate(free)}
-    coords = [ZERO] * space_dimension(c, x.p, x.q, x.level)
-    for b, tup in enumerate(combinations(range(c.n_w), x.q)):
-        for k, v in x.values.get(tup, ()):
-            coords[b * len(free) + slot[k]] = v
-    return tuple(coords)
+    rank = {tup: b for b, tup in enumerate(combinations(range(c.n_w), x.q))}
+    return [(rank[tup] * len(free) + slot[k], v) for tup, row in x.values.items() for k, v in row]
 
 
 def cochain_from_coords(c: SpencerComplex, p: int, q: int, r: int,
@@ -408,14 +422,23 @@ def _d_matrix_rows(c: SpencerComplex, p: int, q: int, r: int) -> list[list[tuple
     return rows
 
 
+def _cocycle_space(c: SpencerComplex, p: int, q: int, r: int) -> Subspace:
+    """Cocycle subspace of C^{p,q} at level r, in coordinates."""
+    key = (p, q, r)
+    if key not in c._z:
+        dim_c = space_dimension(c, p, q, r)
+        rows = _d_matrix_rows(c, p, q, r)
+        c._z[key] = kernel_of_rows(rows, dim_c) if rows else Subspace.full(dim_c)
+    return c._z[key]
+
+
 def _zb_spaces(c: SpencerComplex, p: int, q: int, r: int) -> tuple[Subspace, Subspace]:
     """Cocycle and coboundary subspaces of C^{p,q} at level r, in coordinates."""
     key = (p, q, r)
     if key in c._zb:
         return c._zb[key]
     dim_c = space_dimension(c, p, q, r)
-    rows = _d_matrix_rows(c, p, q, r)
-    z = kernel_of_rows(rows, dim_c) if rows else Subspace.full(dim_c)
+    z = _cocycle_space(c, p, q, r)
     if q == 0:
         b = Subspace.zero(dim_c)
     else:
@@ -461,16 +484,32 @@ def cohomology_dims(c: SpencerComplex, p: int, q: int, r: int,
 
 
 def _require_cocycle(c: SpencerComplex, z: Cochain) -> None:
+    """Raise PreconditionError unless dz = 0, tested by membership in the memoized
+    cocycle space; dz is formed only to name its nonzero components."""
+    if not z.values or _cocycle_space(c, z.p, z.q, z.level).coordinates(
+            clear_denominators(_coordinate_pairs(z))[1].items()) is not None:
+        return
     dz = spencer_d(z)
-    if not dz.is_zero():
-        parts = []
-        for tup, row in sorted(dz.values.items()):
-            comp_names = [c.algebra.names[c.algebra.component_indices(dz.p - 1)[k]]
-                          for k, _ in row]
-            parts.append(f"{tup}: {', '.join(comp_names)}")
-        raise PreconditionError(
-            "input is not a cocycle; nonzero components of its differential: "
-            + "; ".join(parts))
+    parts = []
+    for tup, row in sorted(dz.values.items()):
+        comp_names = [c.algebra.names[c.algebra.component_indices(dz.p - 1)[k]]
+                      for k, _ in row]
+        parts.append(f"{tup}: {', '.join(comp_names)}")
+    raise PreconditionError(
+        "input is not a cocycle; nonzero components of its differential: "
+        + "; ".join(parts))
+
+
+def _preimage_map(c: SpencerComplex, p: int, q: int, r: int) -> LinearMap:
+    """The map from B^{p,q} at level r to C^{p+1,q-1} sending each coboundary to
+    its particular preimage (free variables zero), built on first use."""
+    key = (p, q, r)
+    if key not in c._preimage:
+        _, b = _zb_spaces(c, p, q, r)
+        rows = _d_matrix_rows(c, p + 1, q - 1, r)
+        n_src = space_dimension(c, p + 1, q - 1, r)
+        c._preimage[key] = LinearMap(b, solve_particular(rows, n_src, b.rows))
+    return c._preimage[key]
 
 
 def is_coboundary(c: SpencerComplex, z: Cochain) -> Optional[Cochain]:
@@ -485,15 +524,10 @@ def is_coboundary(c: SpencerComplex, z: Cochain) -> Optional[Cochain]:
     if z.q == 0:
         return Cochain.zero(c, z.p + 1, 0, z.level) if z.is_zero() else None
     c._check_component_available(z.p)
-    rows = _d_matrix_rows(c, z.p + 1, z.q - 1, z.level)
-    n_src = space_dimension(c, z.p + 1, z.q - 1, z.level)
-    target = cochain_to_coords(z)
-    if not rows:
-        return Cochain.zero(c, z.p + 1, z.q - 1, z.level) if z.is_zero() else None
-    sol = solve_particular(rows, n_src, target)
+    sol = _preimage_map(c, z.p, z.q, z.level).apply(_coordinate_pairs(z))
     if sol is None:
         return None
-    return cochain_from_coords(c, z.p + 1, z.q - 1, z.level, enumerate(sol))
+    return cochain_from_coords(c, z.p + 1, z.q - 1, z.level, sol)
 
 
 def class_representative(c: SpencerComplex, z: Cochain) -> Cochain:
@@ -505,16 +539,15 @@ def class_representative(c: SpencerComplex, z: Cochain) -> Cochain:
         raise InputError("cochain does not belong to this complex")
     _require_cocycle(c, z)
     zs, bs = _zb_spaces(c, z.p, z.q, z.level)
-    coords = cochain_to_coords(z)
     if bs.dim == 0:
         return z
     key = (z.p, z.q, z.level)
     if key not in c._zb_complement:
-        c._zb_complement[key] = deterministic_complement(bs, zs)
-    parts = direct_sum_split(coords, (bs, c._zb_complement[key]))
-    if parts is None:
+        c._zb_complement[key] = split_map(zs, (bs, deterministic_complement(bs, zs)), (1,))
+    part = c._zb_complement[key].apply(_coordinate_pairs(z))
+    if part is None:
         raise PreconditionError("cocycle does not lie in the cocycle space")
-    return cochain_from_coords(c, z.p, z.q, z.level, parts[1])
+    return cochain_from_coords(c, z.p, z.q, z.level, part)
 
 
 def g_sharp_act(c: SpencerComplex, x_elt: Sequence[Fraction], x: Cochain) -> Cochain:

@@ -2,9 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from gspencer.errors import InternalInvariantError
 from gspencer.linalg import (InputError, RMatrix, Subspace, combine, deterministic_complement,
                              dense, kernel_basis, kernel_of_rows, nonzero_pairs, rank, rref,
-                             solve_linear, subspace_intersection, subspace_sum, vlincomb)
+                             solve_linear, solve_particular, subspace_intersection, subspace_sum, vlincomb)
 
 from conftest import rng_for, int_vector
 
@@ -76,6 +77,15 @@ def test_solve_with_kernel():
 def test_solve_dimension_mismatch():
     with pytest.raises(InputError):
         solve_linear(mat([[1, 0]]), [F(1), F(2)])
+
+
+def test_solve_particular_many_targets():
+    # one elimination answers every target; a target outside the image is a bug
+    rows = [[(0, F(2)), (1, F(4))], [(2, F(3))], [(0, F(1)), (1, F(2)), (2, F(3))]]
+    sols = solve_particular(rows, 3, [[(0, F(2)), (2, F(1))], [], [(1, F(1, 2)), (2, F(1, 2))]])
+    assert sols == [[(0, F(1))], [], [(2, F(1, 6))]]
+    with pytest.raises(InternalInvariantError):
+        solve_particular(rows, 3, [[(0, F(1))]])
 
 
 def e(n, i):

@@ -11,9 +11,9 @@ from gspencer.obstruction import (AdmissibleTuple, ConstantForm, ObstructionCert
                                   form_to_cochain, level_decompose, solve_next,
                                   solve_to_top, strong_equiv_transport, total_curvature,
                                   zero_form)
-from gspencer.spencer import (Cochain, WFrame, class_representative, random_cocycle,
-                              spencer_d, standard_complex)
-from gspencer.linalg import Subspace, nonzero_pairs
+from gspencer.spencer import (Cochain, SpencerComplex, WFrame, class_representative,
+                              random_cocycle, spencer_d, standard_complex)
+from gspencer.linalg import Subspace, combine, nonzero_pairs, solve_particular, transpose
 from gspencer.prolong import build_graded_algebra
 
 from conftest import rng_for, int_vector
@@ -232,6 +232,31 @@ def test_level_decompose_space_form_split():
             dec = level_decompose(c, x, r)
             assert len(dec.tails) == r
             assert dec.reassemble() == x
+
+
+def test_level_split_map_matches_fresh_split():
+    # _split_by_chain answers from one split map per degree; on rational values it
+    # must agree with a transposed split of the complement chain per query, with
+    # the degrees interleaved and each degree queried again once its map is warm
+    rng = rng_for("chain-split")
+    for a, w in ((conformal_algebra(4), 3), (space_form_algebra(5, 0), 2),
+                 (build_graded_algebra(_conjugated(co_generators(3)), 3).assembled, 2)):
+        c = SpencerComplex(a, Subspace.from_vectors(a.component_dim(-1),
+                                                    [[(i, F(1))] for i in range(w)]))
+        for _ in range(3):
+            for d in range(c.top_degree() + 1):
+                n = a.component_dim(d)
+                chain = c.complement_chain(d)
+                v = [(k, F(rng.randint(-3, 3), rng.choice((2, 3, 5)))) for k in range(n)]
+                rows = [row for part in chain for row in part.rows]
+                (sol,) = solve_particular(transpose(rows, n), len(rows), [v])
+                expected, start = [], 0
+                for part in chain:
+                    expected.append(combine((rows[j], x) for j, x in sol
+                                            if start <= j < start + part.dim))
+                    start += part.dim
+                assert obstruction._split_by_chain(c, d, v) == expected, (a.name, d)
+        assert set(c._chain_split) == set(range(c.top_degree() + 1))
 
 
 def test_level_decompose_range_check():

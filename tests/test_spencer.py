@@ -5,14 +5,17 @@ from math import comb
 import pytest
 
 from gspencer.algebra import adjoint_columns
-from gspencer.errors import InputError, PreconditionError
-from gspencer.linalg import Subspace, dense, nonzero_pairs, vsub
-from gspencer.models import co_generators, conformal_algebra, space_form_algebra
+from gspencer.errors import InputError, InternalInvariantError, PreconditionError
+from gspencer.linalg import (Subspace, combine, dense, deterministic_complement, nonzero_pairs,
+                             solve_particular, transpose, vsub)
+from gspencer.models import (co_generators, conformal_algebra, cr_algebra, cr_w_complex,
+                             space_form_algebra)
 from gspencer.obstruction import (AdmissibleTuple, ConstantForm, _d_of_form, cochain_to_form,
                                   strong_equiv_transport, total_curvature)
 from gspencer.prolong import build_graded_algebra
-from gspencer.spencer import (Cochain, SpencerComplex, WFrame, _d_matrix_rows,
-                              class_representative, cochain_to_coords, cohomology_dims,
+from gspencer.spencer import (Cochain, SpencerComplex, WFrame, _cocycle_space, _d_matrix_rows,
+                              _zb_spaces, class_representative, cochain_from_coords, cochain_to_coords,
+                              cohomology_dims,
                               g_sharp_act, is_coboundary, random_cocycle, random_integer_cochain,
                               space_dimension, spencer_d, standard_complex)
 
@@ -444,3 +447,123 @@ def test_cochain_rejects_coordinates_outside_the_component():
         with pytest.raises(InputError):  # a dense tuple, a float, a float coordinate, a string
             Cochain(c, 1, 1, 0, {(0,): bad_value})
     assert Cochain(c, 1, 1, 0, {(0,): [(n - 1, F(1))]}).value((0,))[n - 1] == 1
+
+
+# ---------------------------------------------------------------------------
+# the memoized solve maps
+# ---------------------------------------------------------------------------
+
+def _rational_coords(rng, n):
+    return [(k, F(rng.randint(-3, 3), rng.choice((2, 3, 5)))) for k in range(n)]
+
+
+def _fresh_preimage(c, z):
+    """A preimage of z under d from an elimination of its own, free variables zero,
+    or None."""
+    p, q, r = z.p, z.q, z.level
+    try:
+        (sol,) = solve_particular(_d_matrix_rows(c, p + 1, q - 1, r),
+                                  space_dimension(c, p + 1, q - 1, r),
+                                  [nonzero_pairs(cochain_to_coords(z))])
+    except InternalInvariantError:
+        return None
+    return cochain_from_coords(c, p + 1, q - 1, r, sol)
+
+
+def _fresh_class_rep(c, z):
+    """The part of z in the fixed complement K of B in Z, from a transposed split
+    of its own."""
+    zs, bs = _zb_spaces(c, z.p, z.q, z.level)
+    if bs.dim == 0:
+        return z
+    k = deterministic_complement(bs, zs)
+    (sol,) = solve_particular(transpose(bs.rows + k.rows, zs.ambient_dim), bs.dim + k.dim,
+                              [nonzero_pairs(cochain_to_coords(z))])
+    return cochain_from_coords(c, z.p, z.q, z.level,
+                               combine((k.rows[j - bs.dim], x) for j, x in sol if j >= bs.dim))
+
+
+def test_solve_maps_match_fresh_eliminations():
+    # is_coboundary and class_representative answer from maps built once per
+    # (p, q, level); on rational coboundaries and cocycles they must agree with an
+    # elimination per query.  Consecutive keys differ only in the level, and every
+    # key is queried again once its maps are warm.
+    rng = rng_for("solve-maps")
+    conj = build_graded_algebra(_conjugated(co_generators(3)), 3).assembled
+    projections = 0
+    for a in (conformal_algebra(4), space_form_algebra(4, 0), conj):
+        n_v = a.component_dim(-1)
+        # new complexes, so no earlier test has warmed their maps
+        for c in (SpencerComplex(a, Subspace.full(n_v)), SpencerComplex(a, two_term_w(n_v))):
+            keys = [(p, q, r) for p in range(a.height + 1) for q in (1, 2) for r in range(3)]
+            for _ in range(2):
+                for p, q, r in keys:
+                    where = (a.name, c.n_w, p, q, r)
+                    y = cochain_from_coords(c, p + 1, q - 1, r, _rational_coords(
+                        rng, space_dimension(c, p + 1, q - 1, r)))
+                    z = spencer_d(y)
+                    got = is_coboundary(c, z)
+                    assert got is not None and spencer_d(got) == z, where
+                    assert got == _fresh_preimage(c, z), where
+                    assert class_representative(c, z).is_zero(), where
+                    zs, _ = _zb_spaces(c, p, q, r)
+                    z = cochain_from_coords(c, p, q, r, combine(
+                        zip(zs.rows, (x for _, x in _rational_coords(rng, zs.dim)))))
+                    assert is_coboundary(c, z) == _fresh_preimage(c, z), where
+                    assert class_representative(c, z) == _fresh_class_rep(c, z), where
+            projections += len(c._zb_complement)
+    assert projections
+
+
+def _non_cocycle(c, p, q, rng):
+    for _ in range(20):
+        x = random_integer_cochain(c, p, q, 0, rng)
+        if not spencer_d(x).is_zero():
+            return x
+    raise AssertionError("no non-cocycle found")
+
+
+def test_non_cocycle_errors_unchanged_by_warm_maps():
+    # a non-cocycle raises PreconditionError naming the nonzero components of its
+    # differential, whether or not the key's maps are built; at (3, 2) on the CR
+    # algebra truncated at order 2, B lies beyond the truncation, so a cocycle
+    # raises InputError there but a non-cocycle still raises PreconditionError
+    rng = rng_for("non-cocycle-warm")
+    alg, data = cr_algebra(2, 1, 2)
+    for c, p, q in ((SpencerComplex(conformal_algebra(4), Subspace.full(4)), 1, 2),
+                    (SpencerComplex(conformal_algebra(4), two_term_w(4)), 1, 1),
+                    (cr_w_complex(alg, data), 3, 2)):
+        x = _non_cocycle(c, p, q, rng)
+        dx = spencer_d(x)
+        comps = c.algebra.component_indices(dx.p - 1)
+        expected = "input is not a cocycle; nonzero components of its differential: " + "; ".join(
+            f"{tup}: " + ", ".join(c.algebra.names[comps[k]] for k, _ in row)
+            for tup, row in sorted(dx.values.items()))
+        for warm in (False, True):
+            if warm:
+                z = cochain_from_coords(c, p, q, 0, _cocycle_space(c, p, q, 0).rows[0])
+                if c.algebra.truncated_at is None:
+                    is_coboundary(c, z)
+                    class_representative(c, z)
+                    assert (p, q, 0) in c._preimage and (p, q, 0) in c._zb_complement
+                else:
+                    for query in (is_coboundary, class_representative):
+                        with pytest.raises(InputError):
+                            query(c, z)
+            for query in (is_coboundary, class_representative):
+                with pytest.raises(PreconditionError) as err:
+                    query(c, x)
+                assert str(err.value) == expected, (c.algebra.name, p, q, warm)
+
+
+def test_cohomology_dims_builds_no_solve_map():
+    # the solve maps are for queries: a cold cohomology table (the bench's
+    # cohomology-grid workload builds each operator once) must not pay for them
+    a = conformal_algebra(4)
+    for c in (SpencerComplex(a, Subspace.full(4)), SpencerComplex(a, two_term_w(4))):
+        for certificates in (False, True):
+            for p in range(a.height + 2):
+                for q in range(c.n_w + 1):
+                    for r in range(p + 2):
+                        cohomology_dims(c, p, q, r, certificates=certificates)
+        assert c._zb and not (c._preimage or c._zb_complement or c._chain_split)
