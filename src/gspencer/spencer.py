@@ -485,7 +485,8 @@ def cohomology_dims(c: SpencerComplex, p: int, q: int, r: int,
 
 def _require_cocycle(c: SpencerComplex, z: Cochain) -> None:
     """Raise PreconditionError unless dz = 0, tested by membership in the memoized
-    cocycle space; dz is formed only to name its nonzero components."""
+    cocycle space (z's coordinates cleared of denominators, which keeps membership,
+    take the integer path); dz is formed only to name its nonzero components."""
     if not z.values or _cocycle_space(c, z.p, z.q, z.level).coordinates(
             clear_denominators(_coordinate_pairs(z))[1].items()) is not None:
         return

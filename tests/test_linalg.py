@@ -5,7 +5,8 @@ import pytest
 from gspencer.errors import InternalInvariantError
 from gspencer.linalg import (InputError, RMatrix, Subspace, combine, deterministic_complement,
                              dense, kernel_basis, kernel_of_rows, nonzero_pairs, rank, rref,
-                             solve_linear, solve_particular, subspace_intersection, subspace_sum, vlincomb)
+                             solve_linear, solve_particular, subspace_intersection, subspace_sum,
+                             vlincomb)
 
 from conftest import rng_for, int_vector
 

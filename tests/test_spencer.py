@@ -14,10 +14,10 @@ from gspencer.obstruction import (AdmissibleTuple, ConstantForm, _d_of_form, coc
                                   strong_equiv_transport, total_curvature)
 from gspencer.prolong import build_graded_algebra
 from gspencer.spencer import (Cochain, SpencerComplex, WFrame, _cocycle_space, _d_matrix_rows,
-                              _zb_spaces, class_representative, cochain_from_coords, cochain_to_coords,
-                              cohomology_dims,
-                              g_sharp_act, is_coboundary, random_cocycle, random_integer_cochain,
-                              space_dimension, spencer_d, standard_complex)
+                              _zb_spaces, class_representative, cochain_from_coords,
+                              cochain_to_coords, cohomology_dims, g_sharp_act, is_coboundary,
+                              random_cocycle, random_integer_cochain, space_dimension, spencer_d,
+                              standard_complex)
 
 from conftest import rng_for
 from test_prolong import _conjugated
