@@ -105,18 +105,25 @@ class GradedLieAlgebra:
         except ValueError:
             raise InputError(f"unknown basis element {name!r}") from None
 
+    def _stored_bracket(self, i: int, j: int) -> tuple[SparseVec, int]:
+        """[e_i, e_j] as a stored constant dict and a sign: the constants are kept
+        for i < j only, and [e_j, e_i] = -[e_i, e_j] (no key (i, i) is stored)."""
+        return (self._table.get((i, j), {}), 1) if i < j else (self._table.get((j, i), {}), -1)
+
     def bracket_basis(self, i: int, j: int) -> SparseVec:
-        if i == j:
-            return {}
-        if i < j:
-            return self._table.get((i, j), {})
-        return {t: -c for t, c in self._table.get((j, i), {}).items()}
+        b, sign = self._stored_bracket(i, j)
+        return b if sign == 1 else {t: -c for t, c in b.items()}
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Bilinear extension of the structure constants; exactly antisymmetric."""
         y_terms = nonzero_pairs(y)
-        return dense(combine((b.items(), xi * yj) for i, xi in nonzero_pairs(x) for j, yj in y_terms
-                             if (b := self.bracket_basis(i, j))), self.dim)
+        terms = []
+        for i, xi in nonzero_pairs(x):
+            for j, yj in y_terms:
+                b, sign = self._stored_bracket(i, j)
+                if b:
+                    terms.append((b.items(), sign * xi * yj))
+        return dense(combine(terms), self.dim)
 
     def component_bracket(self, dx: int, x: PairRow, dy: int, y: PairRow,
                           d: int) -> list[tuple[int, Fraction]]:
@@ -124,17 +131,15 @@ class GradedLieAlgebra:
         pairs, for x and y given by their pairs, each coordinate once, in the
         degree-dx and degree-dy components; read from the structure constants."""
         xs, ys = self.component_indices(dx), self.component_indices(dy)
-        pos, deg, table = self._index_in_component, self.degrees, self._table
+        pos, deg = self._index_in_component, self.degrees
         (sx, xi), (sy, yi) = clear_denominators(x), clear_denominators(y)
+        stored = self._stored_bracket
         terms = []
         for k, u in xi.items():
-            i = xs[k]
             for m, v in yi.items():
-                j = ys[m]
-                # the constants are stored for i < j; [e_j, e_i] = -[e_i, e_j]
-                if i != j and (b := table.get((i, j) if i < j else (j, i))):
-                    terms.append(([(pos[t], c) for t, c in b.items() if deg[t] == d],
-                                  u * v if i < j else -u * v))
+                b, sign = stored(xs[k], ys[m])
+                if b:
+                    terms.append(([(pos[t], c) for t, c in b.items() if deg[t] == d], sign * u * v))
         out = combine(terms)
         return out if sx * sy == 1 else [(k, v / (sx * sy)) for k, v in out]
 

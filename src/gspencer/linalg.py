@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
 
@@ -412,19 +412,19 @@ def kernel_basis(m: RMatrix) -> Subspace:
     return kernel_of_rows([nonzero_pairs(v) for v in m.data], m.cols)
 
 
-def solve_particular(rows: Sequence[PairRow], ncols: int,
-                     targets: Sequence[PairRow]) -> list[list[tuple[int, Fraction]]]:
+def solve_particular(rows: Sequence[PairRow], ncols: int, targets: Sequence[PairRow]
+                     ) -> Optional[list[list[tuple[int, Fraction]]]]:
     """Particular solutions of rows·x = t, free variables zero, for sparse rows and
     sparse targets t (one entry per row index), from one elimination of [rows | T^T];
-    each solution as sorted (column, value) pairs.  Every target must lie in the
-    image of the rows."""
+    each solution as sorted (column, value) pairs.  None if a target lies outside
+    the image of the rows."""
     aug = [list(row) for row in rows]
     for k, t in enumerate(targets):
         for i, x in t:
             aug[i].append((ncols + k, x))
     red, pivots = _rref_rows(aug)
     if pivots and pivots[-1] >= ncols:
-        raise InternalInvariantError("solve target outside the image of the rows")
+        return None
     sols: list[list[tuple[int, Fraction]]] = [[] for _ in targets]
     for row, pc in zip(red, pivots):
         for c, x in row:
@@ -441,27 +441,43 @@ def solve_linear(m: RMatrix, b: Sequence[Fraction]) -> Optional[tuple[tuple[Frac
     if len(b) != m.rows:
         raise InputError("right-hand side length does not match row count")
     rows = [nonzero_pairs(row) for row in m.data]
-    target = nonzero_pairs(b)
-    if Subspace.from_vectors(m.rows, transpose(rows, m.cols)).coordinates(target) is None:
-        return None
-    x = solve_particular(rows, m.cols, [target])[0]
-    return dense(x, m.cols), kernel_of_rows(rows, m.cols)
+    sols = solve_particular(rows, m.cols, [nonzero_pairs(b)])
+    return None if sols is None else (dense(sols[0], m.cols), kernel_of_rows(rows, m.cols))
+
+
+Solver = Callable[[Sequence[PairRow]], Optional[list[list[tuple[int, Fraction]]]]]
 
 
 class LinearMap:
-    """A linear map on a subspace, given by the image of each echelon row of its
-    domain as sorted (coordinate, value) pairs.  Built once, it answers each query
-    with one `Subspace.coordinates` call and one `combine`."""
+    """A linear map on a subspace, for queries that may repeat.
 
-    __slots__ = ("domain", "images")
+    `solve(targets)` returns the images of vectors given as sorted (coordinate,
+    value) pairs, or None if one lies outside the domain, and `domain()` returns
+    the domain.  The first query is answered by `solve` alone, so a one-off query
+    costs one elimination with one right-hand side.  The second fixes the image
+    of each echelon row of the domain; from then on a query is one
+    `Subspace.coordinates` call and one `combine`.  Both ways give the same
+    pairs: the map is linear and `Fraction`s are canonical."""
 
-    def __init__(self, domain: Subspace, images: Sequence[list[tuple[int, Fraction]]]):
-        self.domain = domain
-        self.images = images
+    __slots__ = ("_domain", "_solve", "_queried", "domain", "images")
+
+    def __init__(self, domain: Callable[[], Subspace], solve: Solver):
+        self._domain, self._solve, self._queried = domain, solve, False
+        self.domain: Optional[Subspace] = None
+        self.images: Optional[list[list[tuple[int, Fraction]]]] = None
 
     def apply(self, terms: PairRow) -> Optional[list[tuple[int, Fraction]]]:
         """The image, as sorted pairs, of the vector with the given (coordinate,
         value) pairs, each coordinate once, or None if it is outside the domain."""
+        if self.images is None:
+            if not self._queried:
+                self._queried = True
+                sols = self._solve([terms])
+                return None if sols is None else sols[0]
+            self.domain = self._domain()
+            self.images = self._solve(self.domain.rows)
+            if self.images is None:
+                raise InternalInvariantError("an echelon row of the domain has no image")
         den, entries = clear_denominators(terms)
         coords = self.domain.coordinates(entries.items())
         if coords is None:
@@ -474,16 +490,21 @@ def split_map(domain: Subspace, parts: Sequence[Subspace], keep: Sequence[int]) 
     to its components in the parts listed in keep: the component in parts[keep[i]]
     at coordinates shifted by i times the ambient dimension.
 
-    The components of domain's echelon rows come from one transposed solve, with
-    the parts' basis vectors as columns."""
+    Components come from a transposed solve, with the parts' basis vectors as
+    columns."""
     n = domain.ambient_dim
     rows = [row for s in parts for row in s.rows]
+    cols = transpose(rows, n)
     shift = [n * keep.index(s) if s in keep else None for s, part in enumerate(parts)
              for _ in part.rows]
-    sols = solve_particular(transpose(rows, n), len(rows), domain.rows)
-    return LinearMap(domain, [combine(([(k + shift[j], x) for k, x in rows[j]], c)
-                                      for j, c in sol if shift[j] is not None)
-                              for sol in sols])
+
+    def solve(targets: Sequence[PairRow]) -> Optional[list[list[tuple[int, Fraction]]]]:
+        sols = solve_particular(cols, len(rows), targets)
+        return None if sols is None else [
+            combine(([(k + shift[j], x) for k, x in rows[j]], c)
+                    for j, c in sol if shift[j] is not None) for sol in sols]
+
+    return LinearMap(lambda: domain, solve)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

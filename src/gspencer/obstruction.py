@@ -276,8 +276,11 @@ def _split_by_chain(c: SpencerComplex, d: int, v: PairRow) -> list[list[tuple[in
     if d not in c._chain_split:
         # the chain spans the component, so the map is defined on all of it
         c._chain_split[d] = split_map(Subspace.full(n), chain, range(len(chain)))
+    image = c._chain_split[d].apply(v)
+    if image is None:
+        raise InternalInvariantError("complement chain does not span the component")
     parts: list[list[tuple[int, Fraction]]] = [[] for _ in chain]
-    for k, x in c._chain_split[d].apply(v):
+    for k, x in image:
         s, i = divmod(k, n)
         parts[s].append((i, x))
     return parts

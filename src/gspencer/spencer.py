@@ -62,8 +62,9 @@ class SpencerComplex(WFrame):
     Annihilators and their complements are computed eagerly at construction;
     operator matrices, cocycle/coboundary spaces and the solve maps are memoized
     on first use.  The solve maps (coboundary preimages, class projections, the
-    level split) are built by the queries that use them, never by
-    `cohomology_dims`, so a cold table pays for none of them.
+    level split) are made by the queries that use them, never by
+    `cohomology_dims`, so a cold table pays for none of them; a map is fixed on
+    its domain at the second query of its key (see `LinearMap`).
     """
 
     def __init__(self, algebra: GradedLieAlgebra, w: Subspace):
@@ -89,7 +90,6 @@ class SpencerComplex(WFrame):
                                                        self._annihilator_raw(d, s + 1))
                               for s in range(0, d + 2)]
         self._dmat: dict[tuple[int, int, int], list[list[tuple[int, Fraction]]]] = {}
-        self._z: dict[tuple[int, int, int], Subspace] = {}
         self._zb: dict[tuple[int, int, int], tuple[Subspace, Subspace]] = {}
         # per (p, q, level): B -> C^{p+1,q-1}, a coboundary to its particular preimage,
         # and Z -> K, a cocycle to its part in the fixed complement K of B in Z
@@ -422,23 +422,14 @@ def _d_matrix_rows(c: SpencerComplex, p: int, q: int, r: int) -> list[list[tuple
     return rows
 
 
-def _cocycle_space(c: SpencerComplex, p: int, q: int, r: int) -> Subspace:
-    """Cocycle subspace of C^{p,q} at level r, in coordinates."""
-    key = (p, q, r)
-    if key not in c._z:
-        dim_c = space_dimension(c, p, q, r)
-        rows = _d_matrix_rows(c, p, q, r)
-        c._z[key] = kernel_of_rows(rows, dim_c) if rows else Subspace.full(dim_c)
-    return c._z[key]
-
-
 def _zb_spaces(c: SpencerComplex, p: int, q: int, r: int) -> tuple[Subspace, Subspace]:
     """Cocycle and coboundary subspaces of C^{p,q} at level r, in coordinates."""
     key = (p, q, r)
     if key in c._zb:
         return c._zb[key]
     dim_c = space_dimension(c, p, q, r)
-    z = _cocycle_space(c, p, q, r)
+    rows = _d_matrix_rows(c, p, q, r)
+    z = kernel_of_rows(rows, dim_c) if rows else Subspace.full(dim_c)
     if q == 0:
         b = Subspace.zero(dim_c)
     else:
@@ -484,13 +475,17 @@ def cohomology_dims(c: SpencerComplex, p: int, q: int, r: int,
 
 
 def _require_cocycle(c: SpencerComplex, z: Cochain) -> None:
-    """Raise PreconditionError unless dz = 0, tested by membership in the memoized
-    cocycle space (z's coordinates cleared of denominators, which keeps membership,
-    take the integer path); dz is formed only to name its nonzero components."""
-    if not z.values or _cocycle_space(c, z.p, z.q, z.level).coordinates(
+    """Raise PreconditionError unless dz = 0.  Where the cocycle space of z's key is
+    memoized, membership in it decides (z's coordinates cleared of denominators,
+    which keeps membership, take the integer path) and dz is formed only to name
+    its nonzero components; a cold key forms dz and builds no kernel."""
+    zb = c._zb.get((z.p, z.q, z.level))
+    if not z.values or zb is not None and zb[0].coordinates(
             clear_denominators(_coordinate_pairs(z))[1].items()) is not None:
         return
     dz = spencer_d(z)
+    if dz.is_zero():
+        return
     parts = []
     for tup, row in sorted(dz.values.items()):
         comp_names = [c.algebra.names[c.algebra.component_indices(dz.p - 1)[k]]
@@ -503,13 +498,13 @@ def _require_cocycle(c: SpencerComplex, z: Cochain) -> None:
 
 def _preimage_map(c: SpencerComplex, p: int, q: int, r: int) -> LinearMap:
     """The map from B^{p,q} at level r to C^{p+1,q-1} sending each coboundary to
-    its particular preimage (free variables zero), built on first use."""
+    its particular preimage (free variables zero), made on first use."""
     key = (p, q, r)
     if key not in c._preimage:
-        _, b = _zb_spaces(c, p, q, r)
         rows = _d_matrix_rows(c, p + 1, q - 1, r)
         n_src = space_dimension(c, p + 1, q - 1, r)
-        c._preimage[key] = LinearMap(b, solve_particular(rows, n_src, b.rows))
+        c._preimage[key] = LinearMap(lambda: _zb_spaces(c, p, q, r)[1],
+                                     lambda targets: solve_particular(rows, n_src, targets))
     return c._preimage[key]
 
 

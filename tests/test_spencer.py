@@ -5,15 +5,16 @@ from math import comb
 import pytest
 
 from gspencer.algebra import adjoint_columns
-from gspencer.errors import InputError, InternalInvariantError, PreconditionError
-from gspencer.linalg import (Subspace, combine, dense, deterministic_complement, nonzero_pairs,
-                             solve_particular, transpose, vsub)
+from gspencer import linalg, spencer
+from gspencer.errors import InputError, PreconditionError
+from gspencer.linalg import (Subspace, combine, dense, deterministic_complement, kernel_of_rows,
+                             nonzero_pairs, solve_particular, transpose, vsub)
 from gspencer.models import (co_generators, conformal_algebra, cr_algebra, cr_w_complex,
                              space_form_algebra)
 from gspencer.obstruction import (AdmissibleTuple, ConstantForm, _d_of_form, cochain_to_form,
                                   strong_equiv_transport, total_curvature)
 from gspencer.prolong import build_graded_algebra
-from gspencer.spencer import (Cochain, SpencerComplex, WFrame, _cocycle_space, _d_matrix_rows,
+from gspencer.spencer import (Cochain, SpencerComplex, WFrame, _d_matrix_rows,
                               _zb_spaces, class_representative, cochain_from_coords,
                               cochain_to_coords, cohomology_dims, g_sharp_act, is_coboundary,
                               random_cocycle, random_integer_cochain, space_dimension, spencer_d,
@@ -461,13 +462,9 @@ def _fresh_preimage(c, z):
     """A preimage of z under d from an elimination of its own, free variables zero,
     or None."""
     p, q, r = z.p, z.q, z.level
-    try:
-        (sol,) = solve_particular(_d_matrix_rows(c, p + 1, q - 1, r),
-                                  space_dimension(c, p + 1, q - 1, r),
-                                  [nonzero_pairs(cochain_to_coords(z))])
-    except InternalInvariantError:
-        return None
-    return cochain_from_coords(c, p + 1, q - 1, r, sol)
+    sols = solve_particular(_d_matrix_rows(c, p + 1, q - 1, r), space_dimension(c, p + 1, q - 1, r),
+                            [nonzero_pairs(cochain_to_coords(z))])
+    return None if sols is None else cochain_from_coords(c, p + 1, q - 1, r, sols[0])
 
 
 def _fresh_class_rep(c, z):
@@ -484,10 +481,11 @@ def _fresh_class_rep(c, z):
 
 
 def test_solve_maps_match_fresh_eliminations():
-    # is_coboundary and class_representative answer from maps built once per
-    # (p, q, level); on rational coboundaries and cocycles they must agree with an
+    # is_coboundary and class_representative answer from maps kept per
+    # (p, q, level): a key's first query solves alone, its second fixes the map.
+    # On rational coboundaries and cocycles both ways must agree with an
     # elimination per query.  Consecutive keys differ only in the level, and every
-    # key is queried again once its maps are warm.
+    # key is queried again once its maps are fixed.
     rng = rng_for("solve-maps")
     conj = build_graded_algebra(_conjugated(co_generators(3)), 3).assembled
     projections = 0
@@ -511,6 +509,8 @@ def test_solve_maps_match_fresh_eliminations():
                         zip(zs.rows, (x for _, x in _rational_coords(rng, zs.dim)))))
                     assert is_coboundary(c, z) == _fresh_preimage(c, z), where
                     assert class_representative(c, z) == _fresh_class_rep(c, z), where
+            maps = [*c._preimage.values(), *c._zb_complement.values()]
+            assert all(m.images is not None for m in maps)
             projections += len(c._zb_complement)
     assert projections
 
@@ -541,11 +541,14 @@ def test_non_cocycle_errors_unchanged_by_warm_maps():
             for tup, row in sorted(dx.values.items()))
         for warm in (False, True):
             if warm:
-                z = cochain_from_coords(c, p, q, 0, _cocycle_space(c, p, q, 0).rows[0])
+                zs = kernel_of_rows(_d_matrix_rows(c, p, q, 0), space_dimension(c, p, q, 0))
+                z = cochain_from_coords(c, p, q, 0, zs.rows[0])
                 if c.algebra.truncated_at is None:
-                    is_coboundary(c, z)
-                    class_representative(c, z)
-                    assert (p, q, 0) in c._preimage and (p, q, 0) in c._zb_complement
+                    for _ in range(2):  # the second query fixes each map
+                        is_coboundary(c, z)
+                        class_representative(c, z)
+                    assert c._preimage[(p, q, 0)].images is not None
+                    assert c._zb_complement[(p, q, 0)].images is not None
                 else:
                     for query in (is_coboundary, class_representative):
                         with pytest.raises(InputError):
@@ -567,3 +570,34 @@ def test_cohomology_dims_builds_no_solve_map():
                     for r in range(p + 2):
                         cohomology_dims(c, p, q, r, certificates=certificates)
         assert c._zb and not (c._preimage or c._zb_complement or c._chain_split)
+
+
+def test_one_off_query_solves_alone(monkeypatch):
+    # a key's first query costs what a single query costs: one elimination with
+    # one right-hand side; is_coboundary builds no cocycle or coboundary space for
+    # it.  The second query fixes the map on its domain's echelon rows, and later
+    # queries run no elimination at all.
+    rng = rng_for("one-off")
+    targets = []
+    real = linalg.solve_particular
+
+    def counting(rows, ncols, ts):
+        targets.append(len(ts))
+        return real(rows, ncols, ts)
+
+    monkeypatch.setattr(spencer, "solve_particular", counting)
+    monkeypatch.setattr(linalg, "solve_particular", counting)
+    c = SpencerComplex(conformal_algebra(4), Subspace.full(4))
+    z = spencer_d(random_integer_cochain(c, 2, 1, 0, rng))
+    for _ in range(3):
+        assert spencer_d(is_coboundary(c, z)) == z
+    zs, bs = c._zb[(1, 2, 0)]
+    assert targets == [1, bs.dim] and bs.dim > 1
+    targets.clear()
+    c = SpencerComplex(conformal_algebra(4), Subspace.full(4))
+    z = random_cocycle(c, 1, 2, 0, rng)
+    c._zb.clear()  # drawing z built the key's spaces
+    assert is_coboundary(c, z) is None and targets == [1] and not c._zb
+    for _ in range(3):
+        class_representative(c, z)
+    assert targets == [1, 1, zs.dim] and zs.dim > 1
