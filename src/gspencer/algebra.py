@@ -139,7 +139,8 @@ class GradedLieAlgebra:
             for m, v in yi.items():
                 b, sign = stored(xs[k], ys[m])
                 if b:
-                    terms.append(([(pos[t], c) for t, c in b.items() if deg[t] == d], sign * u * v))
+                    terms.append(([(pos[t], c) for t, c in b.items() if deg[t] == d],
+                                  sign * u * v))
         out = combine(terms)
         return out if sx * sy == 1 else [(k, v / (sx * sy)) for k, v in out]
 

@@ -486,9 +486,9 @@ class LinearMap:
 
 
 def split_map(domain: Subspace, parts: Sequence[Subspace], keep: Sequence[int]) -> LinearMap:
-    """The map sending each vector of domain, a subspace of the direct sum of parts,
-    to its components in the parts listed in keep: the component in parts[keep[i]]
-    at coordinates shifted by i times the ambient dimension.
+    """The map sending each vector of domain, the direct sum of parts, to its
+    components in the parts listed in keep: the component in parts[keep[i]] at
+    coordinates shifted by i times the ambient dimension.
 
     Components come from a transposed solve, with the parts' basis vectors as
     columns."""

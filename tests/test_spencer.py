@@ -462,7 +462,8 @@ def _fresh_preimage(c, z):
     """A preimage of z under d from an elimination of its own, free variables zero,
     or None."""
     p, q, r = z.p, z.q, z.level
-    sols = solve_particular(_d_matrix_rows(c, p + 1, q - 1, r), space_dimension(c, p + 1, q - 1, r),
+    sols = solve_particular(_d_matrix_rows(c, p + 1, q - 1, r),
+                            space_dimension(c, p + 1, q - 1, r),
                             [nonzero_pairs(cochain_to_coords(z))])
     return None if sols is None else cochain_from_coords(c, p + 1, q - 1, r, sols[0])
 
