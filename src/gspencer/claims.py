@@ -15,7 +15,7 @@ from . import models
 from .linalg import (ONE, Subspace, dense, kernel_of_rows, nonzero_pairs, subspace_intersection,
                      transpose, vlincomb)
 from .prolong import build_graded_algebra, coord_index
-from .spencer import _zb_spaces, cochain_from_coords, cohomology_dims, standard_complex
+from .spencer import _coboundaries, cochain_from_coords, cohomology_dims, standard_complex
 
 
 def paper_claims() -> list[tuple[str, str, str]]:
@@ -152,7 +152,7 @@ def verify_cr_integrability_equivalence(m: int, k: int) -> bool:
     alg, data = models.cr_algebra(m, k, 2)
     cplx = models.cr_w_complex(alg, data)
     n_v = alg.component_dim(-1)
-    _, b_space = _zb_spaces(cplx, 0, 2, 0)
+    b_space = _coboundaries(cplx, 0, 2, 0)
     dim_c = b_space.ambient_dim
     # cochain coordinates are pair-major with n_v values per pair; the
     # W-valued unit cochains are those whose value coordinate lies in W

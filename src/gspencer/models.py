@@ -86,6 +86,13 @@ def _so_brackets(n: int, mats: list[RMatrix],
     return table
 
 
+def _vector_action(n: int, mats: list[RMatrix],
+                   off: int) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """Table entries [e_k, X_a] = -X_a e_k, the X_a numbered from off."""
+    cols = {(k, off + a): m.col(k) for a, m in enumerate(mats) for k in range(n)}
+    return {key: {t: -x for t, x in enumerate(col) if x} for key, col in cols.items() if any(col)}
+
+
 @lru_cache(maxsize=None)
 def space_form_algebra(n_tilde: int, k0: int) -> GradedLieAlgebra:
     """Isometry-model algebra of the curvature-k0 space form: V + so(V).
@@ -106,12 +113,7 @@ def space_form_algebra(n_tilde: int, k0: int) -> GradedLieAlgebra:
             # [e_i, e_j] = k0 (E_ji - E_ij) = -k0 * A_ij
             table[(i, j)] = {off + idx: Fraction(-k0)}
     mats = [_antisym_matrix(n, i, j) for i, j in pairs]
-    for a_idx, m in enumerate(mats):
-        for k in range(n):
-            col = m.col(k)
-            entry = {t: -col[t] for t in range(n) if col[t]}
-            if entry:
-                table[(k, off + a_idx)] = entry  # [e_k, A] = -A e_k
+    table.update(_vector_action(n, mats, off))
     table.update(_so_brackets(n, mats, off))
     kind = "graded" if k0 == 0 else "quasi_graded"
     return GradedLieAlgebra(f"space_form({n},{k0})", names, degrees, 1, table, kind)
@@ -137,14 +139,7 @@ def conformal_algebra(n_tilde: int) -> GradedLieAlgebra:
     off1 = n + n_so + 1
     i_idx = off0 + n_so
     mats = [_antisym_matrix(n, i, j) for i, j in pairs] + [RMatrix.identity(n)]
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    # [e_k, X] = -X e_k for X in co(V)
-    for a_idx, m in enumerate(mats):
-        for k in range(n):
-            col = m.col(k)
-            entry = {t: -col[t] for t in range(n) if col[t]}
-            if entry:
-                table[(k, off0 + a_idx)] = entry
+    table = _vector_action(n, mats, off0)  # [e_k, X] = -X e_k, X in co(V)
     # [e_l, f^k] = -(sgn * A_{min,max} + delta_{kl} I)
     for l in range(n):
         for k in range(n):

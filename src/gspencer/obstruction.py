@@ -15,9 +15,10 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .linalg import ONE, PairRow, RMatrix, Subspace, combine, dense, split_map
-from .spencer import (Cochain, SpencerComplex, WFrame, alternating_bracket_sum, canonical_pairs,
-                      check_coordinates, class_representative, is_coboundary, spencer_d)
+from .linalg import ONE, RMatrix, combine, dense
+from .spencer import (Cochain, SpencerComplex, WFrame, _split_by_chain, alternating_bracket_sum,
+                      canonical_pairs, check_coordinates, class_representative, is_coboundary,
+                      spencer_d)
 
 HALF = Fraction(1, 2)
 
@@ -266,24 +267,6 @@ class CurvatureDecomposition:
                       *(pair for tail in self.tails for pair in tail.values.get(tup, ()))]
                 for tup in combinations(range(self.complex.n_w), 2)}
         return Cochain(self.complex, self.p, 2, 0, vals)
-
-
-def _split_by_chain(c: SpencerComplex, d: int, v: PairRow) -> list[list[tuple[int, Fraction]]]:
-    """Components, as sorted pairs, of a degree-d value given by its pairs in the
-    fixed complements c_s^perp, s = 0..d+1."""
-    chain = c.complement_chain(d)
-    n = c.algebra.component_dim(d)
-    if d not in c._chain_split:
-        # the chain spans the component, so the map is defined on all of it
-        c._chain_split[d] = split_map(Subspace.full(n), chain, range(len(chain)))
-    image = c._chain_split[d].apply(v)
-    if image is None:
-        raise InternalInvariantError("complement chain does not span the component")
-    parts: list[list[tuple[int, Fraction]]] = [[] for _ in chain]
-    for k, x in image:
-        s, i = divmod(k, n)
-        parts[s].append((i, x))
-    return parts
 
 
 def level_decompose(c: SpencerComplex, omega: Cochain, r: int) -> CurvatureDecomposition:

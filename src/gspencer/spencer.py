@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import (GradedLieAlgebra, adjoint_columns, annihilated_rows,
                       deterministic_rows_annihilating, g_sharp_subalgebra)
-from .errors import InputError, PreconditionError
+from .errors import InputError, InternalInvariantError, PreconditionError
 from .linalg import (ONE, LinearMap, PairRow, Subspace, ZERO, clear_denominators, combine,
                      deterministic_complement, dense, kernel_of_rows, nonzero_pairs,
                      solve_particular, split_map, transpose)
@@ -45,7 +45,6 @@ class WFrame:
             raise InputError("W must be nonzero")
         self.algebra = algebra
         self.w = w
-        self.w_vectors = w.basis_vectors()
         self.n_w = w.dim
         # _ad[d][t][i]: the degree-(d-1) part of [e_i, w_t] as sorted pairs, e_i the
         # i-th basis element of degree d
@@ -59,57 +58,36 @@ class WFrame:
 class SpencerComplex(WFrame):
     """Spencer complex data: annihilator filtration, fixed complements, caches.
 
-    Annihilators and their complements are computed eagerly at construction;
-    operator matrices, cocycle/coboundary spaces and the solve maps are memoized
-    on first use.  The solve maps (coboundary preimages, class projections, the
-    level split) are made by the queries that use them, never by
-    `cohomology_dims`, so a cold table pays for none of them; a map is fixed on
-    its domain at the second query of its key (see `LinearMap`).
+    Construction computes nothing past the adjoint action.  Each piece is built
+    on first use by the function that owns its kind and kept in `_memo` under
+    (kind, indices): "ann" (d, r), "chain" d and "split" d for the filtration,
+    "d", "z", "b", "preimage" and "class" (p, q, r) for operators, cocycles,
+    coboundaries and solve maps, "gsharp" ().  Level-0 work reads no annihilator,
+    and `cohomology_dims` builds no solve map; a map is fixed on its domain at
+    the second query of its key (see `LinearMap`).
     """
 
     def __init__(self, algebra: GradedLieAlgebra, w: Subspace):
         super().__init__(algebra, w)
         if algebra.grading_kind != "graded":
             raise InputError("Spencer complexes require a graded algebra")
-        top = self.top_degree()
-        # annihilator filtration c_r per component degree
-        self._ann: dict[tuple[int, int], Subspace] = {}
-        n_v = algebra.component_dim(-1)
-        self._ann[(-1, 0)] = Subspace.zero(n_v)
-        self._ann[(-1, 1)] = Subspace.full(n_v)
-        for d in range(0, top + 1):
-            nd = algebra.component_dim(d)
-            self._ann[(d, 0)] = Subspace.zero(nd)
-            for r in range(1, d + 3):
-                ann_rows = deterministic_rows_annihilating(self._annihilator_raw(d - 1, r - 1))
-                self._ann[(d, r)] = kernel_of_rows(annihilated_rows(ann_rows, self._ad[d]), nd)
-        # fixed complements c_s^perp between consecutive annihilators
-        self._chain: dict[int, list[Subspace]] = {}
-        for d in range(0, top + 1):
-            self._chain[d] = [deterministic_complement(self._annihilator_raw(d, s),
-                                                       self._annihilator_raw(d, s + 1))
-                              for s in range(0, d + 2)]
-        self._dmat: dict[tuple[int, int, int], list[list[tuple[int, Fraction]]]] = {}
-        self._zb: dict[tuple[int, int, int], tuple[Subspace, Subspace]] = {}
-        # per (p, q, level): B -> C^{p+1,q-1}, a coboundary to its particular preimage,
-        # and Z -> K, a cocycle to its part in the fixed complement K of B in Z
-        self._preimage: dict[tuple[int, int, int], LinearMap] = {}
-        self._zb_complement: dict[tuple[int, int, int], LinearMap] = {}
-        # per degree d: a component value to its parts in the fixed complements c_s^perp
-        self._chain_split: dict[int, LinearMap] = {}
-        self._gsharp: Subspace | None = None
+        self._memo: dict[tuple[str, object], object] = {}
 
     # -- filtration ----------------------------------------------------------
 
     def _annihilator_raw(self, d: int, r: int) -> Subspace:
-        if d == -1:
-            return self._ann[(-1, 0)] if r == 0 else self._ann[(-1, 1)]
-        if d > self.top_degree():
-            # components above the represented range have dimension zero
-            return Subspace.zero(self.algebra.component_dim(d))
-        if r >= d + 2:
-            r = d + 2
-        return self._ann[(d, r)]
+        """c_r in degree d, from c_{r-1} in degree d-1; constant at level 0, in
+        degree -1 and above the top, and full from level d + 2 on."""
+        if r and 0 <= d <= self.top_degree():
+            key = ("ann", (d, min(r, d + 2)))
+            ann = self._memo.get(key)
+            if ann is None:
+                rows = deterministic_rows_annihilating(self._annihilator_raw(d - 1, key[1][1] - 1))
+                ann = self._memo[key] = kernel_of_rows(annihilated_rows(rows, self._ad[d]),
+                                                       self.algebra.component_dim(d))
+            return ann
+        n = self.algebra.component_dim(d)
+        return Subspace.full(n) if d == -1 and r else Subspace.zero(n)
 
     def annihilator(self, p_deg: int, r: int) -> Subspace:
         """The level-r annihilator inside the degree-p_deg component."""
@@ -123,7 +101,12 @@ class SpencerComplex(WFrame):
         """The fixed complements c_s^perp, s = 0..p_deg+1, inside the component."""
         if p_deg < 0 or p_deg > self.top_degree():
             raise InputError(f"degree {p_deg} is not a nonnegative degree of the algebra")
-        return list(self._chain[p_deg])
+        key = ("chain", p_deg)
+        if key not in self._memo:
+            self._memo[key] = [deterministic_complement(self._annihilator_raw(p_deg, s),
+                                                        self._annihilator_raw(p_deg, s + 1))
+                               for s in range(0, p_deg + 2)]
+        return list(self._memo[key])
 
     def free_rows(self, p: int, r: int) -> tuple[int, ...]:
         """Component rows that parametrize the quotient by c_r (all rows for p = 0)."""
@@ -134,15 +117,31 @@ class SpencerComplex(WFrame):
         return tuple(i for i in range(nd) if i not in piv)
 
     def g_sharp(self) -> Subspace:
-        if self._gsharp is None:
-            self._gsharp = g_sharp_subalgebra(self.algebra, self.w)
-        return self._gsharp
+        key = ("gsharp", ())
+        if key not in self._memo:
+            self._memo[key] = g_sharp_subalgebra(self.algebra, self.w)
+        return self._memo[key]
 
     def _check_component_available(self, d: int) -> None:
         if self.algebra.truncated_at is not None and d > self.algebra.truncated_at:
             raise InputError(
                 f"component of degree {d} lies beyond the truncation order "
                 f"{self.algebra.truncated_at}; result would not be trustworthy")
+
+
+def _split_by_chain(c: SpencerComplex, d: int, v: PairRow) -> list[list[tuple[int, Fraction]]]:
+    """Components, as sorted pairs, of a degree-d value given by its pairs in the
+    fixed complements c_s^perp, s = 0..d+1."""
+    chain = c.complement_chain(d)
+    n = c.algebra.component_dim(d)
+    key = ("split", d)
+    if key not in c._memo:
+        # the chain spans the component, so the map is defined on all of it
+        c._memo[key] = split_map(Subspace.full(n), chain, range(len(chain)))
+    image = c._memo[key].apply(v)
+    if image is None:
+        raise InternalInvariantError("complement chain does not span the component")
+    return [[(k - s * n, x) for k, x in image if k // n == s] for s in range(len(chain))]
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +376,9 @@ def cochain_from_coords(c: SpencerComplex, p: int, q: int, r: int,
 
 def _d_matrix_rows(c: SpencerComplex, p: int, q: int, r: int) -> list[list[tuple[int, Fraction]]]:
     """Sparse rows of the operator matrix from (p,q) to (p-1,q+1), canonical bases."""
-    key = (p, q, r)
-    if key in c._dmat:
-        return c._dmat[key]
+    key = ("d", (p, q, r))
+    if key in c._memo:
+        return c._memo[key]
     src_free = c.free_rows(p, r)
     src_tuples = list(combinations(range(c.n_w), q))
     tgt_free = c.free_rows(p - 1, r) if p >= 1 else ()
@@ -418,28 +417,35 @@ def _d_matrix_rows(c: SpencerComplex, p: int, q: int, r: int) -> list[list[tuple
                 for base, terms in targets:
                     for t_f, v in terms[s_f]:
                         rows[base + t_f].append((col_idx, v))
-    c._dmat[key] = rows
+    c._memo[key] = rows
     return rows
 
 
-def _zb_spaces(c: SpencerComplex, p: int, q: int, r: int) -> tuple[Subspace, Subspace]:
-    """Cocycle and coboundary subspaces of C^{p,q} at level r, in coordinates."""
-    key = (p, q, r)
-    if key in c._zb:
-        return c._zb[key]
-    dim_c = space_dimension(c, p, q, r)
-    rows = _d_matrix_rows(c, p, q, r)
-    z = kernel_of_rows(rows, dim_c) if rows else Subspace.full(dim_c)
-    if q == 0:
+def _cocycles(c: SpencerComplex, p: int, q: int, r: int) -> Subspace:
+    """The cocycle subspace of C^{p,q} at level r, in coordinates."""
+    key = ("z", (p, q, r))
+    z = c._memo.get(key)
+    if z is None:
+        rows, dim_c = _d_matrix_rows(c, p, q, r), space_dimension(c, p, q, r)
+        z = c._memo[key] = kernel_of_rows(rows, dim_c) if rows else Subspace.full(dim_c)
+    return z
+
+
+def _coboundaries(c: SpencerComplex, p: int, q: int, r: int) -> Subspace:
+    """The coboundary subspace of C^{p,q} at level r, in coordinates."""
+    key = ("b", (p, q, r))
+    b = c._memo.get(key)
+    if b is None:
+        dim_c = space_dimension(c, p, q, r)
         b = Subspace.zero(dim_c)
-    else:
-        c._check_component_available(p)
-        # B is spanned by the columns of d from (p+1, q-1), none listed when dim_c = 0
-        up = _d_matrix_rows(c, p + 1, q - 1, r)
-        b = Subspace.from_vectors(
-            dim_c, transpose(up, space_dimension(c, p + 1, q - 1, r)) if up else [])
-    c._zb[key] = (z, b)
-    return z, b
+        if q:
+            c._check_component_available(p)
+            # B is spanned by the columns of d from (p+1, q-1), none listed when dim_c = 0
+            up = _d_matrix_rows(c, p + 1, q - 1, r)
+            b = Subspace.from_vectors(
+                dim_c, transpose(up, space_dimension(c, p + 1, q - 1, r)) if up else [])
+        c._memo[key] = b
+    return b
 
 
 @dataclass
@@ -465,7 +471,7 @@ def cohomology_dims(c: SpencerComplex, p: int, q: int, r: int,
     if p > c.algebra.height + 1:
         raise InputError("p exceeds the algebra's height plus one")
     c._check_component_available(p - 1)
-    z, b = _zb_spaces(c, p, q, r)
+    z, b = _cocycles(c, p, q, r), _coboundaries(c, p, q, r)
     entry = CohomologyEntry(p=p, q=q, level=r, dim_space=space_dimension(c, p, q, r),
                             dim_z=z.dim, dim_b=b.dim, dim_h=z.dim - b.dim)
     if certificates:
@@ -474,38 +480,35 @@ def cohomology_dims(c: SpencerComplex, p: int, q: int, r: int,
     return entry
 
 
-def _require_cocycle(c: SpencerComplex, z: Cochain) -> None:
-    """Raise PreconditionError unless dz = 0.  Where the cocycle space of z's key is
-    memoized, membership in it decides (z's coordinates cleared of denominators,
-    which keeps membership, take the integer path) and dz is formed only to name
-    its nonzero components; a cold key forms dz and builds no kernel."""
-    zb = c._zb.get((z.p, z.q, z.level))
-    if not z.values or zb is not None and zb[0].coordinates(
-            clear_denominators(_coordinate_pairs(z))[1].items()) is not None:
-        return
+def _require_cocycle(c: SpencerComplex, z: Cochain) -> list[tuple[int, Fraction]]:
+    """z's `_coordinate_pairs` if dz = 0, else PreconditionError.  Where the cocycle
+    space of z's key is memoized, membership in it decides (z's coordinates cleared
+    of denominators, which keeps membership, take the integer path) and dz is formed
+    only to name its nonzero components; a cold key forms dz and builds no kernel."""
+    pairs = _coordinate_pairs(z)
+    zs = c._memo.get(("z", (z.p, z.q, z.level)))
+    if not pairs or zs is not None and zs.coordinates(
+            clear_denominators(pairs)[1].items()) is not None:
+        return pairs
     dz = spencer_d(z)
     if dz.is_zero():
-        return
-    parts = []
-    for tup, row in sorted(dz.values.items()):
-        comp_names = [c.algebra.names[c.algebra.component_indices(dz.p - 1)[k]]
-                      for k, _ in row]
-        parts.append(f"{tup}: {', '.join(comp_names)}")
-    raise PreconditionError(
-        "input is not a cocycle; nonzero components of its differential: "
-        + "; ".join(parts))
+        return pairs
+    names, comps = c.algebra.names, c.algebra.component_indices(dz.p - 1)
+    raise PreconditionError("input is not a cocycle; nonzero components of its differential: "
+                            + "; ".join(f"{tup}: {', '.join(names[comps[k]] for k, _ in row)}"
+                                        for tup, row in sorted(dz.values.items())))
 
 
 def _preimage_map(c: SpencerComplex, p: int, q: int, r: int) -> LinearMap:
     """The map from B^{p,q} at level r to C^{p+1,q-1} sending each coboundary to
     its particular preimage (free variables zero), made on first use."""
-    key = (p, q, r)
-    if key not in c._preimage:
+    key = ("preimage", (p, q, r))
+    if key not in c._memo:
         rows = _d_matrix_rows(c, p + 1, q - 1, r)
         n_src = space_dimension(c, p + 1, q - 1, r)
-        c._preimage[key] = LinearMap(lambda: _zb_spaces(c, p, q, r)[1],
-                                     lambda targets: solve_particular(rows, n_src, targets))
-    return c._preimage[key]
+        c._memo[key] = LinearMap(lambda: _coboundaries(c, p, q, r),
+                                 lambda targets: solve_particular(rows, n_src, targets))
+    return c._memo[key]
 
 
 def is_coboundary(c: SpencerComplex, z: Cochain) -> Optional[Cochain]:
@@ -516,11 +519,11 @@ def is_coboundary(c: SpencerComplex, z: Cochain) -> Optional[Cochain]:
     """
     if z.frame is not c:
         raise InputError("cochain does not belong to this complex")
-    _require_cocycle(c, z)
+    pairs = _require_cocycle(c, z)
     if z.q == 0:
         return Cochain.zero(c, z.p + 1, 0, z.level) if z.is_zero() else None
     c._check_component_available(z.p)
-    sol = _preimage_map(c, z.p, z.q, z.level).apply(_coordinate_pairs(z))
+    sol = _preimage_map(c, z.p, z.q, z.level).apply(pairs)
     if sol is None:
         return None
     return cochain_from_coords(c, z.p + 1, z.q - 1, z.level, sol)
@@ -533,14 +536,15 @@ def class_representative(c: SpencerComplex, z: Cochain) -> Cochain:
     """
     if z.frame is not c:
         raise InputError("cochain does not belong to this complex")
-    _require_cocycle(c, z)
-    zs, bs = _zb_spaces(c, z.p, z.q, z.level)
+    pairs = _require_cocycle(c, z)
+    key = (z.p, z.q, z.level)
+    bs = _coboundaries(c, *key)
     if bs.dim == 0:
         return z
-    key = (z.p, z.q, z.level)
-    if key not in c._zb_complement:
-        c._zb_complement[key] = split_map(zs, (bs, deterministic_complement(bs, zs)), (1,))
-    part = c._zb_complement[key].apply(_coordinate_pairs(z))
+    if ("class", key) not in c._memo:
+        zs = _cocycles(c, *key)
+        c._memo[("class", key)] = split_map(zs, (bs, deterministic_complement(bs, zs)), (1,))
+    part = c._memo[("class", key)].apply(pairs)
     if part is None:
         raise PreconditionError("cocycle does not lie in the cocycle space")
     return cochain_from_coords(c, z.p, z.q, z.level, part)
@@ -596,7 +600,7 @@ def random_integer_cochain(c: SpencerComplex, p: int, q: int, r: int, rng,
 def random_cocycle(c: SpencerComplex, p: int, q: int, r: int, rng,
                    lo: int = -3, hi: int = 3) -> Cochain:
     """Seeded integer combination of the cocycle basis."""
-    z, _ = _zb_spaces(c, p, q, r)
+    z = _cocycles(c, p, q, r)
     coeffs = [Fraction(rng.randint(lo, hi)) for _ in range(z.dim)]
     return cochain_from_coords(c, p, q, r, combine(zip(z.rows, coeffs)))
 

@@ -60,3 +60,17 @@ def test_every_library_function_is_referenced():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and not _is_dunder(node.name)}
     assert sorted(defined - referenced) == [], "functions defined but never referenced"
+
+
+def test_only_spencer_names_the_complex_memo():
+    # SpencerComplex keeps every computed piece in `_memo`, and the functions
+    # of spencer.py that own each kind are its only readers and writers
+    for path in MODULES:
+        if path.name == "spencer.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "_memo"
+                 or isinstance(node, ast.Name) and node.id == "_memo"
+                 or isinstance(node, ast.Constant) and node.value == "_memo"]
+        assert not named, f"{path.name} names _memo at line {named[0].lineno}"

@@ -11,8 +11,8 @@ from gspencer.obstruction import (AdmissibleTuple, ConstantForm, ObstructionCert
                                   form_to_cochain, level_decompose, solve_next,
                                   solve_to_top, strong_equiv_transport, total_curvature,
                                   zero_form)
-from gspencer.spencer import (Cochain, SpencerComplex, WFrame, class_representative,
-                              random_cocycle, spencer_d, standard_complex)
+from gspencer.spencer import (Cochain, SpencerComplex, WFrame, _split_by_chain,
+                              class_representative, random_cocycle, spencer_d, standard_complex)
 from gspencer.linalg import Subspace, combine, nonzero_pairs, solve_particular, transpose
 from gspencer.prolong import build_graded_algebra
 
@@ -255,8 +255,8 @@ def test_level_split_map_matches_fresh_split():
                     expected.append(combine((rows[j], x) for j, x in sol
                                             if start <= j < start + part.dim))
                     start += part.dim
-                assert obstruction._split_by_chain(c, d, v) == expected, (a.name, d)
-        assert set(c._chain_split) == set(range(c.top_degree() + 1))
+                assert _split_by_chain(c, d, v) == expected, (a.name, d)
+        assert {k for kind, k in c._memo if kind == "split"} == set(range(c.top_degree() + 1))
 
 
 def test_level_decompose_range_check():

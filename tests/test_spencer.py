@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from gspencer.algebra import adjoint_columns
+from gspencer.algebra import adjoint_columns, annihilated_rows, deterministic_rows_annihilating
 from gspencer import linalg, spencer
 from gspencer.errors import InputError, PreconditionError
 from gspencer.linalg import (Subspace, combine, dense, deterministic_complement, kernel_of_rows,
@@ -12,10 +12,10 @@ from gspencer.linalg import (Subspace, combine, dense, deterministic_complement,
 from gspencer.models import (co_generators, conformal_algebra, cr_algebra, cr_w_complex,
                              space_form_algebra)
 from gspencer.obstruction import (AdmissibleTuple, ConstantForm, _d_of_form, cochain_to_form,
-                                  strong_equiv_transport, total_curvature)
+                                  solve_to_top, strong_equiv_transport, total_curvature)
 from gspencer.prolong import build_graded_algebra
-from gspencer.spencer import (Cochain, SpencerComplex, WFrame, _d_matrix_rows,
-                              _zb_spaces, class_representative, cochain_from_coords,
+from gspencer.spencer import (Cochain, SpencerComplex, WFrame, _coboundaries, _cocycles,
+                              _d_matrix_rows, class_representative, cochain_from_coords,
                               cochain_to_coords, cohomology_dims, g_sharp_act, is_coboundary,
                               random_cocycle, random_integer_cochain, space_dimension, spencer_d,
                               standard_complex)
@@ -80,7 +80,7 @@ def test_annihilator_adjoint_inclusion():
             ann = c.annihilator(d, r)
             for v in ann.basis_vectors():
                 full = a.embed_component(d, v)
-                for wf in (a.embed_component(-1, w) for w in c.w_vectors):
+                for wf in (a.embed_component(-1, w) for w in c.w.basis_vectors()):
                     br = a.component_part(a.bracket(full, wf), d - 1)
                     if d - 1 >= 0:
                         assert c.annihilator(d - 1, r - 1).contains(br)
@@ -94,6 +94,76 @@ def test_annihilator_bad_degree():
         c.annihilator(-1, 1)
     with pytest.raises(InputError):
         c.annihilator(5, 1)
+
+
+def _eager_filtration(c):
+    """The annihilators c_r (r <= d + 2) and the complement chains of every degree,
+    built up front in degree order as the complex once did at construction."""
+    a, top, n_v = c.algebra, c.top_degree(), c.algebra.component_dim(-1)
+    ann = {(-1, 0): Subspace.zero(n_v), (-1, 1): Subspace.full(n_v)}
+    for d in range(top + 1):
+        nd = a.component_dim(d)
+        ad = [adjoint_columns(a, d, row) for row in c.w.rows]
+        ann[(d, 0)] = Subspace.zero(nd)
+        for r in range(1, d + 3):
+            rows = deterministic_rows_annihilating(ann[(d - 1, min(r - 1, d + 1))])
+            ann[(d, r)] = kernel_of_rows(annihilated_rows(rows, ad), nd)
+    chain = {d: [deterministic_complement(ann[(d, s)], ann[(d, s + 1)]) for s in range(d + 2)]
+             for d in range(top + 1)}
+    return ann, chain
+
+
+def test_filtration_on_demand_matches_eager_build():
+    # the complex builds each annihilator and complement chain on first request;
+    # asked in a scrambled order (degrees descending, levels interleaved, levels
+    # past the cap d + 2, chains between them) it must give what the eager
+    # construction gave, and every level past the cap is the level-(d + 2) entry
+    rng = rng_for("filtration-on-demand")
+    conj = build_graded_algebra(_conjugated(co_generators(3)), 3).assembled
+    for a in (conformal_algebra(4), space_form_algebra(5, 0), conj):
+        n_v = a.component_dim(-1)
+        for w in (Subspace.full(n_v), two_term_w(n_v)):
+            c = SpencerComplex(a, w)
+            ann, chain = _eager_filtration(c)
+            top = c.top_degree()
+            requests = []
+            for d in reversed(range(top + 1)):
+                levels = list(range(d + 5))
+                rng.shuffle(levels)
+                requests += [(d, r) for r in levels]
+                requests.insert(rng.randrange(len(requests) + 1), (d, None))
+            for d, r in requests:
+                if r is None:
+                    assert c.complement_chain(d) == chain[d], (a.name, w.dim, d)
+                else:
+                    assert c.annihilator(d, r) == ann[(d, min(r, d + 2))], (a.name, w.dim, d, r)
+            for d in range(top + 1):
+                assert c.annihilator(d, d + 4) is c.annihilator(d, d + 2)
+            assert all(1 <= k[1] <= k[0] + 2 for kind, k in c._memo if kind == "ann")
+
+
+def test_level_zero_work_builds_no_filtration():
+    # level-0 tables, queries and the solver never read an annihilator or a
+    # complement chain, so none is built; a positive level builds them
+    rng = rng_for("level-zero-lazy")
+    for a in (conformal_algebra(4), space_form_algebra(5, 0)):
+        n_v = a.component_dim(-1)
+        for w in (Subspace.full(n_v), two_term_w(n_v)):
+            c = SpencerComplex(a, w)
+            for p in range(a.height + 2):
+                for q in range(c.n_w + 2):
+                    cohomology_dims(c, p, q, 0, certificates=True)
+            for p in range(a.height + 1):
+                for q in (1, 2):
+                    for z in (random_cocycle(c, p, q, 0, rng),
+                              spencer_d(random_integer_cochain(c, p + 1, q - 1, 0, rng))):
+                        for _ in range(2):
+                            is_coboundary(c, z)
+                            class_representative(c, z)
+            solve_to_top(c)
+            assert not {kind for kind, _ in c._memo} & {"ann", "chain"}, (a.name, w.dim)
+            cohomology_dims(c, 1, 1, 1)
+            assert "ann" in {kind for kind, _ in c._memo}
 
 
 def test_space_dimension_formula():
@@ -471,7 +541,7 @@ def _fresh_preimage(c, z):
 def _fresh_class_rep(c, z):
     """The part of z in the fixed complement K of B in Z, from a transposed split
     of its own."""
-    zs, bs = _zb_spaces(c, z.p, z.q, z.level)
+    zs, bs = _cocycles(c, z.p, z.q, z.level), _coboundaries(c, z.p, z.q, z.level)
     if bs.dim == 0:
         return z
     k = deterministic_complement(bs, zs)
@@ -505,14 +575,14 @@ def test_solve_maps_match_fresh_eliminations():
                     assert got is not None and spencer_d(got) == z, where
                     assert got == _fresh_preimage(c, z), where
                     assert class_representative(c, z).is_zero(), where
-                    zs, _ = _zb_spaces(c, p, q, r)
+                    zs = _cocycles(c, p, q, r)
                     z = cochain_from_coords(c, p, q, r, combine(
                         zip(zs.rows, (x for _, x in _rational_coords(rng, zs.dim)))))
                     assert is_coboundary(c, z) == _fresh_preimage(c, z), where
                     assert class_representative(c, z) == _fresh_class_rep(c, z), where
-            maps = [*c._preimage.values(), *c._zb_complement.values()]
+            maps = [m for (kind, _), m in c._memo.items() if kind in ("preimage", "class")]
             assert all(m.images is not None for m in maps)
-            projections += len(c._zb_complement)
+            projections += sum(kind == "class" for kind, _ in c._memo)
     assert projections
 
 
@@ -548,8 +618,8 @@ def test_non_cocycle_errors_unchanged_by_warm_maps():
                     for _ in range(2):  # the second query fixes each map
                         is_coboundary(c, z)
                         class_representative(c, z)
-                    assert c._preimage[(p, q, 0)].images is not None
-                    assert c._zb_complement[(p, q, 0)].images is not None
+                    assert c._memo[("preimage", (p, q, 0))].images is not None
+                    assert c._memo[("class", (p, q, 0))].images is not None
                 else:
                     for query in (is_coboundary, class_representative):
                         with pytest.raises(InputError):
@@ -570,7 +640,8 @@ def test_cohomology_dims_builds_no_solve_map():
                 for q in range(c.n_w + 1):
                     for r in range(p + 2):
                         cohomology_dims(c, p, q, r, certificates=certificates)
-        assert c._zb and not (c._preimage or c._zb_complement or c._chain_split)
+        kinds = {kind for kind, _ in c._memo}
+        assert {"z", "b"} <= kinds and not kinds & {"preimage", "class", "split"}
 
 
 def test_one_off_query_solves_alone(monkeypatch):
@@ -590,15 +661,20 @@ def test_one_off_query_solves_alone(monkeypatch):
     monkeypatch.setattr(linalg, "solve_particular", counting)
     c = SpencerComplex(conformal_algebra(4), Subspace.full(4))
     z = spencer_d(random_integer_cochain(c, 2, 1, 0, rng))
-    for _ in range(3):
+    assert spencer_d(is_coboundary(c, z)) == z
+    assert targets == [1] and not {kind for kind, _ in c._memo} & {"z", "b"}
+    for _ in range(2):
         assert spencer_d(is_coboundary(c, z)) == z
-    zs, bs = c._zb[(1, 2, 0)]
-    assert targets == [1, bs.dim] and bs.dim > 1
+    # the preimage map's domain is B: fixing the map builds no Z
+    bs = c._memo[("b", (1, 2, 0))]
+    assert targets == [1, bs.dim] and bs.dim > 1 and ("z", (1, 2, 0)) not in c._memo
     targets.clear()
     c = SpencerComplex(conformal_algebra(4), Subspace.full(4))
     z = random_cocycle(c, 1, 2, 0, rng)
-    c._zb.clear()  # drawing z built the key's spaces
-    assert is_coboundary(c, z) is None and targets == [1] and not c._zb
+    del c._memo[("z", (1, 2, 0))]  # drawing z built the key's cocycle space
+    assert is_coboundary(c, z) is None and targets == [1]
+    assert not {kind for kind, _ in c._memo} & {"z", "b"}
     for _ in range(3):
         class_representative(c, z)
+    zs = c._memo[("z", (1, 2, 0))]
     assert targets == [1, 1, zs.dim] and zs.dim > 1
