@@ -98,7 +98,7 @@ def test_annihilator_bad_degree():
 
 def _eager_filtration(c):
     """The annihilators c_r (r <= d + 2) and the complement chains of every degree,
-    built up front in degree order as the complex once did at construction."""
+    built up front in increasing degree: the reference for the on-demand build."""
     a, top, n_v = c.algebra, c.top_degree(), c.algebra.component_dim(-1)
     ann = {(-1, 0): Subspace.zero(n_v), (-1, 1): Subspace.full(n_v)}
     for d in range(top + 1):
