@@ -249,9 +249,8 @@ def grading_report(a: GradedLieAlgebra) -> list[GradingViolation]:
             if truncated and d > top:
                 continue
             br = a.bracket_basis(i, j)
+            # no basis element has a degree d outside -1..height-1: all of br is stray
             stray = {t: c for t, c in br.items() if a.degrees[t] != d}
-            if d < -1 or d > a.height - 1:
-                stray = dict(br)
             if stray:
                 out.append(GradingViolation((i, j), (a.names[i], a.names[j]), d,
                                             dense(stray.items(), a.dim)))
@@ -264,8 +263,6 @@ def effectiveness_report(a: GradedLieAlgebra) -> list[str]:
     flags = []
     for d in range(0, a.max_represented_degree() + 1):
         idxs = a.component_indices(d)
-        if not idxs:
-            continue
         rows: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
         for vi in v_idx:
             for pos, i in enumerate(idxs):
@@ -317,8 +314,6 @@ def g_sharp_subalgebra(a: GradedLieAlgebra, w: Subspace) -> Subspace:
     """
     if w.ambient_dim != a.component_dim(-1):
         raise InputError("W must live in the degree -1 component")
-    if not a.component_indices(0):
-        return Subspace.zero(0)
     ad_w = [adjoint_columns(a, 0, row) for row in w.rows]
     return kernel_of_rows(annihilated_rows(deterministic_rows_annihilating(w), ad_w),
                           a.component_dim(0))

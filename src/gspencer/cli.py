@@ -57,14 +57,10 @@ def _linear_algebra_from_flags(args) -> LinearLieAlgebra:
         ad = [adjoint_columns(alg, 0, [(j, 1)]) for j in range(n)]
         return LinearLieAlgebra(n, tuple(RMatrix(tuple(zip(*(dense(col[i], n) for col in ad))),
                                                  n, n) for i in range(alg.component_dim(0))))
-    if args.family == "so":
+    if args.family in ("so", "co"):
         if args.dim is None:
-            raise InputError("--family so needs --dim")
-        return models.so_generators(args.dim)
-    if args.family == "co":
-        if args.dim is None:
-            raise InputError("--family co needs --dim")
-        return models.co_generators(args.dim)
+            raise InputError(f"--family {args.family} needs --dim")
+        return (models.so_generators if args.family == "so" else models.co_generators)(args.dim)
     if args.family == "glC":
         if args.m is None:
             raise InputError("--family glC needs --m")

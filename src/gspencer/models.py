@@ -55,9 +55,7 @@ def co_generators(n: int) -> LinearLieAlgebra:
     """co_n = so_n + R*I, scaling element last."""
     if n < 2:
         raise InputError("need n >= 2")
-    gens = [_antisym_matrix(n, i, j) for i, j in _antisym_pairs(n)]
-    gens.append(RMatrix.identity(n))
-    return LinearLieAlgebra(n, tuple(gens))
+    return LinearLieAlgebra(n, tuple(conformal_deg0_matrices(n)))
 
 
 def conformal_deg0_matrices(n: int) -> list[RMatrix]:
@@ -138,7 +136,7 @@ def conformal_algebra(n_tilde: int) -> GradedLieAlgebra:
     off0 = n
     off1 = n + n_so + 1
     i_idx = off0 + n_so
-    mats = [_antisym_matrix(n, i, j) for i, j in pairs] + [RMatrix.identity(n)]
+    mats = conformal_deg0_matrices(n)
     table = _vector_action(n, mats, off0)  # [e_k, X] = -X e_k, X in co(V)
     # [e_l, f^k] = -(sgn * A_{min,max} + delta_{kl} I)
     for l in range(n):
@@ -204,9 +202,6 @@ class ComplexStructureData:
     w_perp_indices: tuple[int, ...]
     prolongation: ProlongationResult = field(repr=False)
     _mult_i: dict[int, list[tuple[Fraction, ...]]] = field(default_factory=dict, repr=False)
-
-    def apply_j(self, v):
-        return self.j.mat_vec(v)
 
     def mult_i_component(self, algebra: GradedLieAlgebra, d: int, comp):
         """Multiplication by i on the degree-d component, via J on values."""
@@ -327,9 +322,6 @@ def cr_extend_cochain(x: Cochain, data: ComplexStructureData) -> Cochain:
     n_v = a.component_dim(-1)
     d = x.p - 1
 
-    def j_col(idx: int) -> tuple[Fraction, ...]:
-        return data.j.col(idx)
-
     def eval_w(u: tuple[Fraction, ...], v: tuple[Fraction, ...]):
         # u, v given in V coordinates but supported on W
         return x.evaluate([u[:n_w], v[:n_w]])
@@ -341,10 +333,10 @@ def cr_extend_cochain(x: Cochain, data: ComplexStructureData) -> Cochain:
             vals[(i, jdx)] = x.values.get((i, jdx), ())
         elif i < n_w:
             # value(e_i, e_j) = + i * x(J e_j, e_i), j in the W-complement
-            base = eval_w(j_col(jdx), unit[i])
+            base = eval_w(data.j.col(jdx), unit[i])
             vals[(i, jdx)] = nonzero_pairs(data.mult_i_component(a, d, base))
         else:
-            vals[(i, jdx)] = [(k, -c) for k, c in nonzero_pairs(eval_w(j_col(i), j_col(jdx)))]
+            vals[(i, jdx)] = [(k, -c) for k, c in nonzero_pairs(eval_w(data.j.col(i), data.j.col(jdx)))]
     return Cochain(full, x.p, 2, 0, vals)
 
 
@@ -371,7 +363,7 @@ def cr_j_residual(t: Cochain, data: ComplexStructureData) -> tuple[Fraction, ...
         ju1, ju2 = data.j.col(i), data.j.col(jdx)
         lhs = vsub(ev(u1, u2), ev(ju1, ju2))
         out.extend(lhs[s] for s in outside_u)
-        out.extend(vadd(lhs, vadd(data.apply_j(ev(ju1, u2)), data.apply_j(ev(u1, ju2)))))
+        out.extend(vadd(lhs, vadd(data.j.mat_vec(ev(ju1, u2)), data.j.mat_vec(ev(u1, ju2)))))
     return tuple(out)
 
 

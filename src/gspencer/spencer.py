@@ -62,9 +62,10 @@ class SpencerComplex(WFrame):
     on first use by the function that owns its kind and kept in `_memo` under
     (kind, indices): "ann" (d, r), "chain" d and "split" d for the filtration,
     "d", "z", "b", "preimage" and "class" (p, q, r) for operators, cocycles,
-    coboundaries and solve maps, "gsharp" ().  Level-0 work reads no annihilator,
-    and `cohomology_dims` builds no solve map; a map is fixed on its domain at
-    the second query of its key (see `LinearMap`).
+    coboundaries and solve maps, "checked" (p, q, r) for a key whose cocycle
+    check has run once, "gsharp" ().  Level-0 work reads no annihilator, and
+    `cohomology_dims` builds no solve map; a map is fixed on its domain at the
+    second query of its key (see `LinearMap`), as Z is at its second check.
     """
 
     def __init__(self, algebra: GradedLieAlgebra, w: Subspace):
@@ -141,7 +142,11 @@ def _split_by_chain(c: SpencerComplex, d: int, v: PairRow) -> list[list[tuple[in
     image = c._memo[key].apply(v)
     if image is None:
         raise InternalInvariantError("complement chain does not span the component")
-    return [[(k - s * n, x) for k, x in image if k // n == s] for s in range(len(chain))]
+    parts: list[list[tuple[int, Fraction]]] = [[] for _ in chain]
+    for k, x in image:
+        s, i = divmod(k, n)
+        parts[s].append((i, x))
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +431,8 @@ def _cocycles(c: SpencerComplex, p: int, q: int, r: int) -> Subspace:
     key = ("z", (p, q, r))
     z = c._memo.get(key)
     if z is None:
-        rows, dim_c = _d_matrix_rows(c, p, q, r), space_dimension(c, p, q, r)
+        dim_c = space_dimension(c, p, q, r)
+        rows = _d_matrix_rows(c, p, q, r)
         z = c._memo[key] = kernel_of_rows(rows, dim_c) if rows else Subspace.full(dim_c)
     return z
 
@@ -481,22 +487,31 @@ def cohomology_dims(c: SpencerComplex, p: int, q: int, r: int,
 
 
 def _require_cocycle(c: SpencerComplex, z: Cochain) -> list[tuple[int, Fraction]]:
-    """z's `_coordinate_pairs` if dz = 0, else PreconditionError.  Where the cocycle
-    space of z's key is memoized, membership in it decides (z's coordinates cleared
-    of denominators, which keeps membership, take the integer path) and dz is formed
-    only to name its nonzero components; a cold key forms dz and builds no kernel."""
+    """z's `_coordinate_pairs` if dz = 0, else PreconditionError.  A key's first
+    check forms dz and builds no kernel.  Once the key's cocycle space is memoized,
+    or at the key's second check, which builds it, membership in it decides (z's
+    coordinates cleared of denominators, which keeps membership, take the integer
+    path) and dz is formed only to name its nonzero components."""
     pairs = _coordinate_pairs(z)
-    zs = c._memo.get(("z", (z.p, z.q, z.level)))
-    if not pairs or zs is not None and zs.coordinates(
-            clear_denominators(pairs)[1].items()) is not None:
+    key = (z.p, z.q, z.level)
+    if not pairs:
         return pairs
+    if ("z", key) in c._memo or ("checked", key) in c._memo:
+        if _cocycles(c, *key).coordinates(clear_denominators(pairs)[1].items()) is not None:
+            return pairs
+    else:
+        c._memo[("checked", key)] = True
     dz = spencer_d(z)
     if dz.is_zero():
         return pairs
-    names, comps = c.algebra.names, c.algebra.component_indices(dz.p - 1)
-    raise PreconditionError("input is not a cocycle; nonzero components of its differential: "
-                            + "; ".join(f"{tup}: {', '.join(names[comps[k]] for k, _ in row)}"
-                                        for tup, row in sorted(dz.values.items())))
+    parts = []
+    for tup, row in sorted(dz.values.items()):
+        comp_names = [c.algebra.names[c.algebra.component_indices(dz.p - 1)[k]]
+                      for k, _ in row]
+        parts.append(f"{tup}: {', '.join(comp_names)}")
+    raise PreconditionError(
+        "input is not a cocycle; nonzero components of its differential: "
+        + "; ".join(parts))
 
 
 def _preimage_map(c: SpencerComplex, p: int, q: int, r: int) -> LinearMap:
@@ -599,7 +614,9 @@ def random_integer_cochain(c: SpencerComplex, p: int, q: int, r: int, rng,
 
 def random_cocycle(c: SpencerComplex, p: int, q: int, r: int, rng,
                    lo: int = -3, hi: int = 3) -> Cochain:
-    """Seeded integer combination of the cocycle basis."""
+    """Seeded integer combination of the cocycle basis; InputError where the
+    truncation makes `cohomology_dims` at (p, q, r) raise."""
+    c._check_component_available(p if q else p - 1)
     z = _cocycles(c, p, q, r)
     coeffs = [Fraction(rng.randint(lo, hi)) for _ in range(z.dim)]
     return cochain_from_coords(c, p, q, r, combine(zip(z.rows, coeffs)))

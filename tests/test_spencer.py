@@ -646,35 +646,92 @@ def test_cohomology_dims_builds_no_solve_map():
 
 def test_one_off_query_solves_alone(monkeypatch):
     # a key's first query costs what a single query costs: one elimination with
-    # one right-hand side; is_coboundary builds no cocycle or coboundary space for
-    # it.  The second query fixes the map on its domain's echelon rows, and later
-    # queries run no elimination at all.
+    # one right-hand side and one dz; is_coboundary builds no cocycle or
+    # coboundary space for it.  The second query builds Z for its cocycle check
+    # and fixes the map on B's echelon rows; later queries form no dz and run no
+    # elimination at all.
     rng = rng_for("one-off")
-    targets = []
-    real = linalg.solve_particular
+    targets, d_calls = [], []
+    real, real_d = linalg.solve_particular, spencer.spencer_d
 
     def counting(rows, ncols, ts):
         targets.append(len(ts))
         return real(rows, ncols, ts)
 
+    def counting_d(x):
+        d_calls.append((x.p, x.q, x.level))
+        return real_d(x)
+
     monkeypatch.setattr(spencer, "solve_particular", counting)
     monkeypatch.setattr(linalg, "solve_particular", counting)
+    # inside spencer only the cocycle check forms dz; this module's spencer_d is unpatched
+    monkeypatch.setattr(spencer, "spencer_d", counting_d)
+    key = (1, 2, 0)
     c = SpencerComplex(conformal_algebra(4), Subspace.full(4))
     z = spencer_d(random_integer_cochain(c, 2, 1, 0, rng))
     assert spencer_d(is_coboundary(c, z)) == z
-    assert targets == [1] and not {kind for kind, _ in c._memo} & {"z", "b"}
-    for _ in range(2):
+    assert targets == [1] and d_calls == [key]
+    assert not {kind for kind, _ in c._memo} & {"z", "b"}
+    for _ in range(3):
         assert spencer_d(is_coboundary(c, z)) == z
+    bs, zs = c._memo[("b", key)], c._memo[("z", key)]
+    assert targets == [1, bs.dim] and bs.dim > 1 and d_calls == [key]
+    assert c._memo[("preimage", key)].domain is bs and zs.dim > bs.dim
     # the preimage map's domain is B: fixing the map builds no Z
-    bs = c._memo[("b", (1, 2, 0))]
-    assert targets == [1, bs.dim] and bs.dim > 1 and ("z", (1, 2, 0)) not in c._memo
     targets.clear()
     c = SpencerComplex(conformal_algebra(4), Subspace.full(4))
+    pairs = spencer._coordinate_pairs(spencer_d(random_integer_cochain(c, 2, 1, 0, rng)))
+    for _ in range(2):
+        spencer._preimage_map(c, *key).apply(pairs)
+    bs = c._memo[("b", key)]
+    assert targets == [1, bs.dim] and ("z", key) not in c._memo
+    targets.clear()
+    d_calls.clear()
+    c = SpencerComplex(conformal_algebra(4), Subspace.full(4))
     z = random_cocycle(c, 1, 2, 0, rng)
-    del c._memo[("z", (1, 2, 0))]  # drawing z built the key's cocycle space
-    assert is_coboundary(c, z) is None and targets == [1]
+    del c._memo[("z", key)]  # drawing z built the key's cocycle space
+    assert is_coboundary(c, z) is None and targets == [1] and d_calls == [key]
     assert not {kind for kind, _ in c._memo} & {"z", "b"}
     for _ in range(3):
         class_representative(c, z)
-    zs = c._memo[("z", (1, 2, 0))]
-    assert targets == [1, 1, zs.dim] and zs.dim > 1
+    zs = c._memo[("z", key)]
+    assert targets == [1, 1, zs.dim] and zs.dim > 1 and d_calls == [key]
+
+
+def test_repeated_check_on_a_key_without_coboundaries_forms_dz_once(monkeypatch):
+    # class_representative returns at once where B = 0 and builds no Z there; a
+    # repeated key still checks by membership from its second query on
+    d_calls = []
+    real_d = spencer.spencer_d
+
+    def counting_d(x):
+        d_calls.append((x.p, x.q, x.level))
+        return real_d(x)
+
+    monkeypatch.setattr(spencer, "spencer_d", counting_d)
+    key = (2, 3, 0)  # on conformal(4) with W = V, B = 0 and Z has dimension 9 there
+    c = SpencerComplex(conformal_algebra(4), Subspace.full(4))
+    z = random_cocycle(c, *key, rng_for("b-zero"))
+    del c._memo[("z", key)]
+    assert not z.is_zero() and class_representative(c, z) == z
+    assert c._memo[("b", key)].dim == 0 and ("z", key) not in c._memo
+    for _ in range(3):
+        assert class_representative(c, z) == z
+    assert d_calls == [key] and c._memo[("z", key)].dim == 9
+
+
+def test_random_cocycle_raises_past_the_truncation():
+    # drawing a cocycle raises InputError wherever the truncation makes
+    # cohomology_dims raise: on the CR algebra truncated at order 2, B at (3, q)
+    # with q > 0 and Z at (4, 0) need the degree-3 component
+    rng = rng_for("random-cocycle-truncation")
+    alg, data = cr_algebra(2, 1, 2)
+    c = cr_w_complex(alg, data)
+    for p, q in ((3, 1), (3, 2), (4, 0)):
+        with pytest.raises(InputError):
+            cohomology_dims(c, p, q, 0)
+        with pytest.raises(InputError, match="beyond the truncation"):
+            random_cocycle(c, p, q, 0, rng)
+    for p, q in ((2, 2), (3, 0)):
+        z = random_cocycle(c, p, q, 0, rng)
+        assert spencer_d(z).is_zero() and cohomology_dims(c, p, q, 0).dim_z >= 0
