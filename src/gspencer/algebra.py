@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import gcd
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
-from .linalg import (ONE, PairRow, Subspace, ZERO, clear_denominators, combine, dense,
+from .linalg import (PairRow, Subspace, ZERO, clear_denominators, combine, dense,
                      kernel_of_rows, nonzero_pairs)
 
 SparseVec = dict[int, Fraction]
@@ -42,7 +43,7 @@ class GradedLieAlgebra:
     """
 
     __slots__ = ("name", "names", "degrees", "height", "grading_kind",
-                 "truncated_at", "_table", "_component_cache", "_index_in_component")
+                 "truncated_at", "_table", "_rows", "_component_cache", "_index_in_component")
 
     def __init__(self, name: str, names: Sequence[str], degrees: Sequence[int],
                  height: int, table: Mapping[tuple[int, int], Mapping[int, Fraction]],
@@ -79,6 +80,7 @@ class GradedLieAlgebra:
         self.grading_kind = grading_kind
         self.truncated_at = truncated_at
         self._table = clean
+        self._rows: dict[tuple[int, int], tuple[int, list[tuple[int, int]]]] = {}
         self._component_cache: dict[int, tuple[int, ...]] = {}
         self._index_in_component = {}
         for d in range(-1, height):
@@ -125,24 +127,47 @@ class GradedLieAlgebra:
                     terms.append((b.items(), sign * xi * yj))
         return dense(combine(terms), self.dim)
 
-    def component_bracket(self, dx: int, x: PairRow, dy: int, y: PairRow,
-                          d: int) -> list[tuple[int, Fraction]]:
-        """The degree-d part of [x, y] as sorted (component coordinate, value)
-        pairs, for x and y given by their pairs, each coordinate once, in the
-        degree-dx and degree-dy components; read from the structure constants."""
-        xs, ys = self.component_indices(dx), self.component_indices(dy)
+    def bracket_sum(self, terms: Iterable[tuple[Fraction, int, PairRow, int, PairRow]],
+                    d: int) -> list[tuple[int, Fraction]]:
+        """The degree-d part of the sum of coef * [x, y] over the (coef, dx, x, dy, y)
+        terms, as sorted (component coordinate, value) pairs; coef is an int or a
+        Fraction, and x and y are given by their pairs, each coordinate once, in the
+        degree-dx and degree-dy components.
+
+        Each operand is cleared of denominators once, and the sum keeps int
+        numerators over one running denominator, as `combine` does, reading the
+        structure constants as integer rows (`_int_row`).
+        """
+        rows, int_row = self._rows, self._int_row
+        acc: dict[int, int] = {}
+        den = 1
+        for coef, dx, x, dy, y in terms:
+            xs, ys = self.component_indices(dx), self.component_indices(dy)
+            (sx, xi), (sy, yi) = clear_denominators(x), clear_denominators(y)
+            cn, cd = coef.numerator, coef.denominator * sx * sy
+            for k, u in xi.items():
+                i, cu = xs[k], cn * u
+                for m, v in yi.items():
+                    rd, row = rows.get((i, ys[m])) or int_row(i, ys[m])
+                    if row:
+                        rd *= cd
+                        if den % rd:
+                            mult = rd // gcd(den, rd)
+                            den *= mult
+                            acc = {t: c * mult for t, c in acc.items()}
+                        f = cu * v * (den // rd)
+                        for t, c in row:
+                            acc[t] = acc.get(t, 0) + f * c
         pos, deg = self._index_in_component, self.degrees
-        (sx, xi), (sy, yi) = clear_denominators(x), clear_denominators(y)
-        stored = self._stored_bracket
-        terms = []
-        for k, u in xi.items():
-            for m, v in yi.items():
-                b, sign = stored(xs[k], ys[m])
-                if b:
-                    terms.append(([(pos[t], c) for t, c in b.items() if deg[t] == d],
-                                  sign * u * v))
-        out = combine(terms)
-        return out if sx * sy == 1 else [(k, v / (sx * sy)) for k, v in out]
+        return sorted((pos[t], Fraction(c, den)) for t, c in acc.items() if c and deg[t] == d)
+
+    def _int_row(self, i: int, j: int) -> tuple[int, list[tuple[int, int]]]:
+        """[e_i, e_j] as (den, [(target, int)]), the signed stored constants as int
+        numerators over the lcm of their denominators; memoized per pair on first read."""
+        b, sign = self._stored_bracket(i, j)
+        den, entries = clear_denominators(b.items())
+        out = self._rows[(i, j)] = (den, [(t, sign * c) for t, c in entries.items()])
+        return out
 
     # -- coordinates --------------------------------------------------------
 
@@ -283,7 +308,7 @@ def adjoint_columns(a: GradedLieAlgebra, d: int,
 
     w is given by its (coordinate, value) pairs in the degree-(-1) component.
     """
-    return [a.component_bracket(d, ((i, ONE),), -1, w_row, d - 1)
+    return [a.bracket_sum(((1, d, ((i, 1),), -1, w_row),), d - 1)
             for i in range(a.component_dim(d))]
 
 

@@ -119,10 +119,10 @@ def total_curvature(frame: WFrame, t: AdmissibleTuple, p: int) -> Cochain:
     omega = [f.columns for f in t.forms[:p]]
     vals = {}
     for i, j in combinations(range(frame.n_w), 2):
-        terms = [(a.component_bracket(r, omega[r][x], p - 1 - r, omega[p - 1 - r][y], p - 1), s)
+        terms = [(s, r, omega[r][x], p - 1 - r, omega[p - 1 - r][y])
                  for r in range(p) for x, y, s in ((i, j, HALF), (j, i, -HALF))]
-        terms.append((a.component_bracket(-1, w[i], -1, w[j], p - 1), ONE))
-        vals[(i, j)] = combine(terms)
+        terms.append((ONE, -1, w[i], -1, w[j]))
+        vals[(i, j)] = a.bracket_sum(terms, p - 1)
     return Cochain(frame, p, 2, 0, vals)
 
 
@@ -309,10 +309,9 @@ def strong_equiv_transport(c: SpencerComplex, omega0: ConstantForm,
     new_cols = []
     eps_cols = []
     for w_row, om in zip(c.w.rows, omega0.columns):
-        shift = a.component_bracket(-1, w_row, 1, varpi, 0)
+        shift = a.bracket_sum(((ONE, -1, w_row, 1, varpi),), 0)
         new_cols.append(combine(((om, ONE), (shift, ONE))))
-        eps_cols.append(combine(((a.component_bracket(0, om, 1, varpi, 1), ONE),
-                                 (a.component_bracket(0, shift, 1, varpi, 1), HALF))))
+        eps_cols.append(a.bracket_sum(((ONE, 0, om, 1, varpi), (HALF, 0, shift, 1, varpi)), 1))
     omega0_new = ConstantForm(0, tuple(new_cols))
     eps1 = ConstantForm(1, tuple(eps_cols))
     # exact identity: Omega'^0 = Omega^0 - [omega^{-1}, eps^1]

@@ -61,7 +61,8 @@ class SpencerComplex(WFrame):
     Construction computes nothing past the adjoint action.  Each piece is built
     on first use by the function that owns its kind and kept in `_memo` under
     (kind, indices): "ann" (d, r), "chain" d and "split" d for the filtration,
-    "d", "z", "b", "preimage" and "class" (p, q, r) for operators, cocycles,
+    "signed" (p, r) for the reduced adjoint columns every operator out of
+    degree p shares, "d", "z", "b", "preimage" and "class" (p, q, r) for operators, cocycles,
     coboundaries and solve maps, "checked" (p, q, r) for a key whose cocycle
     check has run once, "gsharp" ().  Level-0 work reads no annihilator, and
     `cohomology_dims` builds no solve map; a map is fixed on its domain at the
@@ -379,6 +380,27 @@ def cochain_from_coords(c: SpencerComplex, p: int, q: int, r: int,
     return Cochain(c, p, q, r, vals)
 
 
+def _signed_columns(c: SpencerComplex, p: int, r: int) -> list[tuple[list, list]]:
+    """[e_frow, w_t] for every source free row frow of C^{p,q} at level r, reduced
+    modulo the level-r annihilator of degree p-2 when p >= 2, as (target free row,
+    value) pairs: (terms with sign -1, terms with sign +1) per t.  The operators of
+    every q share them, so they are memoized per (p, r)."""
+    key = ("signed", (p, r))
+    if key not in c._memo:
+        ad = c._ad[p - 1]
+        # values of degree p-2 >= 0 are taken modulo the level-r annihilator; without
+        # one every row of degree p-2 is free, and the columns are used as they are
+        ann = c._annihilator_raw(p - 2, r) if p >= 2 and r else None
+        free_pos = {k: t_f for t_f, k in enumerate(c.free_rows(p - 1, r))}
+        signed = c._memo[key] = []
+        for t in range(c.n_w):
+            plus = [ad[t][frow] if ann is None else
+                    [(free_pos[k], v) for k, v in ann.reduce(ad[t][frow])]
+                    for frow in c.free_rows(p, r)]
+            signed.append(([[(t_f, -v) for t_f, v in terms] for terms in plus], plus))
+    return c._memo[key]
+
+
 def _d_matrix_rows(c: SpencerComplex, p: int, q: int, r: int) -> list[list[tuple[int, Fraction]]]:
     """Sparse rows of the operator matrix from (p,q) to (p-1,q+1), canonical bases."""
     key = ("d", (p, q, r))
@@ -393,18 +415,7 @@ def _d_matrix_rows(c: SpencerComplex, p: int, q: int, r: int) -> list[list[tuple
     # each (row, column) pair gets at most one term: the target tuple fixes t
     rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(n_tgt)]
     if p >= 1 and n_src and n_tgt:
-        ad = c._ad[p - 1]
-        # values of degree p-2 >= 0 are taken modulo the level-r annihilator
-        ann = c._annihilator_raw(p - 2, r) if p >= 2 and r else None
-        free_pos = {k: t_f for t_f, k in enumerate(tgt_free)}
-        # [e_frow, w_t] reduced, once per (t, frow), as (target free row, value)
-        # pairs with sign -1 and +1
-        signed = []
-        for t in range(c.n_w):
-            plus = [[(free_pos[k], v) for k, v in (ad[t][frow] if ann is None
-                                                   else ann.reduce(ad[t][frow]))]
-                    for frow in src_free]
-            signed.append(([[(t_f, -v) for t_f, v in terms] for terms in plus], plus))
+        signed = _signed_columns(c, p, r)
         tgt_rank = {tup: i for i, tup in enumerate(tgt_tuples)}
         for s_t, tup in enumerate(src_tuples):
             # (row offset of the target tuple, term lists of its sign) per t not in tup
@@ -592,7 +603,7 @@ def g_sharp_act(c: SpencerComplex, x_elt: Sequence[Fraction], x: Cochain) -> Coc
     d = x.p - 1
     out = {}
     for tup in combinations(range(c.n_w), x.q):
-        terms = [(a.component_bracket(0, x_pairs, d, x.values.get(tup, ()), d), ONE)]
+        terms = [(a.bracket_sum(((ONE, 0, x_pairs, d, x.values.get(tup, ())),), d), ONE)]
         for pos in range(x.q):
             for j, cj in act_w[tup[pos]]:
                 # x at the tuple with w_j in place pos: zero on a repeat, else

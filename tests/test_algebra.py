@@ -2,11 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from gspencer.algebra import (GradedLieAlgebra, effectiveness_report, g_sharp_subalgebra,
-                              grading_report, jacobi_report)
+from gspencer.algebra import (GradedLieAlgebra, adjoint_columns, effectiveness_report,
+                              g_sharp_subalgebra, grading_report, jacobi_report)
 from gspencer.errors import InputError
 from gspencer.linalg import Subspace, dense, nonzero_pairs
-from gspencer.models import co_generators, conformal_algebra, space_form_algebra
+from gspencer.models import co_generators, conformal_algebra, cr_algebra, space_form_algebra
 from gspencer.prolong import build_graded_algebra
 
 from conftest import rng_for, int_vector
@@ -27,25 +27,51 @@ def test_bracket_antisymmetry_random():
 
 @pytest.mark.parametrize("build", [
     lambda: conformal_algebra(4),
-    lambda: build_graded_algebra(_conjugated(co_generators(3)), 3).assembled],
-    ids=["conformal4", "co3_conjugated"])
-def test_component_bracket_matches_dense_bracket(build):
-    # rational x and y (denominators 2, 3, 4, 6, 10 cancel in part against each
-    # other and the structure constants) in every pair of degrees, every target degree
+    lambda: build_graded_algebra(_conjugated(co_generators(3)), 3).assembled,
+    lambda: space_form_algebra(4, 1),
+    lambda: cr_algebra(2, 1, 2)[0]],
+    ids=["conformal4", "co3_conjugated", "space_form4_curved", "cr_2_1_truncated"])
+def test_bracket_sum_matches_dense_bracket(build):
+    # sums of one to four terms coef * [x, y], coef +-1/2 or a random rational, x and y
+    # rational (denominators 2, 3, 4, 6, 10 cancel in part against each other and the
+    # structure constants) in random degrees, against the sum of the dense brackets,
+    # which read the stored table; every target degree, so terms landing elsewhere
+    # (the curved space form's [e_i, e_j] in degree 0) must be filtered out
     a = build()
-    rng = rng_for("component-bracket")
+    rng = rng_for("bracket-sum")
     degrees = range(-1, a.height)
-    for dx in degrees:
-        for dy in degrees:
-            for _ in range(3):
-                x, y = ([(k, F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 10))))
-                         for k in range(a.component_dim(deg)) if rng.random() < 0.6]
-                        for deg in (dx, dy))
-                full = a.bracket(a.embed_component(dx, dense(x, a.component_dim(dx))),
-                                 a.embed_component(dy, dense(y, a.component_dim(dy))))
-                for d in degrees:
-                    assert a.component_bracket(dx, x, dy, y, d) == \
-                        nonzero_pairs(a.component_part(full, d)), (dx, dy, d)
+
+    def component(deg):
+        return [(k, F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 10))))
+                for k in range(a.component_dim(deg)) if rng.random() < 0.6]
+
+    for _ in range(40):
+        terms = []
+        full = [F(0)] * a.dim
+        for _ in range(rng.randint(1, 4)):
+            coef = rng.choice((F(1, 2), F(-1, 2), F(rng.randint(-5, 5), rng.randint(1, 7))))
+            dx, dy = rng.choice(degrees), rng.choice(degrees)
+            x, y = component(dx), component(dy)
+            terms.append((coef, dx, x, dy, y))
+            br = a.bracket(a.embed_component(dx, dense(x, a.component_dim(dx))),
+                           a.embed_component(dy, dense(y, a.component_dim(dy))))
+            full = [s + coef * b for s, b in zip(full, br)]
+        for d in degrees:
+            assert a.bracket_sum(terms, d) == nonzero_pairs(a.component_part(full, d)), d
+
+
+def test_integer_rows_filled_per_pair_on_first_read():
+    # building an algebra reads no integer row of its structure constants, and one
+    # adjoint_columns call fills exactly the pairs (e_i, w_k) it brackets
+    cr, _ = cr_algebra(3, 1, 2)
+    a = GradedLieAlgebra(cr.name, cr.names, cr.degrees, cr.height, cr._table,
+                         cr.grading_kind, cr.truncated_at)
+    assert not a._rows
+    w_row = [(0, F(3, 5)), (2, F(-1))]
+    adjoint_columns(a, 1, w_row)
+    v = a.component_indices(-1)
+    assert set(a._rows) == {(i, v[k]) for i in a.component_indices(1) for k, _ in w_row}
+    assert len(a._rows) < len(a._table)
 
 
 def test_space_form_coordinate_bracket():

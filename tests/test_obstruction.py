@@ -73,6 +73,47 @@ def test_total_curvature_constant_curvature_term():
     assert total_curvature(fr, empty_tuple(), 0).is_zero()
 
 
+def test_total_curvature_matches_definition():
+    # Omega^{p-1}(w_i, w_j), p = 0, 1, 2, is the degree-(p-1) part of
+    # 1/2 sum_r ([om^r(w_i), om^{p-1-r}(w_j)] - [om^r(w_j), om^{p-1-r}(w_i)]) + [w_i, w_j]
+    # (om^{-1} the inclusion of W), for random rational order-0 and order-1 forms
+    # over a three-dimensional W with rational rows, evaluated with the dense bracket;
+    # the curved space form is where [w_i, w_j] survives
+    rng = rng_for("curvature-definition")
+    conj = build_graded_algebra(_conjugated(co_generators(3)), 3).assembled
+    w_rows = ([(0, F(3, 5)), (2, F(4, 5))], [(1, F(1))], [(0, F(-1, 3)), (2, F(2))])
+    frames = [SpencerComplex(conformal_algebra(4), Subspace.from_vectors(4, w_rows)),
+              SpencerComplex(conj, Subspace.from_vectors(3, w_rows)),
+              WFrame(space_form_algebra(4, 1), Subspace.from_vectors(4, w_rows))]
+    for frame in frames:
+        a = frame.algebra
+        w_full = [a.embed_component(-1, v) for v in frame.w.basis_vectors()]
+        orders = range(min(a.height, 2) + 1)
+        for _ in range(2):
+            t = AdmissibleTuple(tuple(
+                ConstantForm(deg, tuple([(k, F(rng.randint(-4, 4), rng.randint(1, 6)))
+                                         for k in range(a.component_dim(deg))]
+                                        for _ in range(frame.n_w)))
+                for deg in orders[:-1]))
+
+            def om(r, k):
+                return w_full[k] if r == -1 else \
+                    a.embed_component(r, t.forms[r].column(k, a.component_dim(r)))
+
+            for p in orders:
+                got = total_curvature(frame, t, p)
+                for i in range(frame.n_w):
+                    for j in range(i + 1, frame.n_w):
+                        full = a.bracket(w_full[i], w_full[j])
+                        for r in range(p):
+                            full = [s + (u - v) / 2 for s, u, v in
+                                    zip(full, a.bracket(om(r, i), om(p - 1 - r, j)),
+                                        a.bracket(om(r, j), om(p - 1 - r, i)))]
+                        assert got.value((i, j)) == a.component_part(full, p - 1), \
+                            (a.name, p, i, j)
+                assert p == 0 or not got.is_zero(), (a.name, p)
+
+
 def test_admissibility_definition():
     # for any omega0 solving the order-0 equation, the residual is exactly zero
     rng = rng_for("adm")
