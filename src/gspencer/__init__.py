@@ -3,7 +3,7 @@ generalized Spencer cohomology, with the iterative curvature-obstruction
 solver on constant-coefficient data."""
 
 from .linalg import (RMatrix, Rational, Subspace, deterministic_complement,
-                     kernel_basis, rank, rref, solve_linear, subspace_intersection,
+                     kernel_basis, rank_of_rows, rref, solve_linear, subspace_intersection,
                      subspace_sum)
 from .errors import (InputError, InternalInvariantError, ParseError,
                      PreconditionError, ValidationError)

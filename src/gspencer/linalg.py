@@ -111,8 +111,8 @@ def clear_denominators(row: PairRow) -> tuple[int, dict[int, int]]:
         if d != 1:
             den = den * d // gcd(den, d)
     if den == 1:  # the common integer row: no scaling
-        return 1, {k: x.numerator for k, x in row if x}
-    return den, {k: x.numerator * (den // x.denominator) for k, x in row if x}
+        return 1, {k: n for k, x in row if (n := x.numerator)}
+    return den, {k: n * (den // x.denominator) for k, x in row if (n := x.numerator)}
 
 
 def _clear_column(r: dict[int, int], piv: dict[int, int], c: int) -> None:
@@ -138,28 +138,43 @@ def _clear_column(r: dict[int, int], piv: dict[int, int], c: int) -> None:
             r[k] //= g
 
 
+def _echelon(rows: Iterable[PairRow]) -> dict[int, dict[int, int]]:
+    """The forward phase of the one eliminator: integer echelon rows keyed by their
+    pivot, the reduced echelon form's pivots.  Each row's denominators are cleared
+    once; a new row is cleared at kept pivots while its leftmost column is one,
+    then takes that column as its own.  Kept rows are never touched."""
+    kept: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = clear_denominators(row)[1]
+        while r:
+            c = min(r)
+            piv = kept.get(c)
+            if piv is None:
+                kept[c] = r
+                break
+            _clear_column(r, piv, c)
+    return kept
+
+
+def rank_of_rows(rows: Iterable[PairRow]) -> int:
+    """The rank of the matrix with the given sparse rows."""
+    return len(_echelon(rows))
+
+
 def _rref_rows(rows: Iterable[PairRow]) -> tuple[list[EchelonRow], list[int]]:
     """Reduced row echelon form of sparse rows: the nonzero reduced rows, top to
     bottom, and their pivot columns.
 
-    Each row's denominators are cleared once, over its pairs.  Kept integer rows
-    are zero at each other's pivots: a new row is cleared at the pivots it
-    meets, takes its leftmost column as pivot, and that column is cleared from
-    the kept rows.  Each kept row's pivot stays its leftmost column, so the kept
-    rows divided by their pivot entries are the unique reduced echelon form.
+    `_echelon`, then back-substitution in decreasing pivot order: each row is
+    cleared at the pivots right of its own, whose rows are reduced by then.  The
+    kept rows divided by their pivot entries are the unique reduced echelon form.
     """
-    kept: dict[int, dict[int, int]] = {}
-    for row in rows:
-        r = clear_denominators(row)[1]
-        for c in [c for c in r if c in kept]:
-            _clear_column(r, kept[c], c)
-        if r:
-            c = min(r)
-            for other in kept.values():
-                if c in other:
-                    _clear_column(other, r, c)
-            kept[c] = r
+    kept = _echelon(rows)
     pivots = sorted(kept)
+    for c in reversed(pivots):
+        r = kept[c]
+        for k in [k for k in r if k > c and k in kept]:
+            _clear_column(r, kept[k], k)
     out = []
     for c in pivots:
         r = kept[c]
@@ -245,11 +260,6 @@ def rref(m: RMatrix) -> RMatrix:
     red, _ = _rref_rows(nonzero_pairs(v) for v in m.data)
     pad = ((ZERO,) * m.cols,) * (m.rows - len(red))
     return RMatrix._exact(tuple(dense(row, m.cols) for row in red) + pad, m.rows, m.cols)
-
-
-def rank(m: RMatrix) -> int:
-    _, pivots = _rref_rows(nonzero_pairs(v) for v in m.data)
-    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +547,7 @@ def deterministic_complement(s: Subspace, superspace: Subspace) -> Subspace:
     if s.ambient_dim != superspace.ambient_dim:
         raise InputError("ambient dimensions differ")
     sup = superspace.rows
-    _, pivots = _rref_rows(transpose(s.rows + sup, s.ambient_dim))
+    pivots = sorted(_echelon(transpose(s.rows + sup, s.ambient_dim)))
     if len(pivots) != superspace.dim:
         raise InputError("first subspace is not contained in the second")
     return Subspace.from_vectors(s.ambient_dim, [sup[c - s.dim] for c in pivots if c >= s.dim])

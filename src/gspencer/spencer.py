@@ -24,7 +24,7 @@ from .algebra import (GradedLieAlgebra, adjoint_columns, annihilated_rows,
 from .errors import InputError, InternalInvariantError, PreconditionError
 from .linalg import (ONE, LinearMap, PairRow, Subspace, ZERO, clear_denominators, combine,
                      deterministic_complement, dense, kernel_of_rows, nonzero_pairs,
-                     solve_particular, split_map, transpose)
+                     rank_of_rows, solve_particular, split_map, transpose)
 
 
 class WFrame:
@@ -64,9 +64,11 @@ class SpencerComplex(WFrame):
     "signed" (p, r) for the reduced adjoint columns every operator out of
     degree p shares, "d", "z", "b", "preimage" and "class" (p, q, r) for operators, cocycles,
     coboundaries and solve maps, "checked" (p, q, r) for a key whose cocycle
-    check has run once, "gsharp" ().  Level-0 work reads no annihilator, and
-    `cohomology_dims` builds no solve map; a map is fixed on its domain at the
-    second query of its key (see `LinearMap`), as Z is at its second check.
+    check has run once, "rank" (p, q, r) for an operator's rank, "gsharp" ().
+    Level-0 work reads no annihilator, and `cohomology_dims` reads its
+    dimensions off the ranks: it builds Z and B only for certificates, and no
+    solve map; a map is fixed on its domain at the second query of its key (see
+    `LinearMap`), as Z is at its second check.
     """
 
     def __init__(self, algebra: GradedLieAlgebra, w: Subspace):
@@ -437,6 +439,14 @@ def _d_matrix_rows(c: SpencerComplex, p: int, q: int, r: int) -> list[list[tuple
     return rows
 
 
+def _rank(c: SpencerComplex, p: int, q: int, r: int) -> int:
+    """Rank of the operator out of (p, q) at level r: dim C - dim Z there, dim B at (p-1, q+1)."""
+    key = ("rank", (p, q, r))
+    if key not in c._memo:
+        c._memo[key] = rank_of_rows(_d_matrix_rows(c, p, q, r))
+    return c._memo[key]
+
+
 def _cocycles(c: SpencerComplex, p: int, q: int, r: int) -> Subspace:
     """The cocycle subspace of C^{p,q} at level r, in coordinates."""
     key = ("z", (p, q, r))
@@ -488,10 +498,14 @@ def cohomology_dims(c: SpencerComplex, p: int, q: int, r: int,
     if p > c.algebra.height + 1:
         raise InputError("p exceeds the algebra's height plus one")
     c._check_component_available(p - 1)
-    z, b = _cocycles(c, p, q, r), _coboundaries(c, p, q, r)
-    entry = CohomologyEntry(p=p, q=q, level=r, dim_space=space_dimension(c, p, q, r),
-                            dim_z=z.dim, dim_b=b.dim, dim_h=z.dim - b.dim)
+    if q:  # B is the image of the operator out of degree p
+        c._check_component_available(p)
+    dim_c = space_dimension(c, p, q, r)
+    dim_z, dim_b = dim_c - _rank(c, p, q, r), _rank(c, p + 1, q - 1, r) if q else 0
+    entry = CohomologyEntry(p=p, q=q, level=r, dim_space=dim_c,
+                            dim_z=dim_z, dim_b=dim_b, dim_h=dim_z - dim_b)
     if certificates:
+        z, b = _cocycles(c, p, q, r), _coboundaries(c, p, q, r)
         entry.z_basis = [cochain_from_coords(c, p, q, r, row) for row in z.rows]
         entry.b_basis = [cochain_from_coords(c, p, q, r, row) for row in b.rows]
     return entry

@@ -2,10 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from gspencer.linalg import (InputError, RMatrix, Subspace, combine, deterministic_complement,
-                             dense, kernel_basis, kernel_of_rows, nonzero_pairs, rank, rref,
-                             solve_linear, solve_particular, subspace_intersection, subspace_sum,
-                             vlincomb)
+from gspencer.linalg import (InputError, RMatrix, Subspace, clear_denominators, combine,
+                             deterministic_complement, dense, kernel_basis, kernel_of_rows,
+                             nonzero_pairs, rank_of_rows, rref, solve_linear, solve_particular,
+                             subspace_intersection, subspace_sum, vlincomb)
 
 from conftest import rng_for, int_vector
 
@@ -41,7 +41,38 @@ def test_rank_nullity():
     for _ in range(30):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         m = mat([[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)])
-        assert rank(m) + kernel_basis(m).dim == c
+        assert rank_of_rows(nonzero_pairs(v) for v in m.data) + kernel_basis(m).dim == c
+
+
+def test_clear_denominators_drops_zero_values():
+    # zero values, int or Fraction, leave no entry, with or without denominators
+    assert clear_denominators([]) == (1, {})
+    assert clear_denominators([(0, 0), (1, F(0)), (2, 3), (3, F(-2))]) == (1, {2: 3, 3: -2})
+    assert clear_denominators([(0, F(1, 2)), (1, 0), (2, F(0)), (3, 2), (4, F(-1, 3))]) \
+        == (6, {0: 3, 3: 12, 4: -2})
+
+
+def test_rank_of_rows_matches_sympy():
+    # random sparse rational rows with zero values, zero rows, a duplicate row and
+    # a dependent one, against sympy's rank over QQ
+    sympy = pytest.importorskip("sympy")
+    rng = rng_for("rank-of-rows")
+    assert rank_of_rows([]) == 0
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        rows = [[(k, F(rng.randint(-4, 4), rng.randint(1, 5)))
+                 for k in rng.sample(range(n), rng.randint(0, n))]
+                for _ in range(rng.randint(0, 5))]
+        rows.append([])
+        if rows[0]:
+            rows.append(list(reversed(rows[0])))
+        rows.append(combine((row, F(rng.randint(-3, 3), rng.randint(1, 3))) for row in rows))
+        rng.shuffle(rows)
+        m = sympy.zeros(len(rows), n)
+        for i, row in enumerate(rows):
+            for k, x in row:
+                m[i, k] = sympy.Rational(x.numerator, x.denominator)
+        assert rank_of_rows(rows) == m.rank()
 
 
 def test_kernel_identity():
@@ -127,8 +158,8 @@ def test_dimension_formula_bruteforce():
         a = span(n, [int_vector(rng, n) for _ in range(rng.randint(0, n))])
         b = span(n, [int_vector(rng, n) for _ in range(rng.randint(0, n))])
         inter = subspace_intersection(a, b)
-        brute_sum_rank = rank(RMatrix(a.basis_vectors() + b.basis_vectors())) \
-            if a.dim + b.dim else 0
+        brute_sum_rank = rank_of_rows(nonzero_pairs(v)
+                                      for v in a.basis_vectors() + b.basis_vectors())
         assert subspace_sum(a, b).dim == brute_sum_rank
         assert inter.dim + brute_sum_rank == a.dim + b.dim
 
@@ -218,7 +249,7 @@ def test_echelon_kernel_and_rank_match_sympy():
         assert space.pivot_rows == tuple(pivots)
         null = [tuple(to_fraction(x) for x in v) for v in sm.nullspace()]
         assert kernel_of_rows([nonzero_pairs(v) for v in rows], n) == span(n, null)
-        assert rank(RMatrix(rows, m, n)) == sm.rank()
+        assert rank_of_rows(nonzero_pairs(v) for v in rows) == sm.rank()
         # a drawn vector is outside exactly when appending it raises the rank
         v = tuple(data.draw(entry) for _ in range(n))
         coords = space.coordinates(nonzero_pairs(v))

@@ -631,8 +631,9 @@ def test_non_cocycle_errors_unchanged_by_warm_maps():
 
 
 def test_cohomology_dims_builds_no_solve_map():
-    # the solve maps are for queries: a cold cohomology table (the bench's
-    # cohomology-grid workload builds each operator once) must not pay for them
+    # a cold cohomology table (the bench's cohomology-grid workload builds each
+    # operator once) reads its dimensions off the operator ranks: it builds Z and
+    # B only when certificates ask for their bases, and never a solve map
     a = conformal_algebra(4)
     for c in (SpencerComplex(a, Subspace.full(4)), SpencerComplex(a, two_term_w(4))):
         for certificates in (False, True):
@@ -640,8 +641,53 @@ def test_cohomology_dims_builds_no_solve_map():
                 for q in range(c.n_w + 1):
                     for r in range(p + 2):
                         cohomology_dims(c, p, q, r, certificates=certificates)
-        kinds = {kind for kind, _ in c._memo}
-        assert {"z", "b"} <= kinds and not kinds & {"preimage", "class", "split"}
+            kinds = {kind for kind, _ in c._memo}
+            assert "rank" in kinds and not kinds & {"preimage", "class", "split"}
+            assert {"z", "b"} <= kinds if certificates else not kinds & {"z", "b"}
+
+
+def _rank_dims(c, p, q, r):
+    e = cohomology_dims(c, p, q, r)
+    return e.dim_z, e.dim_b
+
+
+def _subspace_dims(c, p, q, r, rng):
+    # random_cocycle raises where Z would need a degree past the truncation,
+    # _coboundaries where B would
+    random_cocycle(c, p, q, r, rng)
+    return _cocycles(c, p, q, r).dim, _coboundaries(c, p, q, r).dim
+
+
+def _dims_or_refusal(dims, *args):
+    try:
+        return dims(*args)
+    except InputError as err:
+        assert "beyond the truncation" in str(err)
+        return "refused"
+
+
+def test_rank_path_matches_subspace_path():
+    # cohomology_dims reads dim Z and dim B off memoized operator ranks; the
+    # echelon bases of Z and B, which the certificates and the queries use, must
+    # give the same dimensions on every entry and refuse the same entries past the
+    # truncation, also where the operators have rational entries
+    rng = rng_for("rank-path")
+    alg, data = cr_algebra(2, 1, 2)
+    complexes = [cr_w_complex(alg, data)]
+    conj = build_graded_algebra(_conjugated(co_generators(3)), 3).assembled
+    for a in (conformal_algebra(4), space_form_algebra(4, 0), conj):
+        n_v = a.component_dim(-1)
+        complexes += [SpencerComplex(a, Subspace.full(n_v)), SpencerComplex(a, two_term_w(n_v))]
+    refused = 0
+    for c in complexes:
+        for p in range(c.algebra.height + 2):
+            for q in range(c.n_w + 1):
+                for r in range(p + 2):
+                    by_rank = _dims_or_refusal(_rank_dims, c, p, q, r)
+                    by_subspace = _dims_or_refusal(_subspace_dims, c, p, q, r, rng)
+                    assert by_rank == by_subspace, (c.algebra.name, c.n_w, p, q, r)
+                    refused += by_rank == "refused"
+    assert refused
 
 
 def test_one_off_query_solves_alone(monkeypatch):
