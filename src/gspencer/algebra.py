@@ -11,10 +11,9 @@ Elements are plain tuples of Fraction over the full basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError
 from .linalg import (PairRow, Subspace, ZERO, clear_denominators, combine, dense,
@@ -189,12 +188,6 @@ class GradedLieAlgebra:
         out[i] = Fraction(1)
         return tuple(out)
 
-    def project_degree(self, x: Sequence[Fraction], p: int) -> tuple[Fraction, ...]:
-        """Zero out all coefficients of basis elements of degree != p."""
-        if p < -1 or p > self.height - 1:
-            raise InputError(f"degree {p} outside -1..{self.height - 1}")
-        return tuple(c if self.degrees[i] == p else ZERO for i, c in enumerate(x))
-
     def max_represented_degree(self) -> int:
         return self.height - 1 if self.truncated_at is None else self.truncated_at
 
@@ -206,15 +199,13 @@ class GradedLieAlgebra:
 # diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JacobiViolation:
+class JacobiViolation(NamedTuple):
     triple: tuple[int, int, int]
     names: tuple[str, str, str]
     residual: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class GradingViolation:
+class GradingViolation(NamedTuple):
     pair: tuple[int, int]
     names: tuple[str, str]
     expected_degree: int

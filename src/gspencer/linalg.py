@@ -213,10 +213,6 @@ class RMatrix:
         return m
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RMatrix":
-        return cls(((ZERO,) * cols,) * rows, rows, cols)
-
-    @classmethod
     def identity(cls, n: int) -> "RMatrix":
         return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)), n, n)
 
@@ -234,15 +230,6 @@ class RMatrix:
                     s += a * b
             out.append(s)
         return tuple(out)
-
-    def mat_mul(self, other: "RMatrix") -> "RMatrix":
-        if self.cols != other.rows:
-            raise InputError("dimension mismatch in mat_mul")
-        ot = tuple(zip(*other.data))
-        return RMatrix(
-            tuple(tuple(sum((a * b for a, b in zip(row, col) if a and b), ZERO) for col in ot)
-                  for row in self.data),
-            self.rows, other.cols)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RMatrix) and self.data == other.data \
@@ -379,11 +366,6 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise InputError("vector length does not match ambient dimension")
         return self.coordinates(nonzero_pairs(v)) is not None
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise InputError("ambient dimensions differ")
-        return all(self.coordinates(row) is not None for row in other.rows)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Subspace)

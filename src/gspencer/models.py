@@ -17,11 +17,11 @@ product of the coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .algebra import GradedLieAlgebra
 from .errors import InputError, InternalInvariantError
@@ -183,14 +183,14 @@ def r21_submodule(n: int) -> Subspace:
 # CR / complex structure models
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ComplexStructureData:
+class ComplexStructureData(NamedTuple):
     """A complex structure on V = R^{2m} and the frame-block arrangement.
 
     ``j`` squares to -I exactly.  U and its complement refer to the blocks of
     the fixed coordinate arrangement: the first 2(m-k) coordinates span U, the
     next k span the U-complement inside W, and the final k coordinates span
-    the W-complement in V.
+    the W-complement in V.  ``mult_i_cols`` memoizes multiplication by i per
+    degree; its owner passes a fresh dict.
     """
 
     j: RMatrix
@@ -200,15 +200,20 @@ class ComplexStructureData:
     u_perp_indices: tuple[int, ...]
     w_indices: tuple[int, ...]
     w_perp_indices: tuple[int, ...]
-    prolongation: ProlongationResult = field(repr=False)
-    _mult_i: dict[int, list[tuple[Fraction, ...]]] = field(default_factory=dict, repr=False)
+    prolongation: ProlongationResult
+    mult_i_cols: dict[int, list[tuple[Fraction, ...]]]
+
+    def __repr__(self) -> str:
+        # the last two fields, the prolongation and the memo, are left out
+        shown = ", ".join(f"{name}={v!r}" for name, v in zip(self._fields[:-2], self))
+        return f"ComplexStructureData({shown})"
 
     def mult_i_component(self, algebra: GradedLieAlgebra, d: int, comp):
         """Multiplication by i on the degree-d component, via J on values."""
         if d == -1:
             return tuple(self.j.mat_vec(comp))
         layer = self.prolongation.orders[d]
-        cols = self._mult_i.get(d)
+        cols = self.mult_i_cols.get(d)
         if cols is None:
             n = self.j.rows
             width = layer.ambient_dim // n
@@ -226,7 +231,7 @@ class ComplexStructureData:
                 if coords is None:
                     raise InternalInvariantError("layer is not closed under J")
                 cols.append(dense(coords, layer.dim))
-            self._mult_i[d] = cols
+            self.mult_i_cols[d] = cols
         return vlincomb(comp, cols, layer.dim)
 
 
@@ -290,7 +295,7 @@ def cr_algebra(m_tilde: int, k: int, max_order: int) -> tuple[GradedLieAlgebra, 
         u_perp_indices=tuple(range(2 * g, 2 * g + k)),
         w_indices=tuple(range(2 * m_tilde - k)),
         w_perp_indices=tuple(range(2 * m_tilde - k, 2 * m_tilde)),
-        prolongation=result)
+        prolongation=result, mult_i_cols={})
     return result.assembled, data
 
 

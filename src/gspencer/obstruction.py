@@ -9,10 +9,9 @@ the only obstructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InputError, InternalInvariantError, PreconditionError
 from .linalg import ONE, RMatrix, combine, dense
@@ -23,8 +22,12 @@ from .spencer import (Cochain, SpencerComplex, WFrame, _split_by_chain, alternat
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class ConstantForm:
+class _ConstantFormFields(NamedTuple):
+    degree: int
+    columns: tuple[tuple[tuple[int, Fraction], ...], ...]
+
+
+class ConstantForm(_ConstantFormFields):
     """A constant 1-form on W with values in one degree component.
 
     ``columns`` holds the value at each W basis vector, in component
@@ -32,11 +35,10 @@ class ConstantForm:
     Fraction) pairs; the constructor takes pairs in any order.
     """
 
-    degree: int
-    columns: tuple[tuple[tuple[int, Fraction], ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(canonical_pairs(col) for col in self.columns))
+    def __new__(cls, degree: int, columns: Sequence[Sequence[tuple[int, Fraction]]]):
+        return tuple.__new__(cls, (degree, tuple(canonical_pairs(col) for col in columns)))
 
     def column(self, j: int, n: int) -> tuple[Fraction, ...]:
         """The value at w_j as a dense vector of the n-dimensional component."""
@@ -69,16 +71,20 @@ def canonical_omega_minus1(frame: WFrame) -> ConstantForm:
     return ConstantForm(-1, frame.w.rows)
 
 
-@dataclass(frozen=True)
-class AdmissibleTuple:
-    """Ordered forms of degrees 0..len-1; the degree-(-1) form is implicit."""
-
+class _AdmissibleTupleFields(NamedTuple):
     forms: tuple[ConstantForm, ...]
 
-    def __post_init__(self):
-        for d, f in enumerate(self.forms):
+
+class AdmissibleTuple(_AdmissibleTupleFields):
+    """Ordered forms of degrees 0..len-1; the degree-(-1) form is implicit."""
+
+    __slots__ = ()
+
+    def __new__(cls, forms: tuple[ConstantForm, ...]):
+        for d, f in enumerate(forms):
             if f.degree != d:
                 raise InputError(f"form at position {d} has degree {f.degree}")
+        return tuple.__new__(cls, (forms,))
 
     @property
     def order(self) -> int:
@@ -162,8 +168,7 @@ def cochain_to_form(x: Cochain) -> ConstantForm:
     return ConstantForm(x.p - 1, tuple(x.values.get((j,), ()) for j in range(x.frame.n_w)))
 
 
-@dataclass(frozen=True)
-class BianchiViolation:
+class BianchiViolation(NamedTuple):
     tuple_indices: tuple[int, ...]
     component: tuple[Fraction, ...]
 
@@ -178,8 +183,7 @@ def bianchi_check(c: SpencerComplex, t: AdmissibleTuple, p: int) -> list[Bianchi
     return [BianchiViolation(tup, d_omega.value(tup)) for tup in sorted(d_omega.values)]
 
 
-@dataclass(frozen=True)
-class ObstructionCertificate:
+class ObstructionCertificate(NamedTuple):
     """A nonzero essential curvature class blocking the next order."""
 
     order: int
@@ -237,8 +241,7 @@ def solve_to_top(c: SpencerComplex, t: AdmissibleTuple | None = None
 # level decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CurvatureDecomposition:
+class CurvatureDecomposition(NamedTuple):
     """Split of a total curvature into its level-r piece and lower tails.
 
     ``hat`` is the level-r coset cochain; ``tails`` hold the projections onto

@@ -15,12 +15,11 @@ output bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, prod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .algebra import GradedLieAlgebra
 from .errors import InputError, InternalInvariantError
@@ -50,17 +49,21 @@ def coord_index(n: int, p: int, i: int, mono: tuple[int, ...]) -> int:
     return i * len(monomials(n, p + 1)) + mono_rank(n, p + 1)[mono]
 
 
-@dataclass(frozen=True)
-class LinearLieAlgebra:
-    """A matrix Lie algebra h^0 < gl(V) given by a spanning set of matrices."""
-
+class _LinearLieAlgebraFields(NamedTuple):
     v_dim: int
     generators: tuple[RMatrix, ...]
 
-    def __post_init__(self):
-        for g in self.generators:
-            if g.rows != self.v_dim or g.cols != self.v_dim:
+
+class LinearLieAlgebra(_LinearLieAlgebraFields):
+    """A matrix Lie algebra h^0 < gl(V) given by a spanning set of matrices."""
+
+    __slots__ = ()
+
+    def __new__(cls, v_dim: int, generators: tuple[RMatrix, ...]):
+        for g in generators:
+            if g.rows != v_dim or g.cols != v_dim:
                 raise InputError("generator is not v_dim x v_dim")
+        return tuple.__new__(cls, (v_dim, generators))
 
     def matrix_coords(self, m: RMatrix) -> tuple[Fraction, ...]:
         """Flatten a matrix into V (x) V* coordinates (row-major)."""
@@ -235,8 +238,7 @@ def insertion_bracket(n: int, p: int, q: int, x_terms: LayerTerms, y_terms: Laye
     return sorted((pos, c) for pos, c in out.items() if c)
 
 
-@dataclass
-class ProlongationResult:
+class ProlongationResult(NamedTuple):
     """Outcome of iterated prolongation, with the assembled graded algebra."""
 
     h0: LinearLieAlgebra

@@ -13,11 +13,10 @@ equality of stored data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import (GradedLieAlgebra, adjoint_columns, annihilated_rows,
                       deterministic_rows_annihilating, g_sharp_subalgebra)
@@ -475,8 +474,7 @@ def _coboundaries(c: SpencerComplex, p: int, q: int, r: int) -> Subspace:
     return b
 
 
-@dataclass
-class CohomologyEntry:
+class CohomologyEntry(NamedTuple):
     """Dimensions (and optional basis certificates) of one cohomology group."""
 
     p: int
@@ -502,13 +500,12 @@ def cohomology_dims(c: SpencerComplex, p: int, q: int, r: int,
         c._check_component_available(p)
     dim_c = space_dimension(c, p, q, r)
     dim_z, dim_b = dim_c - _rank(c, p, q, r), _rank(c, p + 1, q - 1, r) if q else 0
-    entry = CohomologyEntry(p=p, q=q, level=r, dim_space=dim_c,
-                            dim_z=dim_z, dim_b=dim_b, dim_h=dim_z - dim_b)
-    if certificates:
-        z, b = _cocycles(c, p, q, r), _coboundaries(c, p, q, r)
-        entry.z_basis = [cochain_from_coords(c, p, q, r, row) for row in z.rows]
-        entry.b_basis = [cochain_from_coords(c, p, q, r, row) for row in b.rows]
-    return entry
+    if not certificates:
+        return CohomologyEntry(p, q, r, dim_c, dim_z, dim_b, dim_z - dim_b)
+    z, b = _cocycles(c, p, q, r), _coboundaries(c, p, q, r)
+    return CohomologyEntry(p, q, r, dim_c, dim_z, dim_b, dim_z - dim_b,
+                           [cochain_from_coords(c, p, q, r, row) for row in z.rows],
+                           [cochain_from_coords(c, p, q, r, row) for row in b.rows])
 
 
 def _require_cocycle(c: SpencerComplex, z: Cochain) -> list[tuple[int, Fraction]]:

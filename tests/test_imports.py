@@ -1,7 +1,10 @@
-"""Every library module references each name it imports, and every library
-function is referenced somewhere (no linter is assumed)."""
+"""Every library module references each name it imports, every library
+function is referenced somewhere (no linter is assumed), and importing the
+package stays light."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +77,16 @@ def test_only_spencer_names_the_complex_memo():
                  or isinstance(node, ast.Name) and node.id == "_memo"
                  or isinstance(node, ast.Constant) and node.value == "_memo"]
         assert not named, f"{path.name} names _memo at line {named[0].lineno}"
+
+
+def test_import_loads_no_dataclasses_or_argparse():
+    # the records are NamedTuples, so a cold `import gspencer` pulls in neither
+    # dataclasses nor the inspect/ast/dis modules it imports; argparse comes
+    # with the command line only
+    heavy = ("dataclasses", "inspect", "ast", "dis", "argparse")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gspencer; "
+            f"print(*[m for m in {heavy!r} if m in sys.modules]); "
+            "import gspencer.cli; print('argparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["", "True"]

@@ -20,6 +20,7 @@ from gspencer.prolong import (LinearLieAlgebra, build_graded_algebra, contractio
 from gspencer.spencer import cohomology_dims, standard_complex
 
 from conftest import rng_for
+from oracles import mat_mul
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -198,7 +199,7 @@ def _conjugated(h0: LinearLieAlgebra) -> LinearLieAlgebra:
             rhs = (1 if i == c else 0) - sum(g[i][k] * ginv[k][c] for k in range(i + 1, n))
             ginv[i][c] = rhs / g[i][i]
     gm, gi = RMatrix(g), RMatrix(ginv)
-    return LinearLieAlgebra(n, tuple(gm.mat_mul(a).mat_mul(gi) for a in h0.generators))
+    return LinearLieAlgebra(n, tuple(mat_mul(mat_mul(gm, a), gi) for a in h0.generators))
 
 
 @pytest.mark.parametrize("h0, max_order", [
@@ -246,8 +247,8 @@ def _random_block_conjugated(h0: LinearLieAlgebra, tag: str) -> LinearLieAlgebra
              for i in range(n)]
         ginv, det = _inverse_and_det(g)
     gm, gi = RMatrix(g), RMatrix(ginv)
-    assert gm.mat_mul(gi) == RMatrix.identity(n)
-    return LinearLieAlgebra(n, tuple(gm.mat_mul(a).mat_mul(gi) for a in h0.generators))
+    assert mat_mul(gm, gi) == RMatrix.identity(n)
+    return LinearLieAlgebra(n, tuple(mat_mul(mat_mul(gm, a), gi) for a in h0.generators))
 
 
 @pytest.mark.parametrize("conjugate, max_order", [
