@@ -3,8 +3,8 @@
 An algebra of height k decomposes as the sum of components of degrees
 -1, 0, ..., k-1.  For the graded kind every bracket respects degrees; the
 quasi-graded kind waives the rule only for pairs of degree-(-1) elements.
-Structure constants are stored sparsely for i < j only; antisymmetry is
-synthesized on access.
+Structure constants are stored once, for i < j only, as integer rows over a
+common denominator; antisymmetry is synthesized on access.
 
 Elements are plain tuples of Fraction over the full basis.
 """
@@ -12,14 +12,12 @@ Elements are plain tuples of Fraction over the full basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError
 from .linalg import (PairRow, Subspace, ZERO, clear_denominators, combine, dense,
                      kernel_of_rows, nonzero_pairs)
-
-SparseVec = dict[int, Fraction]
 
 
 def check_names_and_truncation(names: Sequence[str], height: int,
@@ -39,10 +37,15 @@ class GradedLieAlgebra:
     ``truncated_at`` marks algebras that are finite truncations of an infinite
     prolongation: brackets that would land above that degree are stored as
     zero, and the diagnostic reports skip checks they cannot decide.
+
+    ``table`` maps pairs i < j to {target: constant}, read with ``Fraction(c)``
+    unless int or Fraction; ``constants()`` gives it back.  Each nonzero bracket
+    is stored once, as ``_rows[(i, j)] = (den, ((target, int), ...))`` with
+    sorted targets, den > 0 the lcm of the constants' denominators.
     """
 
     __slots__ = ("name", "names", "degrees", "height", "grading_kind",
-                 "truncated_at", "_table", "_rows", "_component_cache", "_index_in_component")
+                 "truncated_at", "_rows", "_component_cache", "_index_in_component")
 
     def __init__(self, name: str, names: Sequence[str], degrees: Sequence[int],
                  height: int, table: Mapping[tuple[int, int], Mapping[int, Fraction]],
@@ -60,26 +63,29 @@ class GradedLieAlgebra:
         for d in degrees:
             if d < -1 or d > height - 1:
                 raise InputError(f"degree {d} outside -1..{height - 1}")
-        clean: dict[tuple[int, int], dict[int, Fraction]] = {}
+        rows: dict[tuple[int, int], tuple[int, tuple[tuple[int, int], ...]]] = {}
         for (i, j), coeffs in table.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError("structure constant index out of range")
             if i >= j:
                 raise InputError("structure constants must be keyed with i < j")
-            entry = {t: Fraction(c) for t, c in coeffs.items() if c}
-            for t in entry:
-                if not 0 <= t < n:
-                    raise InputError("structure constant target out of range")
-            if entry:
-                clean[(i, j)] = entry
+            try:
+                entry = [(t, c if type(c) is int or type(c) is Fraction else Fraction(c))
+                         for t, c in coeffs.items()]
+            except (TypeError, ValueError, OverflowError):
+                raise InputError("structure constant is not a rational number") from None
+            den, ints = clear_denominators(entry)
+            if not all(0 <= t < n for t in ints):
+                raise InputError("structure constant target out of range")
+            if ints:
+                rows[(i, j)] = (den, tuple(sorted(ints.items())))
         self.name = name
         self.names = tuple(names)
         self.degrees = tuple(degrees)
         self.height = height
         self.grading_kind = grading_kind
         self.truncated_at = truncated_at
-        self._table = clean
-        self._rows: dict[tuple[int, int], tuple[int, list[tuple[int, int]]]] = {}
+        self._rows = rows
         self._component_cache: dict[int, tuple[int, ...]] = {}
         self._index_in_component = {}
         for d in range(-1, height):
@@ -106,24 +112,28 @@ class GradedLieAlgebra:
         except ValueError:
             raise InputError(f"unknown basis element {name!r}") from None
 
-    def _stored_bracket(self, i: int, j: int) -> tuple[SparseVec, int]:
-        """[e_i, e_j] as a stored constant dict and a sign: the constants are kept
-        for i < j only, and [e_j, e_i] = -[e_i, e_j] (no key (i, i) is stored)."""
-        return (self._table.get((i, j), {}), 1) if i < j else (self._table.get((j, i), {}), -1)
+    def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
+        """[e_i, e_j] as {target: Fraction}, its nonzero constants."""
+        den, row = self._rows.get((i, j) if i < j else (j, i), (1, ()))
+        return {t: Fraction(c, den if i < j else -den) for t, c in row}
 
-    def bracket_basis(self, i: int, j: int) -> SparseVec:
-        b, sign = self._stored_bracket(i, j)
-        return b if sign == 1 else {t: -c for t, c in b.items()}
+    def constants(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """The nonzero structure constants as {(i, j): {target: Fraction}} for i < j,
+        the table the constructor takes."""
+        return {pair: {t: Fraction(c, den) for t, c in row}
+                for pair, (den, row) in self._rows.items()}
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Bilinear extension of the structure constants; exactly antisymmetric."""
+        rows = self._rows
         y_terms = nonzero_pairs(y)
         terms = []
         for i, xi in nonzero_pairs(x):
             for j, yj in y_terms:
-                b, sign = self._stored_bracket(i, j)
-                if b:
-                    terms.append((b.items(), sign * xi * yj))
+                stored = rows.get((i, j) if i < j else (j, i))
+                if stored:
+                    den, row = stored
+                    terms.append((row, Fraction(xi * yj, den if i < j else -den)))
         return dense(combine(terms), self.dim)
 
     def bracket_sum(self, terms: Iterable[tuple[Fraction, int, PairRow, int, PairRow]],
@@ -135,9 +145,9 @@ class GradedLieAlgebra:
 
         Each operand is cleared of denominators once, and the sum keeps int
         numerators over one running denominator, as `combine` does, reading the
-        structure constants as integer rows (`_int_row`).
+        stored integer rows of the structure constants.
         """
-        rows, int_row = self._rows, self._int_row
+        rows = self._rows
         acc: dict[int, int] = {}
         den = 1
         for coef, dx, x, dy, y in terms:
@@ -147,26 +157,22 @@ class GradedLieAlgebra:
             for k, u in xi.items():
                 i, cu = xs[k], cn * u
                 for m, v in yi.items():
-                    rd, row = rows.get((i, ys[m])) or int_row(i, ys[m])
-                    if row:
+                    j = ys[m]
+                    stored = rows.get((i, j) if i < j else (j, i))
+                    if stored:
+                        rd, row = stored
                         rd *= cd
                         if den % rd:
                             mult = rd // gcd(den, rd)
                             den *= mult
                             acc = {t: c * mult for t, c in acc.items()}
                         f = cu * v * (den // rd)
+                        if i > j:  # [e_i, e_j] = -[e_j, e_i]: the sign goes on f, not rd
+                            f = -f
                         for t, c in row:
                             acc[t] = acc.get(t, 0) + f * c
         pos, deg = self._index_in_component, self.degrees
         return sorted((pos[t], Fraction(c, den)) for t, c in acc.items() if c and deg[t] == d)
-
-    def _int_row(self, i: int, j: int) -> tuple[int, list[tuple[int, int]]]:
-        """[e_i, e_j] as (den, [(target, int)]), the signed stored constants as int
-        numerators over the lcm of their denominators; memoized per pair on first read."""
-        b, sign = self._stored_bracket(i, j)
-        den, entries = clear_denominators(b.items())
-        out = self._rows[(i, j)] = (den, [(t, sign * c) for t, c in entries.items()])
-        return out
 
     # -- coordinates --------------------------------------------------------
 
@@ -224,14 +230,14 @@ def jacobi_report(a: GradedLieAlgebra) -> list[JacobiViolation]:
     truncated = a.truncated_at is not None
     n = a.dim
     deg = a.degrees
-    # the whole table times the lcm L of its denominators, as ints, both orientations;
+    # the stored rows scaled to the lcm L of their denominators, both orientations;
     # a double bracket then sums ints scaled by L^2
-    scale, entries = clear_denominators([((i, j, t), c) for (i, j), coeffs in a._table.items()
-                                         for t, c in coeffs.items()])
+    scale = lcm(*(den for den, _ in a._rows.values()))
     table: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (i, j, t), c in entries.items():
-        table.setdefault((i, j), []).append((t, c))
-        table.setdefault((j, i), []).append((t, -c))
+    for (i, j), (den, row) in a._rows.items():
+        m = scale // den
+        table[(i, j)] = [(t, m * c) for t, c in row]
+        table[(j, i)] = [(t, -m * c) for t, c in row]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -252,24 +258,23 @@ def jacobi_report(a: GradedLieAlgebra) -> list[JacobiViolation]:
 
 
 def grading_report(a: GradedLieAlgebra) -> list[GradingViolation]:
-    """Check the declared grading rule pair by pair; empty list means pass."""
+    """Check the declared grading rule on each nonzero bracket, pairs in sorted
+    order; empty list means pass."""
     out: list[GradingViolation] = []
     top = a.max_represented_degree()
     truncated = a.truncated_at is not None
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            di, dj = a.degrees[i], a.degrees[j]
-            if a.grading_kind == "quasi_graded" and di == -1 and dj == -1:
-                continue
-            d = di + dj
-            if truncated and d > top:
-                continue
-            br = a.bracket_basis(i, j)
-            # no basis element has a degree d outside -1..height-1: all of br is stray
-            stray = {t: c for t, c in br.items() if a.degrees[t] != d}
-            if stray:
-                out.append(GradingViolation((i, j), (a.names[i], a.names[j]), d,
-                                            dense(stray.items(), a.dim)))
+    deg = a.degrees
+    for (i, j), (den, row) in sorted(a._rows.items()):
+        if a.grading_kind == "quasi_graded" and deg[i] == -1 and deg[j] == -1:
+            continue
+        d = deg[i] + deg[j]
+        if truncated and d > top:
+            continue
+        # no basis element has a degree d outside -1..height-1: all of the row is stray
+        stray = [(t, Fraction(c, den)) for t, c in row if deg[t] != d]
+        if stray:
+            out.append(GradingViolation((i, j), (a.names[i], a.names[j]), d,
+                                        dense(stray, a.dim)))
     return out
 
 

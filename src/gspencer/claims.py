@@ -12,8 +12,8 @@ from fractions import Fraction
 from math import comb
 
 from . import models
-from .linalg import (ONE, Subspace, dense, kernel_of_rows, nonzero_pairs, subspace_intersection,
-                     transpose, vlincomb)
+from .linalg import (ONE, Subspace, combine, dense, kernel_of_rows, nonzero_pairs,
+                     subspace_intersection, transpose)
 from .prolong import build_graded_algebra, coord_index
 from .spencer import _coboundaries, cochain_from_coords, cohomology_dims, standard_complex
 
@@ -140,8 +140,8 @@ def verify_conformal_prolongation(n: int) -> bool:
             images.append(asm.embed_component(1, dense(coords, res.orders[1].dim)))
     for i in range(model.dim):
         for j in range(i + 1, model.dim):
-            lhs_model = model.bracket_basis(i, j)
-            lhs = vlincomb(list(lhs_model.values()), [images[t] for t in lhs_model], asm.dim)
+            lhs = dense(combine((nonzero_pairs(images[t]), c)
+                                for t, c in model.bracket_basis(i, j).items()), asm.dim)
             if lhs != asm.bracket(images[i], images[j]):
                 return False
     return True

@@ -204,8 +204,7 @@ def serialize_algebra(alg: GradedLieAlgebra) -> str:
     for nm, d in zip(alg.names, alg.degrees):
         out.append(f"{nm} degree {d}")
     out.append("brackets")
-    for (i, j) in sorted(alg._table):
-        entry = alg._table[(i, j)]
+    for (i, j), entry in sorted(alg.constants().items()):
         out.append(f"[{alg.names[i]},{alg.names[j]}] = {_format_combination(alg, entry)}")
     out.append("end")
     return "\n".join(out) + "\n"

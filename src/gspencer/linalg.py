@@ -39,18 +39,6 @@ def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vlincomb(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]],
-             n: int) -> tuple[Fraction, ...]:
-    """The length-n vector sum of coeffs[i] * vectors[i]."""
-    out = [ZERO] * n
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for i, x in enumerate(v):
-                if x:
-                    out[i] += c * x
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # sparse rows and the integer row reduction engine
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .algebra import GradedLieAlgebra
 from .errors import InputError, InternalInvariantError
-from .linalg import (RMatrix, Subspace, ZERO, dense, kernel_of_rows, nonzero_pairs, vadd, vlincomb,
+from .linalg import (RMatrix, Subspace, ZERO, combine, dense, kernel_of_rows, nonzero_pairs, vadd,
                      vsub)
 from .prolong import LinearLieAlgebra, ProlongationResult, build_graded_algebra, matrix_commutator
 from .spencer import Cochain, SpencerComplex, standard_complex
@@ -201,7 +201,7 @@ class ComplexStructureData(NamedTuple):
     w_indices: tuple[int, ...]
     w_perp_indices: tuple[int, ...]
     prolongation: ProlongationResult
-    mult_i_cols: dict[int, list[tuple[Fraction, ...]]]
+    mult_i_cols: dict[int, list[list[tuple[int, Fraction]]]]
 
     def __repr__(self) -> str:
         # the last two fields, the prolongation and the memo, are left out
@@ -230,9 +230,9 @@ class ComplexStructureData(NamedTuple):
                 coords = layer.coordinates(out.items())
                 if coords is None:
                     raise InternalInvariantError("layer is not closed under J")
-                cols.append(dense(coords, layer.dim))
+                cols.append(coords)
             self.mult_i_cols[d] = cols
-        return vlincomb(comp, cols, layer.dim)
+        return dense(combine(zip(cols, comp)), layer.dim)
 
 
 def _cr_j_matrix(m_tilde: int, k: int) -> RMatrix:

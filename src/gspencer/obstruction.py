@@ -109,9 +109,10 @@ def _check_form(frame: WFrame, f: ConstantForm) -> None:
 def total_curvature(frame: WFrame, t: AdmissibleTuple, p: int) -> Cochain:
     """Total curvature of order p+1: the degree-(p-1) valued 2-form.
 
-    Sums the half brackets of the forms of complementary degrees plus the
-    degree-(p-1) part of the bracket of the implicit inclusion with itself
-    (nonzero only for quasi-graded algebras).
+    On (w_i, w_j) it is the degree-(p-1) part of [w_i, w_j] (the bracket of the
+    implicit inclusion with itself, nonzero only for quasi-graded algebras) plus
+    the sum over r < p of [omega^r(w_i), omega^{p-1-r}(w_j)]: by antisymmetry
+    that equals the definition's sum of half brackets over both orientations.
     """
     if p < 0:
         raise InputError("order must be nonnegative")
@@ -125,8 +126,7 @@ def total_curvature(frame: WFrame, t: AdmissibleTuple, p: int) -> Cochain:
     omega = [f.columns for f in t.forms[:p]]
     vals = {}
     for i, j in combinations(range(frame.n_w), 2):
-        terms = [(s, r, omega[r][x], p - 1 - r, omega[p - 1 - r][y])
-                 for r in range(p) for x, y, s in ((i, j, HALF), (j, i, -HALF))]
+        terms = [(ONE, r, omega[r][i], p - 1 - r, omega[p - 1 - r][j]) for r in range(p)]
         terms.append((ONE, -1, w[i], -1, w[j]))
         vals[(i, j)] = a.bracket_sum(terms, p - 1)
     return Cochain(frame, p, 2, 0, vals)

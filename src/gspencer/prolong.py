@@ -306,13 +306,12 @@ def build_graded_algebra(h0: LinearLieAlgebra, max_order: int) -> ProlongationRe
             if terms is None:
                 raise InternalInvariantError(
                     "bracket left its prolongation layer; h^0 is not closed or data is corrupt")
+        if i > j:  # store [e_j, e_i] = -[e_i, e_j]
+            i, j, den = j, i, -den
         off = layer_offset[d_target]
         entry = {off + pos: Fraction(c, den) for pos, c in terms}
         if entry:
-            if i < j:
-                table[(i, j)] = entry
-            else:
-                table[(j, i)] = {t: -c for t, c in entry.items()}
+            table[(i, j)] = entry
 
     # [X, v] = evaluation
     for d in range(0, top + 1):

@@ -1,10 +1,12 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
-from gspencer.algebra import (GradedLieAlgebra, adjoint_columns, effectiveness_report,
-                              g_sharp_subalgebra, grading_report, jacobi_report)
+from gspencer.algebra import (GradedLieAlgebra, effectiveness_report, g_sharp_subalgebra,
+                              grading_report, jacobi_report)
 from gspencer.errors import InputError
+from gspencer.fileio import serialize_algebra
 from gspencer.linalg import Subspace, dense, nonzero_pairs
 from gspencer.models import co_generators, conformal_algebra, cr_algebra, space_form_algebra
 from gspencer.prolong import build_graded_algebra
@@ -61,18 +63,40 @@ def test_bracket_sum_matches_dense_bracket(build):
             assert a.bracket_sum(terms, d) == nonzero_pairs(a.component_part(full, d)), d
 
 
-def test_integer_rows_filled_per_pair_on_first_read():
-    # building an algebra reads no integer row of its structure constants, and one
-    # adjoint_columns call fills exactly the pairs (e_i, w_k) it brackets
-    cr, _ = cr_algebra(3, 1, 2)
-    a = GradedLieAlgebra(cr.name, cr.names, cr.degrees, cr.height, cr._table,
-                         cr.grading_kind, cr.truncated_at)
-    assert not a._rows
-    w_row = [(0, F(3, 5)), (2, F(-1))]
-    adjoint_columns(a, 1, w_row)
-    v = a.component_indices(-1)
-    assert set(a._rows) == {(i, v[k]) for i in a.component_indices(1) for k, _ in w_row}
-    assert len(a._rows) < len(a._table)
+@pytest.mark.parametrize("build", [
+    lambda: conformal_algebra(4),
+    lambda: cr_algebra(2, 1, 2)[0],
+    lambda: build_graded_algebra(_conjugated(co_generators(3)), 3).assembled],
+    ids=["conformal4", "cr_2_1_truncated", "co3_conjugated"])
+def test_stored_rows_canonical_and_constants_round_trip(build):
+    # each nonzero bracket is stored once, for i < j, as (den, int pairs) in lowest
+    # terms with sorted targets, and constants() is a table the constructor takes back
+    a = build()
+    assert a._rows
+    for (i, j), (den, row) in a._rows.items():
+        targets = [t for t, _ in row]
+        assert i < j and den > 0 and row
+        assert all(type(c) is int and c for _, c in row)
+        assert gcd(den, *(c for _, c in row)) == 1
+        assert targets == sorted(set(targets))
+    again = GradedLieAlgebra(a.name, a.names, a.degrees, a.height, a.constants(),
+                             a.grading_kind, a.truncated_at)
+    assert again._rows == a._rows
+    assert serialize_algebra(again) == serialize_algebra(a)
+
+
+def test_constructor_reads_rational_constants():
+    names, degrees = ["x", "y", "z"], [-1, -1, 0]
+    for half in (F(1, 2), "1/2", 0.5):
+        a = GradedLieAlgebra("q", names, degrees, 1, {(0, 1): {2: half, 0: F(-1, 3)}})
+        assert a._rows == {(0, 1): (6, ((0, -2), (2, 3)))}
+        assert a.constants() == {(0, 1): {0: F(-1, 3), 2: F(1, 2)}}
+        assert a.bracket_basis(1, 0) == {0: F(1, 3), 2: F(-1, 2)}
+    a = GradedLieAlgebra("z", names, degrees, 1, {(0, 1): {2: 4}, (0, 2): {1: 0}})
+    assert a._rows == {(0, 1): (1, ((2, 4),))}
+    for bad in (object(), "half"):
+        with pytest.raises(InputError):
+            GradedLieAlgebra("bad", names, degrees, 1, {(0, 1): {2: bad}})
 
 
 def test_space_form_coordinate_bracket():
@@ -121,7 +145,7 @@ def test_grading_space_form_kinds():
     curved = space_form_algebra(3, 1)
     assert grading_report(curved) == []  # declared quasi-graded
     strict = GradedLieAlgebra("sf-as-graded", curved.names, curved.degrees,
-                              curved.height, curved._table, "graded")
+                              curved.height, curved.constants(), "graded")
     viols = grading_report(strict)
     assert viols and all(v.names[0].startswith("e") and v.names[1].startswith("e")
                          for v in viols)

@@ -28,7 +28,7 @@ def test_parse_minimal():
 def same_algebra(a, b):
     return (a.name == b.name and a.names == b.names and a.degrees == b.degrees
             and a.height == b.height and a.grading_kind == b.grading_kind
-            and a.truncated_at == b.truncated_at and a._table == b._table)
+            and a.truncated_at == b.truncated_at and a.constants() == b.constants())
 
 
 @pytest.mark.parametrize("alg", [space_form_algebra(3, 1), space_form_algebra(4, 0),

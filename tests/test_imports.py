@@ -90,3 +90,15 @@ def test_import_loads_no_dataclasses_or_argparse():
     out = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src")],
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["", "True"]
+
+
+def test_only_algebra_reads_the_stored_constants():
+    # GradedLieAlgebra keeps its structure constants in `_rows`, in a format private
+    # to algebra.py; other modules read them through bracket_basis, bracket,
+    # bracket_sum and constants()
+    for path in SRC.glob("*.py"):
+        if path.name == "algebra.py":
+            continue
+        named = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Attribute) and node.attr in ("_rows", "_table")]
+        assert not named, f"{path.name} reads .{named[0].attr} at line {named[0].lineno}"

@@ -5,7 +5,7 @@ import pytest
 from gspencer.linalg import (InputError, RMatrix, Subspace, clear_denominators, combine,
                              deterministic_complement, dense, kernel_basis, kernel_of_rows,
                              nonzero_pairs, rank_of_rows, rref, solve_linear, solve_particular,
-                             subspace_intersection, subspace_sum, vlincomb)
+                             subspace_intersection, subspace_sum)
 
 from conftest import rng_for, int_vector
 from oracles import zeros
@@ -256,10 +256,10 @@ def test_echelon_kernel_and_rank_match_sympy():
         coords = space.coordinates(nonzero_pairs(v))
         assert (coords is None) == (to_sympy(rows + [v], n).rank() > sm.rank())
         if coords is not None:
-            assert vlincomb(dense(coords, space.dim), space.basis_vectors(), n) == v
+            assert dense(combine((space.rows[b], c) for b, c in coords), n) == v
         # a combination of the basis gives back its coefficients
         coeffs = tuple(data.draw(entry) for _ in range(space.dim))
-        w = vlincomb(coeffs, space.basis_vectors(), n)
+        w = dense(combine(zip(space.rows, coeffs)), n)
         assert space.coordinates(nonzero_pairs(w)) == nonzero_pairs(coeffs)
 
     check()

@@ -262,11 +262,11 @@ def test_conjugated_assembled_round_trip(conjugate, max_order):
     # rational structure constants survive serialize -> parse (with its Jacobi
     # and grading checks) -> serialize
     a = build_graded_algebra(conjugate(), max_order).assembled
-    assert any(c.denominator > 1 for coeffs in a._table.values() for c in coeffs.values())
+    assert any(c.denominator > 1 for coeffs in a.constants().values() for c in coeffs.values())
     text = serialize_algebra(a)
     again = parse_algebra(text, validate=True)
     assert serialize_algebra(again) == text
-    assert again._table == a._table
+    assert again.constants() == a.constants()
 
 
 def test_cohomology_invariant_under_rational_conjugation():
