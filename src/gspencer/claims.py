@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 
 from . import models
-from .linalg import (ONE, Subspace, combine, dense, kernel_of_rows, nonzero_pairs,
+from .linalg import (ONE, Subspace, combine, kernel_of_rows, nonzero_pairs,
                      subspace_intersection, transpose)
 from .prolong import build_graded_algebra, coord_index
 from .spencer import _coboundaries, cochain_from_coords, cohomology_dims, standard_complex
@@ -96,30 +96,28 @@ def verify_conformal_prolongation(n: int) -> bool:
     """Brackets of the assembled co_n prolongation match the conformal model.
 
     Maps the model basis into the assembled algebra (coordinates, dual
-    vectors as their evaluation maps) and compares all brackets.
+    vectors as their evaluation maps) and compares all brackets, degree by
+    degree: a model bracket with a target outside the sum of the degrees fails.
     """
     res = build_graded_algebra(models.co_generators(n), 3)
     asm = res.assembled
     model = models.conformal_algebra(n)
     if (res.orders[1].dim, res.orders[2].dim if 2 in res.orders else 0) != (n, 0):
         return False
-    # images of model basis elements in assembled full coordinates
+    # images of model basis elements as pairs in the assembled component of their degree
     mats = models.conformal_deg0_matrices(n)
+    deg = model.degrees
     images = []
     for b in range(model.dim):
-        d = model.degrees[b]
+        d = deg[b]
+        pos = model.component_indices(d).index(b)
         if d == -1:
-            images.append(asm.basis_element(b))
+            coords = [(pos, ONE)]
         elif d == 0:
-            pos = model.component_indices(0).index(b)
             flat = [x for row in mats[pos].data for x in row]
             coords = res.orders[0].coordinates(nonzero_pairs(flat))
-            if coords is None:
-                return False
-            images.append(asm.embed_component(0, dense(coords, res.orders[0].dim)))
         else:
             # dual vector: the map v -> [f^k, v] realized in V (x) S^2 V*
-            pos = model.component_indices(1).index(b)
             vec: dict[int, Fraction] = {}
             for l in range(n):
                 # [f^k, e_l] as a matrix in gl(V)
@@ -135,14 +133,17 @@ def verify_conformal_prolongation(n: int) -> bool:
                         if mat[i][jj]:
                             vec[coord_index(n, 1, i, tuple(sorted((l, jj))))] = mat[i][jj]
             coords = res.orders[1].coordinates(vec.items())
-            if coords is None:
-                return False
-            images.append(asm.embed_component(1, dense(coords, res.orders[1].dim)))
+        if coords is None:
+            return False
+        images.append(coords)
     for i in range(model.dim):
         for j in range(i + 1, model.dim):
-            lhs = dense(combine((nonzero_pairs(images[t]), c)
-                                for t, c in model.bracket_basis(i, j).items()), asm.dim)
-            if lhs != asm.bracket(images[i], images[j]):
+            d = deg[i] + deg[j]
+            br = model.bracket_basis(i, j)
+            if any(deg[t] != d for t in br):
+                return False
+            if combine((images[t], c) for t, c in br.items()) != asm.bracket_sum(
+                    ((ONE, deg[i], images[i], deg[j], images[j]),), d):
                 return False
     return True
 

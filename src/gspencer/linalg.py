@@ -28,18 +28,6 @@ ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# vectors: plain tuples of Fraction
-# ---------------------------------------------------------------------------
-
-def vadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-# ---------------------------------------------------------------------------
 # sparse rows and the integer row reduction engine
 # ---------------------------------------------------------------------------
 
@@ -203,21 +191,6 @@ class RMatrix:
     @classmethod
     def identity(cls, n: int) -> "RMatrix":
         return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)), n, n)
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.data)
-
-    def mat_vec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(v) != self.cols:
-            raise InputError("dimension mismatch in mat_vec")
-        out = []
-        for row in self.data:
-            s = ZERO
-            for a, b in zip(row, v):
-                if a and b:
-                    s += a * b
-            out.append(s)
-        return tuple(out)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RMatrix) and self.data == other.data \

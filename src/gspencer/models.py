@@ -25,12 +25,10 @@ from typing import NamedTuple
 
 from .algebra import GradedLieAlgebra
 from .errors import InputError, InternalInvariantError
-from .linalg import (RMatrix, Subspace, ZERO, combine, dense, kernel_of_rows, nonzero_pairs, vadd,
-                     vsub)
+from .linalg import (ONE, PairRow, RMatrix, Subspace, ZERO, combine, dense, kernel_of_rows,
+                     nonzero_pairs, transpose)
 from .prolong import LinearLieAlgebra, ProlongationResult, build_graded_algebra, matrix_commutator
 from .spencer import Cochain, SpencerComplex, standard_complex
-
-ONE = Fraction(1)
 
 
 def _antisym_pairs(n: int) -> list[tuple[int, int]]:
@@ -87,8 +85,8 @@ def _so_brackets(n: int, mats: list[RMatrix],
 def _vector_action(n: int, mats: list[RMatrix],
                    off: int) -> dict[tuple[int, int], dict[int, Fraction]]:
     """Table entries [e_k, X_a] = -X_a e_k, the X_a numbered from off."""
-    cols = {(k, off + a): m.col(k) for a, m in enumerate(mats) for k in range(n)}
-    return {key: {t: -x for t, x in enumerate(col) if x} for key, col in cols.items() if any(col)}
+    return {(k, off + a): entry for a, m in enumerate(mats) for k in range(n)
+            if (entry := {t: -row[k] for t, row in enumerate(m.data) if row[k]})}
 
 
 @lru_cache(maxsize=None)
@@ -208,31 +206,30 @@ class ComplexStructureData(NamedTuple):
         shown = ", ".join(f"{name}={v!r}" for name, v in zip(self._fields[:-2], self))
         return f"ComplexStructureData({shown})"
 
-    def mult_i_component(self, algebra: GradedLieAlgebra, d: int, comp):
-        """Multiplication by i on the degree-d component, via J on values."""
-        if d == -1:
-            return tuple(self.j.mat_vec(comp))
-        layer = self.prolongation.orders[d]
+    def mult_i(self, d: int, pairs: PairRow) -> list[tuple[int, Fraction]]:
+        """Multiplication by i on a degree-d component value given by its (coordinate,
+        value) pairs, as sorted pairs: J itself in degree -1, J on the value index of
+        the prolongation layer in degree d >= 0."""
         cols = self.mult_i_cols.get(d)
         if cols is None:
-            n = self.j.rows
-            width = layer.ambient_dim // n
-            cols = []
-            for row in layer.rows:
-                # J acts on the value index: entry (a, m) of the row moves to (i, m), times J[i][a]
-                out: dict[int, Fraction] = {}
-                for pos, v in row:
-                    a, mpos = divmod(pos, width)
-                    for i in range(n):
-                        c = self.j.data[i][a]
-                        if c:
-                            out[i * width + mpos] = out.get(i * width + mpos, ZERO) + c * v
-                coords = layer.coordinates(out.items())
-                if coords is None:
-                    raise InternalInvariantError("layer is not closed under J")
-                cols.append(coords)
+            # J e_c is column c of J
+            cols = transpose([nonzero_pairs(row) for row in self.j.data], self.j.rows)
+            if d >= 0:
+                layer = self.prolongation.orders[d]
+                width = layer.ambient_dim // self.j.rows
+                j_cols, cols = cols, []
+                for row in layer.rows:
+                    # entry (a, m) of the row moves to (i, m), times J[i][a]
+                    terms = []
+                    for pos, v in row:
+                        a, m = divmod(pos, width)
+                        terms.append(([(i * width + m, c) for i, c in j_cols[a]], v))
+                    coords = layer.coordinates(combine(terms))
+                    if coords is None:
+                        raise InternalInvariantError("layer is not closed under J")
+                    cols.append(coords)
             self.mult_i_cols[d] = cols
-        return dense(combine(zip(cols, comp)), layer.dim)
+        return combine((cols[b], x) for b, x in pairs)
 
 
 def _cr_j_matrix(m_tilde: int, k: int) -> RMatrix:
@@ -308,6 +305,14 @@ def cr_expected_layer_dim(m_tilde: int, p: int) -> int:
     return 2 * m_tilde * comb(m_tilde + p, p + 1)
 
 
+def _evaluate_2(x: Cochain, u: PairRow, v: PairRow) -> list[tuple[int, Fraction]]:
+    """x(u, v) for a 2-cochain x and vectors u, v given by their (coordinate, value)
+    pairs in V, as sorted pairs: each stored value times the sign that sorts its
+    tuple.  Tuples with a coordinate outside W, or a repeated one, are never stored."""
+    return combine((x.values.get((a, b) if a < b else (b, a), ()), s * t if a < b else -s * t)
+                   for a, s in u for b, t in v)
+
+
 def cr_extend_cochain(x: Cochain, data: ComplexStructureData) -> Cochain:
     """Extend a 2-cochain on W to one on all of V, compatibly with J.
 
@@ -323,25 +328,19 @@ def cr_extend_cochain(x: Cochain, data: ComplexStructureData) -> Cochain:
     n_w = len(data.w_indices)
     if x.frame.n_w != n_w:
         raise InputError("cochain is not defined on the CR subspace W")
-    full = standard_complex(a, a.component_dim(-1))
     n_v = a.component_dim(-1)
+    full = standard_complex(a, n_v)
     d = x.p - 1
-
-    def eval_w(u: tuple[Fraction, ...], v: tuple[Fraction, ...]):
-        # u, v given in V coordinates but supported on W
-        return x.evaluate([u[:n_w], v[:n_w]])
-
-    unit = [tuple(ONE if t == i else ZERO for t in range(n_v)) for i in range(n_v)]
+    j_unit = [data.mult_i(-1, [(c, ONE)]) for c in range(n_v)]  # J e_c
     vals: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for i, jdx in combinations(range(n_v), 2):
         if jdx < n_w:
             vals[(i, jdx)] = x.values.get((i, jdx), ())
         elif i < n_w:
             # value(e_i, e_j) = + i * x(J e_j, e_i), j in the W-complement
-            base = eval_w(data.j.col(jdx), unit[i])
-            vals[(i, jdx)] = nonzero_pairs(data.mult_i_component(a, d, base))
+            vals[(i, jdx)] = data.mult_i(d, _evaluate_2(x, j_unit[jdx], [(i, ONE)]))
         else:
-            vals[(i, jdx)] = [(k, -c) for k, c in nonzero_pairs(eval_w(data.j.col(i), data.j.col(jdx)))]
+            vals[(i, jdx)] = [(k, -c) for k, c in _evaluate_2(x, j_unit[i], j_unit[jdx])]
     return Cochain(full, x.p, 2, 0, vals)
 
 
@@ -351,24 +350,26 @@ def cr_j_residual(t: Cochain, data: ComplexStructureData) -> tuple[Fraction, ...
     For each pair u1 < u2 of U basis vectors, with L = T(u1,u2) - T(J u1, J u2),
     it lists the components of L outside U, then L + J T(J u1, u2) + J T(u1, J u2).
     """
-    if t.q != 2:
-        raise InputError("expected a 2-cochain")
+    if t.q != 2 or t.p != 0:
+        raise InputError("expected a V-valued 2-cochain, p = 0 and q = 2")
     n_v = data.j.rows
-    n_w = len(data.w_indices)
     outside_u = [s for s in range(n_v) if s not in data.u_indices]
 
-    def ev(u, v) -> tuple[Fraction, ...]:
-        # values of t already live in full degree-(-1) coordinates
-        return t.evaluate([u[:n_w], v[:n_w]])
+    def ev(u: PairRow, v: PairRow) -> list[tuple[int, Fraction]]:
+        return _evaluate_2(t, u, v)
 
-    unit = RMatrix.identity(n_v)
+    def j(v: PairRow) -> list[tuple[int, Fraction]]:
+        return data.mult_i(-1, v)
+
     out: list[Fraction] = []
     for i, jdx in combinations(data.u_indices, 2):
-        u1, u2 = unit.col(i), unit.col(jdx)
-        ju1, ju2 = data.j.col(i), data.j.col(jdx)
-        lhs = vsub(ev(u1, u2), ev(ju1, ju2))
-        out.extend(lhs[s] for s in outside_u)
-        out.extend(vadd(lhs, vadd(data.j.mat_vec(ev(ju1, u2)), data.j.mat_vec(ev(u1, ju2)))))
+        u1, u2 = [(i, ONE)], [(jdx, ONE)]
+        ju1, ju2 = j(u1), j(u2)
+        lhs = combine(((ev(u1, u2), ONE), (ev(ju1, ju2), -ONE)))
+        rhs = combine(((lhs, ONE), (j(ev(ju1, u2)), ONE), (j(ev(u1, ju2)), ONE)))
+        lhs_dense = dense(lhs, n_v)
+        out.extend(lhs_dense[s] for s in outside_u)
+        out.extend(dense(rhs, n_v))
     return tuple(out)
 
 

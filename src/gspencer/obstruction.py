@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .linalg import ONE, RMatrix, combine, dense
+from .linalg import ONE, combine, dense
 from .spencer import (Cochain, SpencerComplex, WFrame, _split_by_chain, alternating_bracket_sum,
                       canonical_pairs, check_coordinates, class_representative, is_coboundary,
                       spencer_d)
@@ -47,10 +47,6 @@ class ConstantForm(_ConstantFormFields):
     @property
     def n_w(self) -> int:
         return len(self.columns)
-
-    def matrix(self, n: int) -> RMatrix:
-        """The n x n_w matrix whose columns are the dense values."""
-        return RMatrix(tuple(zip(*(self.column(j, n) for j in range(self.n_w)))), n, self.n_w)
 
     def is_zero(self) -> bool:
         return not any(self.columns)

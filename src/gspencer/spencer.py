@@ -16,12 +16,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import (GradedLieAlgebra, adjoint_columns, annihilated_rows,
                       deterministic_rows_annihilating, g_sharp_subalgebra)
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .linalg import (ONE, LinearMap, PairRow, Subspace, ZERO, clear_denominators, combine,
+from .linalg import (ONE, LinearMap, PairRow, Subspace, clear_denominators, combine,
                      deterministic_complement, dense, kernel_of_rows, nonzero_pairs,
                      rank_of_rows, solve_particular, split_map, transpose)
 
@@ -280,30 +281,9 @@ class Cochain:
         """The value at a strictly increasing tuple as a dense component vector."""
         return dense(self.values.get(tuple(tup), ()), self.frame.algebra.component_dim(self.p - 1))
 
-    def evaluate(self, vectors: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
-        """Multilinear alternating evaluation on W-coordinate vectors, as a dense
-        component vector."""
-        if len(vectors) != self.q:
-            raise InputError("wrong number of arguments")
-        vs = [tuple(v) for v in vectors]
-        return dense(combine((row, _minor_det(vs, tup)) for tup, row in self.values.items()),
-                     self.frame.algebra.component_dim(self.p - 1))
-
     def project_to_level(self, r: int) -> "Cochain":
         """Image under the natural projection onto the level-r complex."""
         return Cochain(self.frame, self.p, self.q, r, dict(self.values))
-
-
-def _minor_det(vectors: list[tuple[Fraction, ...]], rows: tuple[int, ...]) -> Fraction:
-    """det of the minor (vectors[c][rows[r]]), by cofactor expansion along vectors[0]."""
-    if not rows:
-        return Fraction(1)
-    s = ZERO
-    for pos, row in enumerate(rows):
-        if vectors[0][row]:
-            term = vectors[0][row] * _minor_det(vectors[1:], rows[:pos] + rows[pos + 1:])
-            s += -term if pos % 2 else term
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +327,6 @@ def alternating_bracket_sum(x: Cochain) -> Cochain:
 # ---------------------------------------------------------------------------
 
 def space_dimension(c: SpencerComplex, p: int, q: int, r: int) -> int:
-    from math import comb
     return len(c.free_rows(p, r)) * comb(c.n_w, q)
 
 

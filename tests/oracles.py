@@ -1,15 +1,19 @@
 """Helpers on library objects that only the tests need: matrix products, the
 zero matrix, subspace inclusion and degree projection, written on the public
-fields so that the library keeps no code of its own for them."""
+fields so that the library keeps no code of its own for them; and dense
+references for the CR maps, which the library computes on sparse pairs."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from gspencer.algebra import GradedLieAlgebra
 from gspencer.errors import InputError
-from gspencer.linalg import RMatrix, Subspace
+from gspencer.linalg import RMatrix, Subspace, dense, nonzero_pairs
+from gspencer.models import ComplexStructureData
+from gspencer.spencer import Cochain, standard_complex
 
 ZERO = Fraction(0)
 
@@ -37,3 +41,104 @@ def project_degree(a: GradedLieAlgebra, x: Sequence[Fraction], p: int) -> tuple[
     if p < -1 or p > a.height - 1:
         raise InputError(f"degree {p} outside -1..{a.height - 1}")
     return tuple(c if a.degrees[i] == p else ZERO for i, c in enumerate(x))
+
+
+def column(m: RMatrix, j: int) -> tuple[Fraction, ...]:
+    return tuple(row[j] for row in m.data)
+
+
+def mat_vec(m: RMatrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    if len(v) != m.cols:
+        raise InputError("dimension mismatch in mat_vec")
+    return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in m.data)
+
+
+# ---------------------------------------------------------------------------
+# dense references for cr_extend_cochain and cr_j_residual
+# ---------------------------------------------------------------------------
+
+def minor_det(vectors: Sequence[Sequence[Fraction]], rows: tuple[int, ...]) -> Fraction:
+    """det of the minor (vectors[c][rows[r]]), by cofactor expansion along vectors[0]."""
+    if not rows:
+        return Fraction(1)
+    s = ZERO
+    for pos, row in enumerate(rows):
+        if vectors[0][row]:
+            term = vectors[0][row] * minor_det(vectors[1:], rows[:pos] + rows[pos + 1:])
+            s += -term if pos % 2 else term
+    return s
+
+
+def evaluate(x: Cochain, vectors: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
+    """Multilinear alternating evaluation of x on dense W-coordinate vectors, as a
+    dense component vector."""
+    n = x.frame.algebra.component_dim(x.p - 1)
+    out = [ZERO] * n
+    for tup, row in x.values.items():
+        det = minor_det(vectors, tup)
+        for k, v in row:
+            out[k] += det * v
+    return tuple(out)
+
+
+def mult_i(data: ComplexStructureData, d: int, comp: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Multiplication by i on a dense degree-d component vector: J as a matrix in
+    degree -1; in degree d >= 0 the layer vector as an n x width matrix M, mapped to
+    J M and read back in the layer's basis."""
+    if d == -1:
+        return mat_vec(data.j, comp)
+    layer = data.prolongation.orders[d]
+    n = data.j.rows
+    width = layer.ambient_dim // n
+    flat = [sum((c * b[k] for c, b in zip(comp, layer.basis_vectors())), ZERO)
+            for k in range(layer.ambient_dim)]
+    jm = [sum((data.j.data[i][a] * flat[a * width + m] for a in range(n)), ZERO)
+          for i in range(n) for m in range(width)]
+    coords = layer.coordinates(nonzero_pairs(jm))
+    if coords is None:
+        raise InputError("layer is not closed under J")
+    return dense(coords, layer.dim)
+
+
+def cr_extend_cochain(x: Cochain, data: ComplexStructureData) -> Cochain:
+    """`models.cr_extend_cochain` on unit vectors, with J's columns as dense vectors."""
+    a = x.frame.algebra
+    n_w = len(data.w_indices)
+    n_v = a.component_dim(-1)
+    unit = [tuple(Fraction(int(t == i)) for t in range(n_v)) for i in range(n_v)]
+
+    def eval_w(u, v):
+        return evaluate(x, [u[:n_w], v[:n_w]])
+
+    vals = {}
+    for i, jdx in combinations(range(n_v), 2):
+        if jdx < n_w:
+            vals[(i, jdx)] = x.values.get((i, jdx), ())
+        elif i < n_w:
+            base = eval_w(column(data.j, jdx), unit[i])
+            vals[(i, jdx)] = nonzero_pairs(mult_i(data, x.p - 1, base))
+        else:
+            vals[(i, jdx)] = nonzero_pairs([-c for c in eval_w(column(data.j, i),
+                                                               column(data.j, jdx))])
+    return Cochain(standard_complex(a, n_v), x.p, 2, 0, vals)
+
+
+def cr_j_residual(t: Cochain, data: ComplexStructureData) -> tuple[Fraction, ...]:
+    """`models.cr_j_residual` on unit vectors, with J applied as a matrix."""
+    n_v = data.j.rows
+    n_w = len(data.w_indices)
+    outside_u = [s for s in range(n_v) if s not in data.u_indices]
+
+    def ev(u, v):
+        return evaluate(t, [u[:n_w], v[:n_w]])
+
+    unit = RMatrix.identity(n_v)
+    out = []
+    for i, jdx in combinations(data.u_indices, 2):
+        u1, u2 = column(unit, i), column(unit, jdx)
+        ju1, ju2 = column(data.j, i), column(data.j, jdx)
+        lhs = [x - y for x, y in zip(ev(u1, u2), ev(ju1, ju2))]
+        out.extend(lhs[s] for s in outside_u)
+        out.extend(x + y + z for x, y, z in zip(lhs, mat_vec(data.j, ev(ju1, u2)),
+                                                mat_vec(data.j, ev(u1, ju2))))
+    return tuple(out)

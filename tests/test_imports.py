@@ -79,6 +79,17 @@ def test_only_spencer_names_the_complex_memo():
         assert not named, f"{path.name} names _memo at line {named[0].lineno}"
 
 
+def test_library_calls_no_dense_bracket_or_element():
+    # the library computes on (coordinate, value) pairs; the dense bracket and the
+    # dense element builders stay as API and test-oracle surface only
+    dense_api = ("bracket", "embed_component", "basis_element")
+    for path in MODULES:
+        calls = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr in dense_api]
+        assert not calls, f"{path.name} calls .{calls[0].func.attr} at line {calls[0].lineno}"
+
+
 def test_import_loads_no_dataclasses_or_argparse():
     # the records are NamedTuples, so a cold `import gspencer` pulls in neither
     # dataclasses nor the inspect/ast/dis modules it imports; argparse comes

@@ -3,17 +3,21 @@ from math import comb
 
 import pytest
 
-from gspencer.algebra import grading_report, jacobi_report
+from gspencer import models
+from gspencer.algebra import GradedLieAlgebra, grading_report, jacobi_report
+from gspencer.claims import verify_conformal_prolongation
 from gspencer.errors import InputError
-from gspencer.linalg import Subspace, nonzero_pairs, subspace_intersection
+from gspencer.linalg import ONE, Subspace, combine, nonzero_pairs, subspace_intersection
 from gspencer.models import (co_generators, conformal_algebra,
                              cr_algebra, cr_expected_layer_dim, cr_extend_cochain,
-                             cr_integrability_test, cr_w_complex, r21_submodule,
+                             cr_integrability_test, cr_j_residual, cr_w_complex, r21_submodule,
                              so_generators, space_form_algebra)
-from gspencer.spencer import Cochain, cohomology_dims, random_cocycle, spencer_d
+from gspencer.spencer import (Cochain, cochain_from_coords, cohomology_dims, random_cocycle,
+                              space_dimension, spencer_d)
 
+import oracles
 from conftest import rng_for
-from oracles import contains_subspace, mat_mul
+from oracles import column, contains_subspace, mat_mul, mat_vec
 
 
 def test_space_form_dimensions():
@@ -85,11 +89,11 @@ def test_cr_structure_invariants():
                for j in range(n))
     # J(W-perp) inside U-perp
     for i in data.w_perp_indices:
-        col = data.j.col(i)
+        col = column(data.j, i)
         assert all(col[t] == 0 for t in range(n) if t not in data.u_perp_indices)
     # U = W intersect J(W), dimension 2(m-k)
     w = Subspace.from_vectors(n, [[(i, F(1))] for i in data.w_indices])
-    jw = Subspace.from_vectors(n, [nonzero_pairs(data.j.mat_vec(v)) for v in w.basis_vectors()])
+    jw = Subspace.from_vectors(n, [nonzero_pairs(mat_vec(data.j, v)) for v in w.basis_vectors()])
     u = subspace_intersection(w, jw)
     expected_u = Subspace.from_vectors(n, [[(i, F(1))] for i in data.u_indices])
     assert u == expected_u
@@ -160,6 +164,8 @@ def test_cr_integrability_zero_passes():
     alg, data = cr_algebra(2, 1, 2)
     cw = cr_w_complex(alg, data)
     assert cr_integrability_test(Cochain.zero(cw, 0, 2, 0), data)
+    with pytest.raises(InputError):  # values outside V
+        cr_j_residual(Cochain.zero(cw, 1, 2, 0), data)
 
 
 def _condition_kernels(data, w_valued: bool):
@@ -193,8 +199,8 @@ def _condition_kernels(data, w_valued: bool):
     rows1, rows2 = [], []
     for i, jdx in combinations(data.u_indices, 2):
         u1, u2 = unit[i], unit[jdx]
-        ju1 = tuple(data.j.col(i))[:n_w]
-        ju2 = tuple(data.j.col(jdx))[:n_w]
+        ju1 = column(data.j, i)[:n_w]
+        ju2 = column(data.j, jdx)[:n_w]
         for tgt in range(n_v):
             row = [ZERO] * dim_t
             add_eval(row, u1, u2, F(1), False, tgt)
@@ -243,3 +249,79 @@ def test_generator_families():
     assert len(co_generators(4).generators) == 7
     so_generators(4).check()
     co_generators(3).check()
+
+
+def _random_cochains(c, p, rng, count):
+    """Seeded 2-cochains of bidegree (p, 2) with rational values."""
+    n = space_dimension(c, p, 2, 0)
+    return [cochain_from_coords(c, p, 2, 0, [(k, F(rng.randint(-3, 3), rng.randint(1, 3)))
+                                             for k in range(n)]) for _ in range(count)]
+
+
+def _matches_dense_oracle(alg, data, rng):
+    """The sparse CR extension and J-residual agree with their dense references on
+    seeded random cochains: extensions in every computed value degree, residuals on
+    V-valued cochains."""
+    cw = cr_w_complex(alg, data)
+    for p in range(0, alg.max_represented_degree() + 2):
+        for x in _random_cochains(cw, p, rng, 2):
+            if cr_extend_cochain(x, data) != oracles.cr_extend_cochain(x, data):
+                return False
+    return all(cr_j_residual(t, data) == oracles.cr_j_residual(t, data)
+               for t in _random_cochains(cw, 0, rng, 3))
+
+
+@pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (3, 2)])
+def test_cr_maps_match_dense_oracle(m, k):
+    alg, data = cr_algebra(m, k, 2)
+    assert _matches_dense_oracle(alg, data, rng_for(f"cr-oracle-{m}-{k}"))
+
+
+def test_dense_oracle_catches_a_sign_flip(monkeypatch):
+    # a sparse evaluation that forgets the sign of unsorted argument pairs
+    def unsigned(x, u, v):
+        return combine((x.values.get((min(a, b), max(a, b)), ()), s * t)
+                       for a, s in u for b, t in v)
+
+    monkeypatch.setattr(models, "_evaluate_2", unsigned)
+    alg, data = cr_algebra(2, 1, 2)
+    assert not _matches_dense_oracle(alg, data, rng_for("cr-oracle-2-1"))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_mult_i_squares_to_minus_one(m):
+    alg, data = cr_algebra(m, 1, 2)
+    for d in (-1, 0, 1, 2):
+        assert alg.component_dim(d)
+        for b in range(alg.component_dim(d)):
+            assert data.mult_i(d, data.mult_i(d, [(b, ONE)])) == [(b, -ONE)], (d, b)
+
+
+def _defective_conformal(n, edit):
+    """conformal_algebra(n) rebuilt from its constants after edit(constants)."""
+    a = conformal_algebra(n)
+    table = a.constants()
+    edit(table)
+    return GradedLieAlgebra(a.name, a.names, a.degrees, a.height, table, a.grading_kind)
+
+
+def _flip(pick):
+    """An edit that negates one constant: the picked target of the picked pair."""
+    def edit(table):
+        pair = pick(table)
+        t = pick(table[pair])
+        table[pair][t] = -table[pair][t]
+    return edit
+
+
+def _stray_target(table):
+    # [e_1, f^1] gains an e_1 term, outside degree 0
+    table[(0, conformal_algebra(3).index_of("f1"))][0] = ONE
+
+
+@pytest.mark.parametrize("edit", [_flip(min), _flip(max), _stray_target],
+                         ids=["flip-first", "flip-last", "stray-target"])
+def test_conformal_verification_fails_on_planted_defect(monkeypatch, edit):
+    assert verify_conformal_prolongation(3)
+    monkeypatch.setattr(models, "conformal_algebra", lambda n: _defective_conformal(n, edit))
+    assert not verify_conformal_prolongation(3)

@@ -8,7 +8,7 @@ from gspencer.algebra import adjoint_columns, annihilated_rows, deterministic_ro
 from gspencer import linalg, spencer
 from gspencer.errors import InputError, PreconditionError
 from gspencer.linalg import (Subspace, combine, dense, deterministic_complement, kernel_of_rows,
-                             nonzero_pairs, solve_particular, transpose, vsub)
+                             nonzero_pairs, solve_particular, transpose)
 from gspencer.models import (co_generators, conformal_algebra, cr_algebra, cr_w_complex,
                              space_form_algebra)
 from gspencer.obstruction import (AdmissibleTuple, ConstantForm, _d_of_form, cochain_to_form,
@@ -416,8 +416,8 @@ def test_d_of_form_matches_dense_brackets():
             for i, j in combinations(range(frame.n_w), 2):
                 f_i, f_j = (a.embed_component(deg, f.column(k, a.component_dim(deg)))
                             for k in (i, j))
-                v = a.component_part(vsub(a.bracket(w_full[i], f_j), a.bracket(w_full[j], f_i)),
-                                     deg - 1)
+                v = a.component_part([x - y for x, y in zip(a.bracket(w_full[i], f_j),
+                                                            a.bracket(w_full[j], f_i))], deg - 1)
                 if any(v):
                     expected[(i, j)] = tuple(nonzero_pairs(v))
             assert expected
