@@ -8,7 +8,6 @@ integrability conditions against degree-0 coboundaries.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from . import models
@@ -114,24 +113,17 @@ def verify_conformal_prolongation(n: int) -> bool:
         if d == -1:
             coords = [(pos, ONE)]
         elif d == 0:
-            flat = [x for row in mats[pos].data for x in row]
-            coords = res.orders[0].coordinates(nonzero_pairs(flat))
+            coords = res.orders[0].coordinates((i * n + j, x) for i, j, x in mats[pos])
         else:
-            # dual vector: the map v -> [f^k, v] realized in V (x) S^2 V*
-            vec: dict[int, Fraction] = {}
+            # dual vector: the map v -> [f^k, v] realized in V (x) S^2 V*; T is
+            # symmetric, so two entries landing on one sorted monomial agree
+            vec: dict[int, int] = {}
             for l in range(n):
-                # [f^k, e_l] as a matrix in gl(V)
-                mat = [[Fraction(0)] * n for _ in range(n)]
-                if l != pos:
-                    mat[l][pos] += 1
-                    mat[pos][l] -= 1
-                else:
-                    for s in range(n):
-                        mat[s][s] += 1
-                for i in range(n):
-                    for jj in range(n):
-                        if mat[i][jj]:
-                            vec[coord_index(n, 1, i, tuple(sorted((l, jj))))] = mat[i][jj]
+                # T(e_l, .) = [f^k, e_l], the matrix E_lk - E_kl, or I when l = k
+                entries = ([(s, s, 1) for s in range(n)] if l == pos
+                           else [(l, pos, 1), (pos, l, -1)])
+                for i, jj, x in entries:
+                    vec[coord_index(n, 1, i, tuple(sorted((l, jj))))] = x
             coords = res.orders[1].coordinates(vec.items())
         if coords is None:
             return False

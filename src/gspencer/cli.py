@@ -17,7 +17,6 @@ from .algebra import (GradedLieAlgebra, adjoint_columns, effectiveness_report, g
 from .claims import paper_claims
 from .errors import InputError, ParseError, PreconditionError, ValidationError
 from .fileio import parse_algebra, parse_cochain, serialize_cochain
-from .linalg import RMatrix, dense
 from .prolong import LinearLieAlgebra, build_graded_algebra
 from .spencer import cohomology_dims, is_coboundary, class_representative, standard_complex
 
@@ -55,8 +54,8 @@ def _linear_algebra_from_flags(args) -> LinearLieAlgebra:
         n = alg.component_dim(-1)
         # ad[j][i] = [e_i, v_j], column j of the i-th degree-0 generator
         ad = [adjoint_columns(alg, 0, [(j, 1)]) for j in range(n)]
-        return LinearLieAlgebra(n, tuple(RMatrix(tuple(zip(*(dense(col[i], n) for col in ad))),
-                                                 n, n) for i in range(alg.component_dim(0))))
+        return LinearLieAlgebra(n, [[(t, j, x) for j in range(n) for t, x in ad[j][i]]
+                                    for i in range(alg.component_dim(0))])
     if args.family in ("so", "co"):
         if args.dim is None:
             raise InputError(f"--family {args.family} needs --dim")

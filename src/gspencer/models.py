@@ -25,9 +25,9 @@ from typing import NamedTuple
 
 from .algebra import GradedLieAlgebra
 from .errors import InputError, InternalInvariantError
-from .linalg import (ONE, PairRow, RMatrix, Subspace, ZERO, combine, dense, kernel_of_rows,
-                     nonzero_pairs, transpose)
-from .prolong import LinearLieAlgebra, ProlongationResult, build_graded_algebra, matrix_commutator
+from .linalg import ONE, PairRow, Subspace, combine, dense, kernel_of_rows
+from .prolong import (LinearLieAlgebra, MatrixEntries, ProlongationResult, build_graded_algebra,
+                      matrix_commutator)
 from .spencer import Cochain, SpencerComplex, standard_complex
 
 
@@ -35,42 +35,38 @@ def _antisym_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _antisym_matrix(n: int, i: int, j: int) -> RMatrix:
-    rows = [[ZERO] * n for _ in range(n)]
-    rows[i][j] = ONE
-    rows[j][i] = -ONE
-    return RMatrix(rows)
+def _antisym(i: int, j: int) -> MatrixEntries:
+    """The entries of A_ij = E_ij - E_ji."""
+    return ((i, j, 1), (j, i, -1))
 
 
 def so_generators(n: int) -> LinearLieAlgebra:
     """so_n with the A_ij = E_ij - E_ji basis, i < j lexicographic."""
     if n < 2:
         raise InputError("need n >= 2")
-    return LinearLieAlgebra(n, tuple(_antisym_matrix(n, i, j) for i, j in _antisym_pairs(n)))
+    return LinearLieAlgebra(n, [_antisym(i, j) for i, j in _antisym_pairs(n)])
 
 
 def co_generators(n: int) -> LinearLieAlgebra:
     """co_n = so_n + R*I, scaling element last."""
     if n < 2:
         raise InputError("need n >= 2")
-    return LinearLieAlgebra(n, tuple(conformal_deg0_matrices(n)))
+    return LinearLieAlgebra(n, conformal_deg0_matrices(n))
 
 
-def conformal_deg0_matrices(n: int) -> list[RMatrix]:
-    """The degree-0 basis of the conformal model, as matrices (A_ij then I)."""
-    return [_antisym_matrix(n, i, j) for i, j in _antisym_pairs(n)] + [RMatrix.identity(n)]
+def conformal_deg0_matrices(n: int) -> list[MatrixEntries]:
+    """The degree-0 basis of the conformal model as matrix entries (A_ij then I)."""
+    return [_antisym(i, j) for i, j in _antisym_pairs(n)] + [tuple((s, s, 1) for s in range(n))]
 
 
-def _so_brackets(n: int, mats: list[RMatrix],
+def _so_brackets(n: int, mats: list[MatrixEntries],
                  off: int) -> dict[tuple[int, int], dict[int, Fraction]]:
     """Table entries [X_a, X_b], a < b, formed from the matrices' nonzero entries; the
     X and the A_ij basis their antisymmetric commutators decompose over both start at off."""
     pair_index = {ij: off + idx for idx, ij in enumerate(_antisym_pairs(n))}
-    terms = [[(i, j, x) for i, row in enumerate(m.data) for j, x in enumerate(row) if x]
-             for m in mats]
     table = {}
     for a, b in combinations(range(len(mats)), 2):
-        comm = matrix_commutator(terms[a], terms[b])
+        comm = matrix_commutator(mats[a], mats[b])
         entry = {}
         for (i, k), v in comm.items():
             if v and (i == k or comm.get((k, i)) != -v):
@@ -82,11 +78,14 @@ def _so_brackets(n: int, mats: list[RMatrix],
     return table
 
 
-def _vector_action(n: int, mats: list[RMatrix],
+def _vector_action(mats: list[MatrixEntries],
                    off: int) -> dict[tuple[int, int], dict[int, Fraction]]:
     """Table entries [e_k, X_a] = -X_a e_k, the X_a numbered from off."""
-    return {(k, off + a): entry for a, m in enumerate(mats) for k in range(n)
-            if (entry := {t: -row[k] for t, row in enumerate(m.data) if row[k]})}
+    table = {}
+    for a, m in enumerate(mats):
+        for t, k, x in m:
+            table.setdefault((k, off + a), {})[t] = -x
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -108,8 +107,8 @@ def space_form_algebra(n_tilde: int, k0: int) -> GradedLieAlgebra:
         for idx, (i, j) in enumerate(pairs):
             # [e_i, e_j] = k0 (E_ji - E_ij) = -k0 * A_ij
             table[(i, j)] = {off + idx: Fraction(-k0)}
-    mats = [_antisym_matrix(n, i, j) for i, j in pairs]
-    table.update(_vector_action(n, mats, off))
+    mats = [_antisym(i, j) for i, j in pairs]
+    table.update(_vector_action(mats, off))
     table.update(_so_brackets(n, mats, off))
     kind = "graded" if k0 == 0 else "quasi_graded"
     return GradedLieAlgebra(f"space_form({n},{k0})", names, degrees, 1, table, kind)
@@ -135,7 +134,7 @@ def conformal_algebra(n_tilde: int) -> GradedLieAlgebra:
     off1 = n + n_so + 1
     i_idx = off0 + n_so
     mats = conformal_deg0_matrices(n)
-    table = _vector_action(n, mats, off0)  # [e_k, X] = -X e_k, X in co(V)
+    table = _vector_action(mats, off0)  # [e_k, X] = -X e_k, X in co(V)
     # [e_l, f^k] = -(sgn * A_{min,max} + delta_{kl} I)
     for l in range(n):
         for k in range(n):
@@ -151,10 +150,8 @@ def conformal_algebra(n_tilde: int) -> GradedLieAlgebra:
     table.update(_so_brackets(n, mats, off0))  # degree 0 commutators
     # [X, f^k] = sum_l (-X[k][l]) f^l
     for a_idx, m in enumerate(mats):
-        for k in range(n):
-            entry = {off1 + l: -m.data[k][l] for l in range(n) if m.data[k][l]}
-            if entry:
-                table[(off0 + a_idx, off1 + k)] = entry
+        for k, l, x in m:
+            table.setdefault((off0 + a_idx, off1 + k), {})[off1 + l] = -x
     return GradedLieAlgebra(f"conformal({n})", names, degrees, 2, table, "graded")
 
 
@@ -184,14 +181,15 @@ def r21_submodule(n: int) -> Subspace:
 class ComplexStructureData(NamedTuple):
     """A complex structure on V = R^{2m} and the frame-block arrangement.
 
-    ``j`` squares to -I exactly.  U and its complement refer to the blocks of
-    the fixed coordinate arrangement: the first 2(m-k) coordinates span U, the
-    next k span the U-complement inside W, and the final k coordinates span
-    the W-complement in V.  ``mult_i_cols`` memoizes multiplication by i per
-    degree; its owner passes a fresh dict.
+    ``j`` lists the nonzero entries (i, j, x) of J, which squares to -I exactly.
+    U and its complement refer to the blocks of the fixed coordinate
+    arrangement: the first 2(m-k) coordinates span U, the next k span the
+    U-complement inside W, and the final k coordinates span the W-complement
+    in V.  ``mult_i_cols`` memoizes multiplication by i per degree; its owner
+    passes a fresh dict.
     """
 
-    j: RMatrix
+    j: MatrixEntries
     m_tilde: int
     k: int
     u_indices: tuple[int, ...]
@@ -213,10 +211,10 @@ class ComplexStructureData(NamedTuple):
         cols = self.mult_i_cols.get(d)
         if cols is None:
             # J e_c is column c of J
-            cols = transpose([nonzero_pairs(row) for row in self.j.data], self.j.rows)
+            cols = [[(i, x) for i, c2, x in self.j if c2 == c] for c in range(2 * self.m_tilde)]
             if d >= 0:
                 layer = self.prolongation.orders[d]
-                width = layer.ambient_dim // self.j.rows
+                width = layer.ambient_dim // len(cols)
                 j_cols, cols = cols, []
                 for row in layer.rows:
                     # entry (a, m) of the row moves to (i, m), times J[i][a]
@@ -232,17 +230,12 @@ class ComplexStructureData(NamedTuple):
         return combine((cols[b], x) for b, x in pairs)
 
 
-def _cr_j_matrix(m_tilde: int, k: int) -> RMatrix:
-    n = 2 * m_tilde
+def _cr_j(m_tilde: int, k: int) -> MatrixEntries:
+    """The entries of J on R^{2m}: J e_a = e_b and J e_b = -e_a for each block pair
+    (a, b), namely (i, g+i) for i < g = m - k and (2g+i, 2g+k+i) for i < k."""
     g = m_tilde - k
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(g):
-        rows[g + i][i] = ONE       # J e_i       = e_{g+i}
-        rows[i][g + i] = -ONE      # J e_{g+i}   = -e_i
-    for i in range(k):
-        rows[2 * g + k + i][2 * g + i] = ONE    # J e_{2g+i}   = e_{2g+k+i}
-        rows[2 * g + i][2 * g + k + i] = -ONE   # J e_{2g+k+i} = -e_{2g+i}
-    return RMatrix(rows)
+    blocks = [(i, g + i) for i in range(g)] + [(2 * g + i, 2 * g + k + i) for i in range(k)]
+    return tuple(e for a, b in blocks for e in ((b, a, ONE), (a, b, -ONE)))
 
 
 def glc_generators(m_tilde: int, k: int | None = None) -> LinearLieAlgebra:
@@ -253,23 +246,16 @@ def glc_generators(m_tilde: int, k: int | None = None) -> LinearLieAlgebra:
     """
     if m_tilde < 1:
         raise InputError("need m >= 1")
-    j = _cr_j_matrix(m_tilde, 0 if k is None else k)
     n = 2 * m_tilde
-    rows = []
-    for r in range(n):
-        for c in range(n):
-            row: dict[int, Fraction] = {}
-            for m in range(n):
-                if j.data[m][c]:
-                    row[r * n + m] = row.get(r * n + m, ZERO) + j.data[m][c]
-                if j.data[r][m]:
-                    row[m * n + c] = row.get(m * n + c, ZERO) - j.data[r][m]
-            if any(row.values()):
-                rows.append([(k, x) for k, x in row.items() if x])
-    ker = kernel_of_rows(rows, n * n)
-    gens = tuple(RMatrix([v[i * n:(i + 1) * n] for i in range(n)])
-                 for v in ker.basis_vectors())
-    return LinearLieAlgebra(n, gens)
+    # the rows of XJ - JX over the entries X[r][c] at coordinate r * n + c, each
+    # J[a][b] = x adding x X[t][a] at (t, b) and -x X[b][t] at (a, t)
+    rows: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    for a, b, x in _cr_j(m_tilde, 0 if k is None else k):
+        for t in range(n):
+            rows.setdefault((t, b), []).append((t * n + a, x))
+            rows.setdefault((a, t), []).append((b * n + t, -x))
+    ker = kernel_of_rows([r for row in rows.values() if (r := combine(((row, ONE),)))], n * n)
+    return LinearLieAlgebra(n, [[divmod(k, n) + (x,) for k, x in row] for row in ker.rows])
 
 
 @lru_cache(maxsize=None)
@@ -287,7 +273,7 @@ def cr_algebra(m_tilde: int, k: int, max_order: int) -> tuple[GradedLieAlgebra, 
     result = build_graded_algebra(h0, max_order)
     g = m_tilde - k
     data = ComplexStructureData(
-        j=_cr_j_matrix(m_tilde, k), m_tilde=m_tilde, k=k,
+        j=_cr_j(m_tilde, k), m_tilde=m_tilde, k=k,
         u_indices=tuple(range(2 * g)),
         u_perp_indices=tuple(range(2 * g, 2 * g + k)),
         w_indices=tuple(range(2 * m_tilde - k)),
@@ -352,7 +338,7 @@ def cr_j_residual(t: Cochain, data: ComplexStructureData) -> tuple[Fraction, ...
     """
     if t.q != 2 or t.p != 0:
         raise InputError("expected a V-valued 2-cochain, p = 0 and q = 2")
-    n_v = data.j.rows
+    n_v = 2 * data.m_tilde
     outside_u = [s for s in range(n_v) if s not in data.u_indices]
 
     def ev(u: PairRow, v: PairRow) -> list[tuple[int, Fraction]]:

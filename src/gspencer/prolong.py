@@ -23,8 +23,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .algebra import GradedLieAlgebra
 from .errors import InputError, InternalInvariantError
-from .linalg import (PairRow, RMatrix, Subspace, ZERO, clear_denominators, dense, kernel_of_rows,
-                     nonzero_pairs)
+from .linalg import PairRow, Subspace, ZERO, clear_denominators, combine, kernel_of_rows
 
 
 @lru_cache(maxsize=None)
@@ -49,29 +48,44 @@ def coord_index(n: int, p: int, i: int, mono: tuple[int, ...]) -> int:
     return i * len(monomials(n, p + 1)) + mono_rank(n, p + 1)[mono]
 
 
+# A matrix as the (i, j, x) triples of its nonzero entries x at row i, column j.
+MatrixEntries = tuple[tuple[int, int, Fraction], ...]
+
+
 class _LinearLieAlgebraFields(NamedTuple):
     v_dim: int
-    generators: tuple[RMatrix, ...]
+    generators: tuple[MatrixEntries, ...]
 
 
 class LinearLieAlgebra(_LinearLieAlgebraFields):
-    """A matrix Lie algebra h^0 < gl(V) given by a spanning set of matrices."""
+    """A matrix Lie algebra h^0 < gl(V) given by a spanning set of matrices.
+
+    Each generator is given as an iterable of (i, j, x) entries in any order,
+    x an int or Fraction, and stored as its nonzero entries sorted by (i, j),
+    repeats summed, so equal algebras are equal records and hash equal.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, v_dim: int, generators: tuple[RMatrix, ...]):
-        for g in generators:
-            if g.rows != v_dim or g.cols != v_dim:
-                raise InputError("generator is not v_dim x v_dim")
-        return tuple.__new__(cls, (v_dim, generators))
-
-    def matrix_coords(self, m: RMatrix) -> tuple[Fraction, ...]:
-        """Flatten a matrix into V (x) V* coordinates (row-major)."""
-        return tuple(x for row in m.data for x in row)
+    def __new__(cls, v_dim: int, generators: Iterable[Iterable[tuple[int, int, Fraction]]]):
+        gens = []
+        try:
+            for g in generators:
+                flat = []
+                for i, j, x in g:
+                    if not (type(i) is int and type(j) is int and 0 <= i < v_dim
+                            and 0 <= j < v_dim and type(x) in (int, Fraction)):
+                        raise InputError(f"bad generator entry {(i, j, x)!r} for v_dim {v_dim}")
+                    flat.append((i * v_dim + j, x))
+                gens.append(tuple(divmod(k, v_dim) + (x,) for k, x in combine(((flat, 1),))))
+        except (TypeError, ValueError):
+            raise InputError("each generator must be an iterable of (i, j, x) entries") from None
+        return tuple.__new__(cls, (v_dim, tuple(gens)))
 
     def span(self) -> Subspace:
-        return Subspace.from_vectors(self.v_dim * self.v_dim, [nonzero_pairs(self.matrix_coords(g))
-                                                               for g in self.generators])
+        n = self.v_dim
+        return Subspace.from_vectors(n * n, [[(i * n + j, x) for i, j, x in g]
+                                             for g in self.generators])
 
     def check(self) -> Subspace:
         """Verify independence of the generators and closure under commutator.
@@ -83,8 +97,8 @@ class LinearLieAlgebra(_LinearLieAlgebraFields):
         if sp.dim != len(self.generators):
             raise InputError("generators are linearly dependent")
         n = self.v_dim
-        terms = [[divmod(k, n) + (x,) for k, x in
-                  clear_denominators(nonzero_pairs(self.matrix_coords(g)))[1].items()]
+        terms = [[ij + (c,) for ij, c in
+                  clear_denominators([((i, j), x) for i, j, x in g])[1].items()]
                  for g in self.generators]
         for ta, tb in combinations(terms, 2):
             comm = matrix_commutator(ta, tb)
@@ -107,13 +121,6 @@ def matrix_commutator(x_terms: Sequence[tuple[int, int, Fraction]],
     return comm
 
 
-def _terms(n: int, p: int, t: PairRow) -> list[tuple[int, tuple[int, ...], Fraction]]:
-    """Entries (i, mono, c) of a V (x) S^{p+1}V* vector given by its nonzero pairs."""
-    ms = monomials(n, p + 1)
-    width = len(ms)
-    return [(k // width, ms[k % width], c) for k, c in t]
-
-
 def _drop(mono: tuple[int, ...], j: int) -> tuple[int, ...]:
     """The monomial with one occurrence of j removed (j must occur)."""
     k = mono.index(j)
@@ -131,7 +138,9 @@ def layer_terms(n: int, p: int, t: PairRow) -> LayerTerms:
     """The terms of T in V (x) S^{p+1}V*, given by its nonzero pairs, flat and
     grouped by index, with integer coefficients over T's denominator."""
     den, entries = clear_denominators(t)
-    terms = _terms(n, p, entries.items())
+    ms = monomials(n, p + 1)
+    width = len(ms)
+    terms = [(k // width, ms[k % width], c) for k, c in entries.items()]
     by_index: dict[int, list[tuple[int, tuple[int, ...], int]]] = {}
     for i, mono, c in terms:
         for k in dict.fromkeys(mono):
@@ -145,13 +154,6 @@ def _evaluation(n: int, p: int, t: LayerTerms, j: int) -> list[tuple[int, int]]:
     width_out = len(monomials(n, p))
     rank_out = mono_rank(n, p)
     return sorted((i * width_out + rank_out[rest], c) for i, rest, c in t[1].get(j, ()))
-
-
-def contraction(n: int, p: int, t: Sequence[Fraction], j: int) -> tuple[Fraction, ...]:
-    """Evaluation of T in V (x) S^{p+1}V* at basis vector e_j, landing in degree p-1."""
-    terms = layer_terms(n, p, nonzero_pairs(t))
-    return dense(((k, Fraction(c, terms[2])) for k, c in _evaluation(n, p, terms, j)),
-                 n * len(monomials(n, p)))
 
 
 def prolong_step(h_p: Subspace, h0: LinearLieAlgebra) -> Subspace:
@@ -171,15 +173,15 @@ def prolong_step(h_p: Subspace, h0: LinearLieAlgebra) -> Subspace:
     dim_hp = h_p.dim
     if dim_hp == 0:
         return Subspace.zero(sym_space_dim(n, p + 1))
-    basis_terms = [_terms(n, p, b) for b in h_p.rows]
+    basis_terms = [layer_terms(n, p, b) for b in h_p.rows]
     # swap rows keyed (j, l, m, i), j < l: the coefficient of T(e_j)(e_l, m)_i
-    # minus that of T(e_l)(e_j, m)_i.  Row order is free: the kernel's reduced
-    # row-echelon form depends only on the row space.
-    rows: dict[tuple, dict[int, Fraction]] = {}
-    for beta, terms in enumerate(basis_terms):
-        for i, mono, c in terms:
-            for s in set(mono):
-                m = _drop(mono, s)
+    # minus that of T(e_l)(e_j, m)_i, over the unknowns a[j, beta] / den_beta, so
+    # each h_beta enters by its int terms.  Row order is free: the kernel's
+    # reduced row-echelon form depends only on the row space.
+    rows: dict[tuple, dict[int, int]] = {}
+    for beta, (_, by_index, _) in enumerate(basis_terms):
+        for s, group in by_index.items():
+            for i, m, c in group:
                 for j in range(s):
                     rows.setdefault((j, s, m, i), {})[j * dim_hp + beta] = c
                 for l in range(s + 1, n):
@@ -189,11 +191,12 @@ def prolong_step(h_p: Subspace, h0: LinearLieAlgebra) -> Subspace:
     rank_out = mono_rank(n, p + 2)
     vectors = []
     for a in ker.rows:
-        # T(e_j, m) = sum_beta a[j, beta] h_beta(m), stored at the sorted monomial (j,) + m
+        # T(e_j, m) = sum_beta a[j, beta] h_beta(m), stored at the sorted monomial
+        # (j,) + m: each kernel value a[j, beta] / den_beta times h_beta's int terms
         v: dict[int, Fraction] = {}
         for col, ca in a:
             j, beta = divmod(col, dim_hp)
-            for i, m, c in basis_terms[beta]:
+            for i, m, c in basis_terms[beta][0]:
                 if j <= m[0]:
                     k = i * width_out + rank_out[(j,) + m]
                     v[k] = v.get(k, ZERO) + ca * c

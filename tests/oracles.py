@@ -1,12 +1,13 @@
-"""Helpers on library objects that only the tests need: matrix products, the
-zero matrix, subspace inclusion and degree projection, written on the public
-fields so that the library keeps no code of its own for them; and dense
-references for the CR maps, which the library computes on sparse pairs."""
+"""Helpers on library objects that only the tests need: matrices from and to
+their (i, j, x) entries, matrix products, the zero matrix, subspace inclusion
+and degree projection, written on the public fields so that the library keeps
+no code of its own for them; and dense references for the prolongation's
+contraction and the CR maps, which the library computes on sparse terms."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from gspencer.algebra import GradedLieAlgebra
@@ -16,6 +17,19 @@ from gspencer.models import ComplexStructureData
 from gspencer.spencer import Cochain, standard_complex
 
 ZERO = Fraction(0)
+
+
+def matrix(entries, n: int) -> RMatrix:
+    """The n x n matrix with the given (i, j, x) entries, repeats summed."""
+    rows = [[ZERO] * n for _ in range(n)]
+    for i, j, x in entries:
+        rows[i][j] += x
+    return RMatrix(rows)
+
+
+def entries_of(m: RMatrix) -> list[tuple[int, int, Fraction]]:
+    """The (i, j, x) entries of a matrix's nonzero values, row-major."""
+    return [(i, j, x) for i, row in enumerate(m.data) for j, x in enumerate(row) if x]
 
 
 def zeros(rows: int, cols: int) -> RMatrix:
@@ -53,6 +67,15 @@ def mat_vec(m: RMatrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in m.data)
 
 
+def contraction(n: int, p: int, t: Sequence[Fraction], j: int) -> tuple[Fraction, ...]:
+    """T(e_j, ...) for a dense T in V (x) S^{p+1}V*, landing in V (x) S^p V*: the value
+    at (i, m) is T's at (i, sorted((j,) + m)), monomials in lexicographic order."""
+    rank = {m: r for r, m in enumerate(combinations_with_replacement(range(n), p + 1))}
+    width = len(rank)
+    return tuple(t[i * width + rank[tuple(sorted((j,) + m))]]
+                 for i in range(n) for m in combinations_with_replacement(range(n), p))
+
+
 # ---------------------------------------------------------------------------
 # dense references for cr_extend_cochain and cr_j_residual
 # ---------------------------------------------------------------------------
@@ -85,14 +108,15 @@ def mult_i(data: ComplexStructureData, d: int, comp: Sequence[Fraction]) -> tupl
     """Multiplication by i on a dense degree-d component vector: J as a matrix in
     degree -1; in degree d >= 0 the layer vector as an n x width matrix M, mapped to
     J M and read back in the layer's basis."""
+    n = 2 * data.m_tilde
+    j = matrix(data.j, n)
     if d == -1:
-        return mat_vec(data.j, comp)
+        return mat_vec(j, comp)
     layer = data.prolongation.orders[d]
-    n = data.j.rows
     width = layer.ambient_dim // n
     flat = [sum((c * b[k] for c, b in zip(comp, layer.basis_vectors())), ZERO)
             for k in range(layer.ambient_dim)]
-    jm = [sum((data.j.data[i][a] * flat[a * width + m] for a in range(n)), ZERO)
+    jm = [sum((j.data[i][a] * flat[a * width + m] for a in range(n)), ZERO)
           for i in range(n) for m in range(width)]
     coords = layer.coordinates(nonzero_pairs(jm))
     if coords is None:
@@ -105,6 +129,7 @@ def cr_extend_cochain(x: Cochain, data: ComplexStructureData) -> Cochain:
     a = x.frame.algebra
     n_w = len(data.w_indices)
     n_v = a.component_dim(-1)
+    j = matrix(data.j, n_v)
     unit = [tuple(Fraction(int(t == i)) for t in range(n_v)) for i in range(n_v)]
 
     def eval_w(u, v):
@@ -115,17 +140,17 @@ def cr_extend_cochain(x: Cochain, data: ComplexStructureData) -> Cochain:
         if jdx < n_w:
             vals[(i, jdx)] = x.values.get((i, jdx), ())
         elif i < n_w:
-            base = eval_w(column(data.j, jdx), unit[i])
+            base = eval_w(column(j, jdx), unit[i])
             vals[(i, jdx)] = nonzero_pairs(mult_i(data, x.p - 1, base))
         else:
-            vals[(i, jdx)] = nonzero_pairs([-c for c in eval_w(column(data.j, i),
-                                                               column(data.j, jdx))])
+            vals[(i, jdx)] = nonzero_pairs([-c for c in eval_w(column(j, i), column(j, jdx))])
     return Cochain(standard_complex(a, n_v), x.p, 2, 0, vals)
 
 
 def cr_j_residual(t: Cochain, data: ComplexStructureData) -> tuple[Fraction, ...]:
     """`models.cr_j_residual` on unit vectors, with J applied as a matrix."""
-    n_v = data.j.rows
+    n_v = 2 * data.m_tilde
+    j = matrix(data.j, n_v)
     n_w = len(data.w_indices)
     outside_u = [s for s in range(n_v) if s not in data.u_indices]
 
@@ -136,9 +161,9 @@ def cr_j_residual(t: Cochain, data: ComplexStructureData) -> tuple[Fraction, ...
     out = []
     for i, jdx in combinations(data.u_indices, 2):
         u1, u2 = column(unit, i), column(unit, jdx)
-        ju1, ju2 = column(data.j, i), column(data.j, jdx)
+        ju1, ju2 = column(j, i), column(j, jdx)
         lhs = [x - y for x, y in zip(ev(u1, u2), ev(ju1, ju2))]
         out.extend(lhs[s] for s in outside_u)
-        out.extend(x + y + z for x, y, z in zip(lhs, mat_vec(data.j, ev(ju1, u2)),
-                                                mat_vec(data.j, ev(u1, ju2))))
+        out.extend(x + y + z for x, y, z in zip(lhs, mat_vec(j, ev(ju1, u2)),
+                                                mat_vec(j, ev(u1, ju2))))
     return tuple(out)

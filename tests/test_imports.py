@@ -113,3 +113,17 @@ def test_only_algebra_reads_the_stored_constants():
         named = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                  if isinstance(node, ast.Attribute) and node.attr in ("_rows", "_table")]
         assert not named, f"{path.name} reads .{named[0].attr} at line {named[0].lineno}"
+
+
+def test_only_linalg_names_rmatrix():
+    # below the API edge a matrix is its (i, j, x) entries: generators, J and the
+    # model bases; the dense RMatrix is built and taken by linalg's edge functions
+    # alone, and the package re-exports it
+    for path in SRC.glob("*.py"):
+        if path.name in ("linalg.py", "__init__.py"):
+            continue
+        named = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Name) and node.id == "RMatrix"
+                 or isinstance(node, ast.Attribute) and node.attr == "RMatrix"
+                 or isinstance(node, ast.alias) and node.name == "RMatrix"]
+        assert not named, f"{path.name} names RMatrix at line {named[0].lineno}"

@@ -17,7 +17,7 @@ from gspencer.spencer import (Cochain, cochain_from_coords, cohomology_dims, ran
 
 import oracles
 from conftest import rng_for
-from oracles import column, contains_subspace, mat_mul, mat_vec
+from oracles import column, contains_subspace, mat_mul, mat_vec, matrix
 
 
 def test_space_form_dimensions():
@@ -84,16 +84,17 @@ def test_cr_structure_invariants():
     assert alg.component_dim(-1) == n
     assert alg.component_dim(0) == 8  # 2 * m^2
     assert len(data.w_indices) == 3
-    jj = mat_mul(data.j, data.j)
+    jmat = matrix(data.j, 2 * data.m_tilde)
+    jj = mat_mul(jmat, jmat)
     assert all(jj.data[i][j] == (F(-1) if i == j else F(0)) for i in range(n)
                for j in range(n))
     # J(W-perp) inside U-perp
     for i in data.w_perp_indices:
-        col = column(data.j, i)
+        col = column(jmat, i)
         assert all(col[t] == 0 for t in range(n) if t not in data.u_perp_indices)
     # U = W intersect J(W), dimension 2(m-k)
     w = Subspace.from_vectors(n, [[(i, F(1))] for i in data.w_indices])
-    jw = Subspace.from_vectors(n, [nonzero_pairs(mat_vec(data.j, v)) for v in w.basis_vectors()])
+    jw = Subspace.from_vectors(n, [nonzero_pairs(mat_vec(jmat, v)) for v in w.basis_vectors()])
     u = subspace_intersection(w, jw)
     expected_u = Subspace.from_vectors(n, [[(i, F(1))] for i in data.u_indices])
     assert u == expected_u
@@ -112,12 +113,13 @@ def test_cr_degree_zero_commutes_with_j():
     alg, data = cr_algebra(2, 1, 1)
     layer0 = data.prolongation.orders[0]
     n = 4
+    jmat = matrix(data.j, 2 * data.m_tilde)
     for vec in layer0.basis_vectors():
         m = [vec[i * n:(i + 1) * n] for i in range(n)]
         for r in range(n):
             for c in range(n):
-                mj = sum(m[r][t] * data.j.data[t][c] for t in range(n))
-                jm = sum(data.j.data[r][t] * m[t][c] for t in range(n))
+                mj = sum(m[r][t] * jmat.data[t][c] for t in range(n))
+                jm = sum(jmat.data[r][t] * m[t][c] for t in range(n))
                 assert mj == jm
 
 
@@ -176,7 +178,8 @@ def _condition_kernels(data, w_valued: bool):
     from itertools import combinations
     from gspencer.linalg import ZERO, kernel_of_rows, nonzero_pairs
 
-    n_v = data.j.rows
+    n_v = 2 * data.m_tilde
+    jmat = matrix(data.j, n_v)
     n_w = len(data.w_indices)
     targets = list(range(n_w)) if w_valued else list(range(n_v))
     pairs = list(combinations(range(n_w), 2))
@@ -190,7 +193,7 @@ def _condition_kernels(data, w_valued: bool):
             if minor:
                 for pos, val_t in enumerate(targets):
                     if jwrap:
-                        jc = data.j.data[tgt_i][val_t]
+                        jc = jmat.data[tgt_i][val_t]
                         if jc:
                             row[pos * len(pairs) + t_i] += sign * minor * jc
                     elif val_t == tgt_i:
@@ -199,8 +202,8 @@ def _condition_kernels(data, w_valued: bool):
     rows1, rows2 = [], []
     for i, jdx in combinations(data.u_indices, 2):
         u1, u2 = unit[i], unit[jdx]
-        ju1 = column(data.j, i)[:n_w]
-        ju2 = column(data.j, jdx)[:n_w]
+        ju1 = column(jmat, i)[:n_w]
+        ju2 = column(jmat, jdx)[:n_w]
         for tgt in range(n_v):
             row = [ZERO] * dim_t
             add_eval(row, u1, u2, F(1), False, tgt)

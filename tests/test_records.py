@@ -99,12 +99,19 @@ def test_admissible_tuple_rejects_misplaced_degrees():
 
 
 def test_linear_lie_algebra_rejects_bad_generator_shapes():
-    ident2, ident3 = RMatrix.identity(2), RMatrix.identity(3)
-    assert LinearLieAlgebra(2, (ident2,)).generators == (ident2,)
-    for gens in ((ident3,), (ident2, ident3), (RMatrix(((1, 0, 0), (0, 1, 0))),)):
-        with pytest.raises(InputError, match="v_dim x v_dim"):
+    # generators are iterables of (i, j, x) entries with int indices in 0..v_dim-1
+    # and int or Fraction values; a dense matrix is not one
+    ident2 = ((0, 0, 1), (1, 1, 1))
+    assert LinearLieAlgebra(2, (ident2,)).generators == (((0, 0, F(1)), (1, 1, F(1))),)
+    bad = [(ident2 + ((2, 2, 1),),), (ident2, ((0, -1, 1),)),  # index outside 0..1
+           (((0, 1.0, 1),),), (((True, 0, 1),),),  # index not an int
+           (((0, 1, 0.5),),), (((0, 1, "1"),),),  # value not an int or Fraction
+           (((0, 1),),), ((0, 1, 1),), (5,), 5,  # not an iterable of triples
+           (RMatrix.identity(2),)]
+    for gens in bad:
+        with pytest.raises(InputError):
             LinearLieAlgebra(2, gens)
-        with pytest.raises(InputError, match="v_dim x v_dim"):
+        with pytest.raises(InputError):
             LinearLieAlgebra(v_dim=2, generators=gens)
 
 
@@ -120,18 +127,27 @@ def test_cohomology_entry_carries_both_bases_with_certificates():
 
 
 def test_equal_linear_lie_algebras_share_one_build():
+    # generators given as lists, as a generator expression, or with their entries
+    # reordered, split into repeats and padded with zeros are stored as the same
+    # sorted tuples, so the algebras are equal, hash equal and share one build
     h0 = so_generators(3)
-    twin = LinearLieAlgebra(h0.v_dim, tuple(RMatrix(g.data) for g in h0.generators))
-    assert twin == h0 and twin is not h0 and hash(twin) == hash(h0)
     first = build_graded_algebra(h0, 1)
-    hits = build_graded_algebra.cache_info().hits
-    assert build_graded_algebra(twin, 1) is first
-    assert build_graded_algebra.cache_info().hits == hits + 1
+    halves = [[(i, j, x / 2) for i, j, x in g] * 2 + [(0, 0, 0)] for g in h0.generators]
+    twins = [LinearLieAlgebra(3, list(h0.generators)),
+             LinearLieAlgebra(3, [list(g) for g in h0.generators]),
+             LinearLieAlgebra(3, (reversed(g) for g in h0.generators)),
+             LinearLieAlgebra(3, halves)]
+    for twin in twins:
+        assert twin == h0 and twin is not h0 and hash(twin) == hash(h0)
+        assert all(type(g) is tuple for g in twin.generators)
+        hits = build_graded_algebra.cache_info().hits
+        assert build_graded_algebra(twin, 1) is first
+        assert build_graded_algebra.cache_info().hits == hits + 1
 
 
 def test_complex_structure_repr_leaves_out_prolongation_and_memo():
     _, data = cr_algebra(2, 1, 1)
     text = repr(data)
-    assert text.startswith("ComplexStructureData(j=RMatrix(4x4), m_tilde=2, k=1, ")
+    assert text.startswith(f"ComplexStructureData(j={data.j!r}, m_tilde=2, k=1, ")
     assert "w_perp_indices=(3,)" in text
     assert "prolongation" not in text and "mult_i_cols" not in text
