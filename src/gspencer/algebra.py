@@ -16,7 +16,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError
-from .linalg import (PairRow, Subspace, ZERO, clear_denominators, combine, dense,
+from .linalg import (ClearedRow, PairRow, Subspace, ZERO, clear_denominators, combine, dense,
                      kernel_of_rows, nonzero_pairs)
 
 
@@ -136,23 +136,23 @@ class GradedLieAlgebra:
                     terms.append((row, Fraction(xi * yj, den if i < j else -den)))
         return dense(combine(terms), self.dim)
 
-    def bracket_sum(self, terms: Iterable[tuple[Fraction, int, PairRow, int, PairRow]],
+    def bracket_sum(self, terms: Iterable[tuple[Fraction, int, ClearedRow, int, ClearedRow]],
                     d: int) -> list[tuple[int, Fraction]]:
         """The degree-d part of the sum of coef * [x, y] over the (coef, dx, x, dy, y)
         terms, as sorted (component coordinate, value) pairs; coef is an int or a
-        Fraction, and x and y are given by their pairs, each coordinate once, in the
+        Fraction, and x and y are given cleared of denominators, as the
+        `clear_denominators` (den, {coordinate: int}) of their pairs in the
         degree-dx and degree-dy components.
 
-        Each operand is cleared of denominators once, and the sum keeps int
-        numerators over one running denominator, as `combine` does, reading the
-        stored integer rows of the structure constants.
+        Callers clear each operand once where it is made, however many terms it
+        enters; the sum keeps int numerators over one running denominator, as
+        `combine` does, reading the stored integer rows of the structure constants.
         """
         rows = self._rows
         acc: dict[int, int] = {}
         den = 1
-        for coef, dx, x, dy, y in terms:
+        for coef, dx, (sx, xi), dy, (sy, yi) in terms:
             xs, ys = self.component_indices(dx), self.component_indices(dy)
-            (sx, xi), (sy, yi) = clear_denominators(x), clear_denominators(y)
             cn, cd = coef.numerator, coef.denominator * sx * sy
             for k, u in xi.items():
                 i, cu = xs[k], cn * u
@@ -304,7 +304,8 @@ def adjoint_columns(a: GradedLieAlgebra, d: int,
 
     w is given by its (coordinate, value) pairs in the degree-(-1) component.
     """
-    return [a.bracket_sum(((1, d, ((i, 1),), -1, w_row),), d - 1)
+    w = clear_denominators(w_row)
+    return [a.bracket_sum(((1, d, (1, {i: 1}), -1, w),), d - 1)
             for i in range(a.component_dim(d))]
 
 

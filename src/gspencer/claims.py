@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import comb
 
 from . import models
-from .linalg import (ONE, Subspace, combine, kernel_of_rows, nonzero_pairs,
+from .linalg import (ONE, Subspace, clear_denominators, combine, kernel_of_rows,
                      subspace_intersection, transpose)
 from .prolong import build_graded_algebra, coord_index
 from .spencer import _coboundaries, cochain_from_coords, cohomology_dims, standard_complex
@@ -128,6 +128,7 @@ def verify_conformal_prolongation(n: int) -> bool:
         if coords is None:
             return False
         images.append(coords)
+    cleared = [clear_denominators(im) for im in images]
     for i in range(model.dim):
         for j in range(i + 1, model.dim):
             d = deg[i] + deg[j]
@@ -135,7 +136,7 @@ def verify_conformal_prolongation(n: int) -> bool:
             if any(deg[t] != d for t in br):
                 return False
             if combine((images[t], c) for t, c in br.items()) != asm.bracket_sum(
-                    ((ONE, deg[i], images[i], deg[j], images[j]),), d):
+                    ((ONE, deg[i], cleared[i], deg[j], cleared[j]),), d):
                 return False
     return True
 
@@ -151,9 +152,9 @@ def verify_cr_integrability_equivalence(m: int, k: int) -> bool:
     # W-valued unit cochains are those whose value coordinate lies in W
     w_units = [pos for pos in range(dim_c) if pos % n_v < cplx.n_w]
     units = [[(pos, ONE)] for pos in w_units]
-    residuals = [models.cr_j_residual(cochain_from_coords(cplx, 0, 2, 0, u), data)
+    residuals = [models.cr_j_residual_pairs(cochain_from_coords(cplx, 0, 2, 0, u), data)
                  for u in units]
-    kernel = kernel_of_rows(transpose([nonzero_pairs(r) for r in residuals], len(residuals[0])),
+    kernel = kernel_of_rows(transpose([pairs for _, pairs in residuals], residuals[0][0]),
                             len(w_units))
     lhs = subspace_intersection(b_space, Subspace.from_vectors(dim_c, units))
     return lhs == Subspace.from_vectors(

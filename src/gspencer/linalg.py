@@ -35,6 +35,8 @@ ONE = Fraction(1)
 PairRow = Collection[tuple[int, Fraction]]
 # A reduced row: its (column, value) pairs sorted by column, the first one its pivot, value 1.
 EchelonRow = tuple[tuple[int, Fraction], ...]
+# A row cleared of denominators (`clear_denominators`): (den, {column: int}), the row times den.
+ClearedRow = tuple[int, dict[int, int]]
 
 
 def nonzero_pairs(v: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
@@ -60,14 +62,16 @@ def transpose(rows: Sequence[PairRow], ncols: int) -> list[list[tuple[int, Fract
     return out
 
 
-def combine(terms: Iterable[tuple[PairRow, Fraction]]) -> list[tuple[int, Fraction]]:
-    """The sparse row sum of c * row over the (row, c) pairs of ints or Fractions, sorted
-    by column; a product's denominator raises the running one only if it does not divide it."""
+def combine(terms: Iterable[tuple[PairRow, Fraction]], divisor: int = 1
+            ) -> list[tuple[int, Fraction]]:
+    """The sparse row sum of c * row over the (row, c) pairs of ints or Fractions, divided
+    by the int divisor, sorted by column; a product's denominator raises the running one
+    only if it does not divide it."""
     acc: dict[int, int] = {}
     den = 1
     for row, c in terms:
         if c:
-            cn, cd = c.numerator, c.denominator
+            cn, cd = c.numerator, c.denominator * divisor
             for k, x in row:
                 d = cd * x.denominator
                 if den % d:
@@ -78,7 +82,7 @@ def combine(terms: Iterable[tuple[PairRow, Fraction]]) -> list[tuple[int, Fracti
     return sorted((k, Fraction(v, den)) for k, v in acc.items() if v)
 
 
-def clear_denominators(row: PairRow) -> tuple[int, dict[int, int]]:
+def clear_denominators(row: PairRow) -> ClearedRow:
     """(den, entries): den is the lcm of the row's denominators, and entries maps
     the column of each nonzero value x (int or Fraction) to the int den * x."""
     den = 1
@@ -435,7 +439,8 @@ class LinearMap:
         coords = self.domain.coordinates(entries.items())
         if coords is None:
             return None
-        return combine((self.images[b], Fraction(x, den)) for b, x in coords)
+        # the coordinates of den * v are ints: the image is their combination over den
+        return combine(((self.images[b], x) for b, x in coords), den)
 
 
 def split_map(domain: Subspace, parts: Sequence[Subspace], keep: Sequence[int]) -> LinearMap:

@@ -336,10 +336,20 @@ def cr_j_residual(t: Cochain, data: ComplexStructureData) -> tuple[Fraction, ...
     For each pair u1 < u2 of U basis vectors, with L = T(u1,u2) - T(J u1, J u2),
     it lists the components of L outside U, then L + J T(J u1, u2) + J T(u1, J u2).
     """
+    n, pairs = cr_j_residual_pairs(t, data)
+    return dense(pairs, n)
+
+
+def cr_j_residual_pairs(t: Cochain, data: ComplexStructureData
+                        ) -> tuple[int, list[tuple[int, Fraction]]]:
+    """`cr_j_residual` as its length and its sorted nonzero (coordinate, value) pairs."""
     if t.q != 2 or t.p != 0:
         raise InputError("expected a V-valued 2-cochain, p = 0 and q = 2")
     n_v = 2 * data.m_tilde
-    outside_u = [s for s in range(n_v) if s not in data.u_indices]
+    # the place of each coordinate outside U among them; a block per U pair lists
+    # those components of L, then all of the second condition
+    outside_u = {s: i for i, s in enumerate(s for s in range(n_v) if s not in data.u_indices)}
+    width = len(outside_u) + n_v
 
     def ev(u: PairRow, v: PairRow) -> list[tuple[int, Fraction]]:
         return _evaluate_2(t, u, v)
@@ -347,16 +357,15 @@ def cr_j_residual(t: Cochain, data: ComplexStructureData) -> tuple[Fraction, ...
     def j(v: PairRow) -> list[tuple[int, Fraction]]:
         return data.mult_i(-1, v)
 
-    out: list[Fraction] = []
-    for i, jdx in combinations(data.u_indices, 2):
+    out: list[tuple[int, Fraction]] = []
+    for b, (i, jdx) in enumerate(combinations(data.u_indices, 2)):
         u1, u2 = [(i, ONE)], [(jdx, ONE)]
         ju1, ju2 = j(u1), j(u2)
         lhs = combine(((ev(u1, u2), ONE), (ev(ju1, ju2), -ONE)))
         rhs = combine(((lhs, ONE), (j(ev(ju1, u2)), ONE), (j(ev(u1, ju2)), ONE)))
-        lhs_dense = dense(lhs, n_v)
-        out.extend(lhs_dense[s] for s in outside_u)
-        out.extend(dense(rhs, n_v))
-    return tuple(out)
+        out.extend((b * width + outside_u[s], x) for s, x in lhs if s in outside_u)
+        out.extend((b * width + len(outside_u) + s, x) for s, x in rhs)
+    return comb(len(data.u_indices), 2) * width, out
 
 
 def cr_integrability_test(t: Cochain, data: ComplexStructureData) -> bool:
@@ -365,4 +374,4 @@ def cr_integrability_test(t: Cochain, data: ComplexStructureData) -> bool:
     True iff, for all u1, u2 in U: T(u1,u2) - T(J u1, J u2) lies in U and
     equals -J T(J u1, u2) - J T(u1, J u2), i.e. iff the J-residual vanishes.
     """
-    return not any(cr_j_residual(t, data))
+    return not cr_j_residual_pairs(t, data)[1]

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .linalg import ONE, combine, dense
+from .linalg import ONE, clear_denominators, combine, dense
 from .spencer import (Cochain, SpencerComplex, WFrame, _split_by_chain, alternating_bracket_sum,
                       canonical_pairs, check_coordinates, class_representative, is_coboundary,
                       spencer_d)
@@ -117,15 +117,16 @@ def total_curvature(frame: WFrame, t: AdmissibleTuple, p: int) -> Cochain:
     for f in t.forms:
         _check_form(frame, f)
     a = frame.algebra
-    # the component pairs of omega^{-1}(w_j) = w_j and of omega^r(w_j), r = 0..p-1
-    w = frame.w.rows
-    omega = [f.columns for f in t.forms[:p]]
+    # omega^{-1}(w_j) = w_j and omega^r(w_j), r = 0..p-1, each cleared of denominators once
+    w = [clear_denominators(row) for row in frame.w.rows]
+    omega = [[clear_denominators(col) for col in f.columns] for f in t.forms[:p]]
     vals = {}
     for i, j in combinations(range(frame.n_w), 2):
         terms = [(ONE, r, omega[r][i], p - 1 - r, omega[p - 1 - r][j]) for r in range(p)]
         terms.append((ONE, -1, w[i], -1, w[j]))
         vals[(i, j)] = a.bracket_sum(terms, p - 1)
-    return Cochain(frame, p, 2, 0, vals)
+    # the sums are sorted nonzero pairs of the degree-(p-1) component: canonical at level 0
+    return Cochain._unchecked(frame, p, 2, 0, vals)
 
 
 def _d_of_form(frame: WFrame, f: ConstantForm) -> Cochain:
@@ -186,27 +187,30 @@ class ObstructionCertificate(NamedTuple):
     class_rep: Cochain
 
 
-def solve_next(c: SpencerComplex, t: AdmissibleTuple, p: int
+def solve_next(c: SpencerComplex, t: AdmissibleTuple, p: int, _checked: bool = False
                ) -> Union[ConstantForm, ObstructionCertificate]:
     """Solve the order-p equation for the next form, or certify the obstruction.
 
     On success the returned form extends the tuple admissibly (re-verified
     exactly); on failure the nonzero class representative of the total
-    curvature is returned.
+    curvature is returned.  The tuple is checked first, unless `solve_to_top`
+    passes _checked for a tuple whose forms it re-verified as it solved them.
     """
     if not 0 <= p <= c.algebra.height - 1:
         raise InputError(f"order {p} has no form degree in this algebra")
-    check_admissible(c, t, p)
+    if not _checked:
+        check_admissible(c, t, p)
     omega = total_curvature(c, t, p)
-    y = is_coboundary(c, -omega)
+    # the preimage map is linear (free variables zero): the preimage of -omega is -y
+    y = is_coboundary(c, omega)
     if y is None:
         rep = class_representative(c, omega)
         if rep.is_zero():
             raise InternalInvariantError("solver and class reduction disagree")
         return ObstructionCertificate(p, rep)
-    form = cochain_to_form(y)
-    # the order-p residual of the extended tuple: the forms below p are unchanged
-    if not (omega + _d_of_form(c, form)).is_zero():
+    form = cochain_to_form(-y)
+    # the order-p residual of the extended tuple, omega + d form: the forms below p are unchanged
+    if _d_of_form(c, form) != -omega:
         raise InternalInvariantError("solved form fails re-verification")
     return form
 
@@ -221,9 +225,10 @@ def solve_to_top(c: SpencerComplex, t: AdmissibleTuple | None = None
     """
     if t is None:
         t = empty_tuple()
-    k = c.algebra.height
-    for p in range(t.order, k):
-        out = solve_next(c, t, p)
+    k, start = c.algebra.height, t.order
+    for p in range(start, k):
+        # the supplied tuple is checked once, at its first order
+        out = solve_next(c, t, p, _checked=p > start)
         if isinstance(out, ObstructionCertificate):
             return t, out
         t = t.extended(out)
@@ -304,13 +309,14 @@ def strong_equiv_transport(c: SpencerComplex, omega0: ConstantForm,
         raise InputError("expected a degree-1 component vector")
     if not admissibility_residuals(c, AdmissibleTuple((omega0,)))[0].is_zero():
         raise PreconditionError("omega0 is not admissible at order 0")
-    varpi = [(k, Fraction(x)) for k, x in enumerate(varpi1) if x]
+    varpi = clear_denominators([(k, Fraction(x)) for k, x in enumerate(varpi1) if x])
     new_cols = []
     eps_cols = []
     for w_row, om in zip(c.w.rows, omega0.columns):
-        shift = a.bracket_sum(((ONE, -1, w_row, 1, varpi),), 0)
+        shift = a.bracket_sum(((ONE, -1, clear_denominators(w_row), 1, varpi),), 0)
         new_cols.append(combine(((om, ONE), (shift, ONE))))
-        eps_cols.append(a.bracket_sum(((ONE, 0, om, 1, varpi), (HALF, 0, shift, 1, varpi)), 1))
+        eps_cols.append(a.bracket_sum(((ONE, 0, clear_denominators(om), 1, varpi),
+                                       (HALF, 0, clear_denominators(shift), 1, varpi)), 1))
     omega0_new = ConstantForm(0, tuple(new_cols))
     eps1 = ConstantForm(1, tuple(eps_cols))
     # exact identity: Omega'^0 = Omega^0 - [omega^{-1}, eps^1]

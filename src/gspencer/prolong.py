@@ -68,6 +68,8 @@ class LinearLieAlgebra(_LinearLieAlgebraFields):
     __slots__ = ()
 
     def __new__(cls, v_dim: int, generators: Iterable[Iterable[tuple[int, int, Fraction]]]):
+        if type(v_dim) is not int or v_dim < 1:
+            raise InputError(f"v_dim must be a positive int, got {v_dim!r}")
         gens = []
         try:
             for g in generators:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import (GradedLieAlgebra, adjoint_columns, annihilated_rows,
                       deterministic_rows_annihilating, g_sharp_subalgebra)
@@ -233,6 +233,19 @@ class Cochain:
     def zero(cls, frame: WFrame, p: int, q: int, level: int = 0) -> "Cochain":
         return cls(frame, p, q, level, {})
 
+    @classmethod
+    def _unchecked(cls, frame: WFrame, p: int, q: int, level: int,
+                   values: Mapping[tuple[int, ...], Sequence[tuple[int, Fraction]]]) -> "Cochain":
+        """The cochain of values the library made canonical, taken without the
+        constructor's checks: strictly increasing in-range tuples, each mapped to
+        sorted nonzero (coordinate, Fraction) pairs inside the component, reduced
+        modulo the annihilator; empty values are dropped.  Only producers whose
+        output is canonical by construction call it (spencer.py, obstruction.py)."""
+        x = cls.__new__(cls)
+        x.frame, x.p, x.q, x.level = frame, p, q, level
+        x.values = {tup: tuple(row) for tup, row in values.items() if row}
+        return x
+
     # -- vector space operations ----------------------------------------------
 
     def _compatible(self, other: "Cochain") -> None:
@@ -249,7 +262,7 @@ class Cochain:
         return Cochain(self.frame, self.p, self.q, self.level, vals)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + other.scale(Fraction(-1))
+        return self + -other
 
     def scale(self, c) -> "Cochain":
         c = Fraction(c)
@@ -257,7 +270,9 @@ class Cochain:
                        {t: [(k, c * x) for k, x in row] for t, row in self.values.items()})
 
     def __neg__(self) -> "Cochain":
-        return self.scale(Fraction(-1))
+        # reduction modulo the annihilator is linear: a negated representative stays reduced
+        return Cochain._unchecked(self.frame, self.p, self.q, self.level,
+                                  {t: [(k, -x) for k, x in row] for t, row in self.values.items()})
 
     def is_zero(self) -> bool:
         return not self.values
@@ -306,7 +321,8 @@ def alternating_bracket_sum(x: Cochain) -> Cochain:
     (dx)(w_0..w_q) = sum_i (-1)^i [w_i, x(w_0..^w_i..w_q)].
 
     It needs no annihilator, so it also serves level-0 cochains over a
-    quasi-graded `WFrame`.
+    quasi-graded `WFrame`.  At level 0 the sums are the canonical values, since
+    `combine` gives sorted nonzero pairs of the target component.
     """
     c = x.frame
     if x.p == 0 or not x.values:
@@ -319,7 +335,9 @@ def alternating_bracket_sum(x: Cochain) -> Cochain:
         # [x(rest), w_t] enters with sign (-1)^(pos+1), pos the place of t in tup
         out[tup] = combine((ad[t][k], v) for pos, t in enumerate(tup)
                            for k, v in signed.get(tup[:pos] + tup[pos + 1:], ((), ()))[pos % 2])
-    return Cochain(c, x.p - 1, x.q + 1, x.level, out)
+    if x.level:
+        return Cochain(c, x.p - 1, x.q + 1, x.level, out)
+    return Cochain._unchecked(c, x.p - 1, x.q + 1, 0, out)
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +369,23 @@ def cochain_from_coords(c: SpencerComplex, p: int, q: int, r: int,
                         coords: Iterable[tuple[int, Fraction]]) -> Cochain:
     """The cochain with the given (coordinate, value) pairs in the canonical
     basis of `cochain_to_coords`; zero values are allowed."""
+    return _from_coords(Cochain, c, p, q, r, coords)
+
+
+def _from_coords(make: Callable[..., Cochain], c: SpencerComplex, p: int, q: int, r: int,
+                 coords: Iterable[tuple[int, Fraction]]) -> Cochain:
+    """make(c, p, q, r, values) for the values of the given coordinates.  Sorted
+    nonzero Fraction coordinates, such as `combine` and solve output, give
+    canonical values, so their make is `Cochain._unchecked`: the pairs of a tuple
+    come sorted and sit on free rows, where a value reduced modulo the
+    annihilator is its own representative."""
     free = c.free_rows(p, r)
     tuples = list(combinations(range(c.n_w), q))
     vals: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
     for k, x in coords:
         b, i = divmod(k, len(free))
         vals.setdefault(tuples[b], []).append((free[i], x))
-    return Cochain(c, p, q, r, vals)
+    return make(c, p, q, r, vals)
 
 
 def _signed_columns(c: SpencerComplex, p: int, r: int) -> list[tuple[list, list]]:
@@ -483,8 +511,8 @@ def cohomology_dims(c: SpencerComplex, p: int, q: int, r: int,
         return CohomologyEntry(p, q, r, dim_c, dim_z, dim_b, dim_z - dim_b)
     z, b = _cocycles(c, p, q, r), _coboundaries(c, p, q, r)
     return CohomologyEntry(p, q, r, dim_c, dim_z, dim_b, dim_z - dim_b,
-                           [cochain_from_coords(c, p, q, r, row) for row in z.rows],
-                           [cochain_from_coords(c, p, q, r, row) for row in b.rows])
+                           [_from_coords(Cochain._unchecked, c, p, q, r, row) for row in z.rows],
+                           [_from_coords(Cochain._unchecked, c, p, q, r, row) for row in b.rows])
 
 
 def _require_cocycle(c: SpencerComplex, z: Cochain) -> list[tuple[int, Fraction]]:
@@ -542,7 +570,7 @@ def is_coboundary(c: SpencerComplex, z: Cochain) -> Optional[Cochain]:
     sol = _preimage_map(c, z.p, z.q, z.level).apply(pairs)
     if sol is None:
         return None
-    return cochain_from_coords(c, z.p + 1, z.q - 1, z.level, sol)
+    return _from_coords(Cochain._unchecked, c, z.p + 1, z.q - 1, z.level, sol)
 
 
 def class_representative(c: SpencerComplex, z: Cochain) -> Cochain:
@@ -563,7 +591,7 @@ def class_representative(c: SpencerComplex, z: Cochain) -> Cochain:
     part = c._memo[("class", key)].apply(pairs)
     if part is None:
         raise PreconditionError("cocycle does not lie in the cocycle space")
-    return cochain_from_coords(c, z.p, z.q, z.level, part)
+    return _from_coords(Cochain._unchecked, c, z.p, z.q, z.level, part)
 
 
 def g_sharp_act(c: SpencerComplex, x_elt: Sequence[Fraction], x: Cochain) -> Cochain:
@@ -582,7 +610,7 @@ def g_sharp_act(c: SpencerComplex, x_elt: Sequence[Fraction], x: Cochain) -> Coc
     comp0 = a.component_part(x_elt, 0)
     if not c.g_sharp().contains(comp0):
         raise InputError("element does not preserve W")
-    x_pairs = nonzero_pairs(comp0)
+    x_cleared = clear_denominators(nonzero_pairs(comp0))
     # [X, w_j] expressed back in W coordinates
     act_w = []
     for j in range(c.n_w):
@@ -593,7 +621,8 @@ def g_sharp_act(c: SpencerComplex, x_elt: Sequence[Fraction], x: Cochain) -> Coc
     d = x.p - 1
     out = {}
     for tup in combinations(range(c.n_w), x.q):
-        terms = [(a.bracket_sum(((ONE, 0, x_pairs, d, x.values.get(tup, ())),), d), ONE)]
+        value = clear_denominators(x.values.get(tup, ()))
+        terms = [(a.bracket_sum(((ONE, 0, x_cleared, d, value),), d), ONE)]
         for pos in range(x.q):
             for j, cj in act_w[tup[pos]]:
                 # x at the tuple with w_j in place pos: zero on a repeat, else
@@ -619,8 +648,8 @@ def random_cocycle(c: SpencerComplex, p: int, q: int, r: int, rng,
     truncation makes `cohomology_dims` at (p, q, r) raise."""
     c._check_component_available(p if q else p - 1)
     z = _cocycles(c, p, q, r)
-    coeffs = [Fraction(rng.randint(lo, hi)) for _ in range(z.dim)]
-    return cochain_from_coords(c, p, q, r, combine(zip(z.rows, coeffs)))
+    coeffs = [rng.randint(lo, hi) for _ in range(z.dim)]
+    return _from_coords(Cochain._unchecked, c, p, q, r, combine(zip(z.rows, coeffs)))
 
 
 @lru_cache(maxsize=None)

@@ -127,3 +127,16 @@ def test_only_linalg_names_rmatrix():
                  or isinstance(node, ast.Attribute) and node.attr == "RMatrix"
                  or isinstance(node, ast.alias) and node.name == "RMatrix"]
         assert not named, f"{path.name} names RMatrix at line {named[0].lineno}"
+
+
+def test_only_the_solver_modules_build_unchecked_cochains():
+    # Cochain._unchecked skips the constructor's checks; only the producers in
+    # spencer.py and obstruction.py, whose values are canonical by construction,
+    # may call it, and every other module goes through the checked constructor
+    for path in SRC.glob("*.py"):
+        if path.name in ("spencer.py", "obstruction.py"):
+            continue
+        named = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Attribute) and node.attr == "_unchecked"
+                 or isinstance(node, ast.Name) and node.id == "_unchecked"]
+        assert not named, f"{path.name} names _unchecked at line {named[0].lineno}"

@@ -394,6 +394,34 @@ def test_solve_next_forms_each_curvature_once(monkeypatch):
     assert orders == [0, 1]
 
 
+def test_solve_to_top_forms_each_curvature_once(monkeypatch):
+    # from the empty tuple on a height-k complex: one curvature per order 0..k,
+    # k + 1 in all; the tuple solve_to_top extends itself is not checked again
+    for c in (standard_complex(conformal_algebra(3), 2), standard_complex(conformal_algebra(4), 3)):
+        assert c.algebra.height == 2
+        orders = []
+        real = obstruction.total_curvature
+
+        def recording(frame, tup, p):
+            orders.append(p)
+            return real(frame, tup, p)
+
+        monkeypatch.setattr(obstruction, "total_curvature", recording)
+        t, cert = solve_to_top(c)
+        monkeypatch.undo()
+        assert cert is None and t.order == 2
+        assert orders == [0, 1, 2]
+
+
+def test_solve_to_top_checks_a_supplied_tuple(monkeypatch):
+    # a supplied tuple is checked once, before any order is solved
+    c = standard_complex(conformal_algebra(4), 3)
+    bad = AdmissibleTuple((ConstantForm(0, (((0, F(1)),),) * c.n_w),))
+    assert not admissibility_residuals(c, bad)[0].is_zero()
+    with pytest.raises(PreconditionError, match="not admissible"):
+        solve_to_top(c, bad)
+
+
 def test_solve_next_reverification_rejects_a_wrong_form(monkeypatch):
     c = standard_complex(conformal_algebra(4), 3)
     t = _solvable_order1_start(c, rng_for("solve-next-perturbed"))

@@ -115,6 +115,16 @@ def test_linear_lie_algebra_rejects_bad_generator_shapes():
             LinearLieAlgebra(v_dim=2, generators=gens)
 
 
+def test_linear_lie_algebra_rejects_a_v_dim_that_is_not_a_positive_int():
+    # -2 and 0 were accepted (the build then made a layer "of Q^4"), 3.0 gave a
+    # TypeError in the build and '3' a message about the generators
+    for v_dim in (-2, 0, 3.0, "3", True):
+        for gens in ([], [[(0, 0, 1)]]):
+            with pytest.raises(InputError, match=r"^v_dim must be a positive int, got ") as info:
+                LinearLieAlgebra(v_dim, gens)
+            assert "\n" not in str(info.value)
+
+
 def test_cohomology_entry_carries_both_bases_with_certificates():
     c = standard_complex(conformal_algebra(3), 2)
     plain = cohomology_dims(c, 1, 1, 0)

@@ -782,3 +782,59 @@ def test_random_cocycle_raises_past_the_truncation():
     for p, q in ((2, 2), (3, 0)):
         z = random_cocycle(c, p, q, 0, rng)
         assert spencer_d(z).is_zero() and cohomology_dims(c, p, q, 0).dim_z >= 0
+
+
+# ---------------------------------------------------------------------------
+# cochains taken without the constructor's checks
+# ---------------------------------------------------------------------------
+
+def _assert_canonical(x):
+    # what the library builds unchecked is what the checked constructor would store
+    assert x == Cochain(x.frame, x.p, x.q, x.level, x.values)
+    for row in x.values.values():
+        assert type(row) is tuple and row
+        assert all(type(k) is int and type(v) is F and v for k, v in row)
+        assert all(h < k for (h, _), (k, _) in zip(row, row[1:]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: standard_complex(conformal_algebra(4), 3),
+    lambda: SpencerComplex(conformal_algebra(4), two_term_w(4)),
+    lambda: standard_complex(conformal_algebra(5), 4),
+    lambda: standard_complex(space_form_algebra(6, 0), 4)],
+    ids=["conformal4", "conformal4_two_term_w", "conformal5", "space_form6"])
+def test_stream_cochains_equal_their_checked_rebuild(build):
+    # every cochain of the solve stream: d, curvatures, preimages (a key's first
+    # query and the fixed map), class representatives, negations, random cocycles
+    # and the certificate bases, at levels 0 and 1 and with rational data
+    c = build()
+    rng = rng_for("unchecked-cochains")
+    height = c.algebra.height
+    for r in (0, 1):
+        for p in range(0, height + 1):
+            for q in (1, 2):
+                entry = cohomology_dims(c, p, q, r, certificates=True)
+                for x in entry.z_basis + entry.b_basis:
+                    _assert_canonical(x)
+                for _ in range(3):
+                    z = random_cocycle(c, p, q, r, rng).scale(F(rng.randint(1, 4), 3))
+                    _assert_canonical(z)
+                    _assert_canonical(-z)
+                    _assert_canonical(class_representative(c, z))
+                    if p < height:
+                        y = random_integer_cochain(c, p + 1, q - 1, r, rng)
+                        dy = spencer_d(y)
+                        _assert_canonical(dy)
+                        pre = is_coboundary(c, dy)
+                        _assert_canonical(pre)
+                        assert spencer_d(pre) == dy
+    for scale in (1, F(2, 3)):
+        form = cochain_to_form(random_cocycle(c, 1, 1, 0, rng).scale(scale))
+        t = AdmissibleTuple((form,))
+        for p in range(0, t.order + 1):
+            _assert_canonical(total_curvature(c, t, p))
+        tup, cert = solve_to_top(c, t)
+        for p in range(0, tup.order + 1):
+            _assert_canonical(total_curvature(c, tup, p))
+        if cert is not None:
+            _assert_canonical(cert.class_rep)
