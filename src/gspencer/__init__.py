@@ -22,7 +22,8 @@ from .obstruction import (AdmissibleTuple, BianchiViolation, ConstantForm,
                           admissibility_residuals, bianchi_check,
                           canonical_omega_minus1, cochain_to_form,
                           form_to_cochain, level_decompose, solve_next,
-                          solve_to_top, strong_equiv_transport, total_curvature)
+                          solve_to_top, strong_equiv_transport, total_curvature,
+                          UndecidedAtTruncation)
 from .fileio import parse_algebra, parse_cochain, serialize_algebra, serialize_cochain
 
 __all__ = [name for name in dir() if not name.startswith("_")]

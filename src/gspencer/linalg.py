@@ -95,6 +95,18 @@ def clear_denominators(row: PairRow) -> ClearedRow:
     return den, {k: n * (den // x.denominator) for k, x in row if (n := x.numerator)}
 
 
+def clear_rows(rows: Iterable[tuple[object, PairRow]]
+               ) -> tuple[int, dict[object, list[tuple[int, int]]]]:
+    """(den, {key: [(column, int), ...]}) for (key, row) pairs: den is the lcm of
+    all the rows' denominators, and each row's nonzero entries times den are
+    listed in its order; a row with no nonzero entry gets no key."""
+    den, entries = clear_denominators([((key, k), x) for key, row in rows for k, x in row])
+    out: dict[object, list[tuple[int, int]]] = {}
+    for (key, k), n in entries.items():
+        out.setdefault(key, []).append((k, n))
+    return den, out
+
+
 def _clear_column(r: dict[int, int], piv: dict[int, int], c: int) -> None:
     """Make the integer row r zero at column c with the row piv (nonzero there),
     in place, then divide r by the gcd of its entries."""
@@ -305,13 +317,10 @@ class Subspace:
         first use): integer input takes only int operations.
         """
         if self._integer_view is None:
-            # one clearing over every row's off-pivot entries, keyed (pivot, column)
-            scale, entries = clear_denominators([((row[0][0], k), y) for row in self.rows
-                                                 for k, y in row[1:]])
-            scaled = {pc: (b, []) for b, pc in enumerate(self.pivot_rows)}
-            for (pc, k), y in entries.items():
-                scaled[pc][1].append((k, y))
-            self._integer_view = scale, scaled
+            # one clearing over every row's off-pivot entries, keyed by pivot
+            scale, entries = clear_rows((row[0][0], row[1:]) for row in self.rows)
+            self._integer_view = scale, {pc: (b, entries.get(pc, ()))
+                                         for b, pc in enumerate(self.pivot_rows)}
         scale, scaled = self._integer_view
         coords = []
         residual: dict[int, int | Fraction] = {}
@@ -410,37 +419,53 @@ class LinearMap:
 
     `solve(targets)` returns the images of vectors given as sorted (coordinate,
     value) pairs, or None if one lies outside the domain, and `domain()` returns
-    the domain.  The first query is answered by `solve` alone, so a one-off query
-    costs one elimination with one right-hand side.  The second fixes the image
-    of each echelon row of the domain; from then on a query is one
-    `Subspace.coordinates` call and one `combine`.  Both ways give the same
-    pairs: the map is linear and `Fraction`s are canonical."""
+    the domain.  A query is its vector cleared of denominators (`ClearedRow`).
+    The first query is answered by `solve` alone, so a one-off query costs one
+    elimination with one right-hand side.  The second fixes the image of each
+    echelon row of the domain and clears all images over one common
+    denominator; from then on a query is one `Subspace.coordinates` call and
+    one integer sum.  Both ways give the same pairs: the map is linear and
+    `Fraction`s are canonical."""
 
     __slots__ = ("_domain", "_solve", "_queried", "domain", "images")
 
     def __init__(self, domain: Callable[[], Subspace], solve: Solver):
         self._domain, self._solve, self._queried = domain, solve, False
         self.domain: Optional[Subspace] = None
-        self.images: Optional[list[list[tuple[int, Fraction]]]] = None
+        # (scale, rows): the image of echelon row b of the domain is rows[b] / scale,
+        # rows[b] absent for a zero image
+        self.images: Optional[tuple[int, dict[object, list[tuple[int, int]]]]] = None
 
-    def apply(self, terms: PairRow) -> Optional[list[tuple[int, Fraction]]]:
-        """The image, as sorted pairs, of the vector with the given (coordinate,
-        value) pairs, each coordinate once, or None if it is outside the domain."""
+    def apply(self, v: ClearedRow) -> Optional[list[tuple[int, Fraction]]]:
+        """The image, as sorted pairs, of the vector v given cleared of
+        denominators, `(den, {coordinate: int})` as `clear_denominators` returns
+        it, or None if v is outside the domain."""
+        den, entries = v
         if self.images is None:
             if not self._queried:
                 self._queried = True
-                sols = self._solve([terms])
-                return None if sols is None else sols[0]
+                # the image of den * v, divided by den once
+                sols = self._solve([entries.items()])
+                if sols is None:
+                    return None
+                return sols[0] if den == 1 else [(k, x / den) for k, x in sols[0]]
             self.domain = self._domain()
-            self.images = self._solve(self.domain.rows)
-            if self.images is None:
+            sols = self._solve(self.domain.rows)
+            if sols is None:
                 raise InternalInvariantError("an echelon row of the domain has no image")
-        den, entries = clear_denominators(terms)
+            self.images = clear_rows(enumerate(sols))
         coords = self.domain.coordinates(entries.items())
         if coords is None:
             return None
-        # the coordinates of den * v are ints: the image is their combination over den
-        return combine(((self.images[b], x) for b, x in coords), den)
+        # the coordinates of den * v are ints: the image is their combination of
+        # the integer rows, over den * scale
+        scale, rows = self.images
+        acc: dict[int, int] = {}
+        for b, x in coords:
+            for k, y in rows.get(b, ()):
+                acc[k] = acc.get(k, 0) + x * y
+        den *= scale
+        return sorted((k, Fraction(n, den)) for k, n in acc.items() if n)
 
 
 def split_map(domain: Subspace, parts: Sequence[Subspace], keep: Sequence[int]) -> LinearMap:

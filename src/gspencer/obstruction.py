@@ -156,7 +156,12 @@ def check_admissible(frame: WFrame, t: AdmissibleTuple, p: int) -> None:
 
 
 def form_to_cochain(frame: WFrame, f: ConstantForm) -> Cochain:
-    return Cochain(frame, f.degree + 1, 1, 0, {(j,): col for j, col in enumerate(f.columns)})
+    if f.degree < -1:
+        raise InputError("p, q and level must be nonnegative")
+    _check_form(frame, f)
+    # the constructor made the columns canonical: sorted nonzero Fraction pairs
+    return Cochain._unchecked(frame, f.degree + 1, 1, 0,
+                              {(j,): col for j, col in enumerate(f.columns)})
 
 
 def cochain_to_form(x: Cochain) -> ConstantForm:
@@ -185,6 +190,13 @@ class ObstructionCertificate(NamedTuple):
 
     order: int
     class_rep: Cochain
+
+
+class UndecidedAtTruncation(NamedTuple):
+    """The class test at this order needs a component beyond the algebra's
+    truncation, so whether the tuple extends is not decided."""
+
+    order: int
 
 
 def solve_next(c: SpencerComplex, t: AdmissibleTuple, p: int, _checked: bool = False
@@ -216,25 +228,35 @@ def solve_next(c: SpencerComplex, t: AdmissibleTuple, p: int, _checked: bool = F
 
 
 def solve_to_top(c: SpencerComplex, t: AdmissibleTuple | None = None
-                 ) -> tuple[AdmissibleTuple, Optional[ObstructionCertificate]]:
+                 ) -> tuple[AdmissibleTuple,
+                            Optional[Union[ObstructionCertificate, UndecidedAtTruncation]]]:
     """Iterate solve_next to the top order, then test the final curvature.
 
     Returns the extended tuple and None when every order was solvable and the
     top total curvature vanishes; otherwise the certificate for the first
-    obstructed order.
+    obstructed order, or `UndecidedAtTruncation` for the first order whose
+    class test needs a component beyond a truncated algebra's truncation
+    order (where `solve_next` and `class_representative` raise `InputError`).
     """
     if t is None:
         t = empty_tuple()
     k, start = c.algebra.height, t.order
+    # the class test of order p needs the degree-p component, untrusted past a truncation
+    last = k if c.algebra.truncated_at is None else c.algebra.truncated_at
+    if start < k:  # the supplied tuple is checked once, as solve_next would at its order
+        check_admissible(c, t, start)
     for p in range(start, k):
-        # the supplied tuple is checked once, at its first order
-        out = solve_next(c, t, p, _checked=p > start)
+        if p > last:
+            return t, UndecidedAtTruncation(p)
+        out = solve_next(c, t, p, _checked=True)
         if isinstance(out, ObstructionCertificate):
             return t, out
         t = t.extended(out)
     omega_top = total_curvature(c, t, k)
     if omega_top.is_zero():
         return t, None
+    if k > last:
+        return t, UndecidedAtTruncation(k)
     return t, ObstructionCertificate(k, class_representative(c, omega_top))
 
 

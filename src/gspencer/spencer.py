@@ -22,9 +22,9 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 from .algebra import (GradedLieAlgebra, adjoint_columns, annihilated_rows,
                       deterministic_rows_annihilating, g_sharp_subalgebra)
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .linalg import (ONE, LinearMap, PairRow, Subspace, clear_denominators, combine,
-                     deterministic_complement, dense, kernel_of_rows, nonzero_pairs,
-                     rank_of_rows, solve_particular, split_map, transpose)
+from .linalg import (ONE, ClearedRow, LinearMap, PairRow, Subspace, clear_denominators,
+                     clear_rows, combine, deterministic_complement, dense, kernel_of_rows,
+                     nonzero_pairs, rank_of_rows, solve_particular, split_map, transpose)
 
 
 class WFrame:
@@ -68,7 +68,9 @@ class SpencerComplex(WFrame):
     Level-0 work reads no annihilator, and `cohomology_dims` reads its
     dimensions off the ranks: it builds Z and B only for certificates, and no
     solve map; a map is fixed on its domain at the second query of its key (see
-    `LinearMap`), as Z is at its second check.
+    `LinearMap`), as Z is at its second check.  A query's coordinates are
+    cleared of denominators once, by the cocycle check, and handed to the map;
+    the class map, whose domain is Z, is its key's cocycle check once it exists.
     """
 
     def __init__(self, algebra: GradedLieAlgebra, w: Subspace):
@@ -142,7 +144,7 @@ def _split_by_chain(c: SpencerComplex, d: int, v: PairRow) -> list[list[tuple[in
     if key not in c._memo:
         # the chain spans the component, so the map is defined on all of it
         c._memo[key] = split_map(Subspace.full(n), chain, range(len(chain)))
-    image = c._memo[key].apply(v)
+    image = c._memo[key].apply(clear_denominators(v))
     if image is None:
         raise InternalInvariantError("complement chain does not span the component")
     parts: list[list[tuple[int, Fraction]]] = [[] for _ in chain]
@@ -322,19 +324,20 @@ def alternating_bracket_sum(x: Cochain) -> Cochain:
 
     It needs no annihilator, so it also serves level-0 cochains over a
     quasi-graded `WFrame`.  At level 0 the sums are the canonical values, since
-    `combine` gives sorted nonzero pairs of the target component.
+    `combine` gives sorted nonzero pairs of the target component.  The stored
+    values are cleared of denominators once, over one common denominator, so
+    every sum takes int coefficients and divides by it once.
     """
     c = x.frame
     if x.p == 0 or not x.values:
         return Cochain.zero(c, max(x.p - 1, 0), x.q + 1, x.level)
     ad = c._ad[x.p - 1]
-    # each stored value with sign -1 and +1
-    signed = {tup: ([(k, -v) for k, v in row], row) for tup, row in x.values.items()}
+    den, ints = clear_rows(x.values.items())
     out = {}
     for tup in combinations(range(c.n_w), x.q + 1):
         # [x(rest), w_t] enters with sign (-1)^(pos+1), pos the place of t in tup
-        out[tup] = combine((ad[t][k], v) for pos, t in enumerate(tup)
-                           for k, v in signed.get(tup[:pos] + tup[pos + 1:], ((), ()))[pos % 2])
+        out[tup] = combine(((ad[t][k], n if pos % 2 else -n) for pos, t in enumerate(tup)
+                            for k, n in ints.get(tup[:pos] + tup[pos + 1:], ())), den)
     if x.level:
         return Cochain(c, x.p - 1, x.q + 1, x.level, out)
     return Cochain._unchecked(c, x.p - 1, x.q + 1, 0, out)
@@ -515,24 +518,25 @@ def cohomology_dims(c: SpencerComplex, p: int, q: int, r: int,
                            [_from_coords(Cochain._unchecked, c, p, q, r, row) for row in b.rows])
 
 
-def _require_cocycle(c: SpencerComplex, z: Cochain) -> list[tuple[int, Fraction]]:
-    """z's `_coordinate_pairs` if dz = 0, else PreconditionError.  A key's first
-    check forms dz and builds no kernel.  Once the key's cocycle space is memoized,
-    or at the key's second check, which builds it, membership in it decides (z's
-    coordinates cleared of denominators, which keeps membership, take the integer
-    path) and dz is formed only to name its nonzero components."""
-    pairs = _coordinate_pairs(z)
+def _require_cocycle(c: SpencerComplex, z: Cochain) -> ClearedRow:
+    """z's `_coordinate_pairs` cleared of denominators, as `LinearMap.apply` takes
+    them, if dz = 0, else PreconditionError.  A key's first check forms dz and
+    builds no kernel.  Once the key's cocycle space is memoized, or at the key's
+    second check, which builds it, membership of the cleared row in it decides
+    (clearing keeps membership; integer input takes the integer path) and dz is
+    formed only to name its nonzero components."""
+    cleared = clear_denominators(_coordinate_pairs(z))
     key = (z.p, z.q, z.level)
-    if not pairs:
-        return pairs
+    if not cleared[1]:
+        return cleared
     if ("z", key) in c._memo or ("checked", key) in c._memo:
-        if _cocycles(c, *key).coordinates(clear_denominators(pairs)[1].items()) is not None:
-            return pairs
+        if _cocycles(c, *key).coordinates(cleared[1].items()) is not None:
+            return cleared
     else:
         c._memo[("checked", key)] = True
     dz = spencer_d(z)
     if dz.is_zero():
-        return pairs
+        return cleared
     parts = []
     for tup, row in sorted(dz.values.items()):
         comp_names = [c.algebra.names[c.algebra.component_indices(dz.p - 1)[k]]
@@ -563,11 +567,11 @@ def is_coboundary(c: SpencerComplex, z: Cochain) -> Optional[Cochain]:
     """
     if z.frame is not c:
         raise InputError("cochain does not belong to this complex")
-    pairs = _require_cocycle(c, z)
+    cleared = _require_cocycle(c, z)
     if z.q == 0:
         return Cochain.zero(c, z.p + 1, 0, z.level) if z.is_zero() else None
     c._check_component_available(z.p)
-    sol = _preimage_map(c, z.p, z.q, z.level).apply(pairs)
+    sol = _preimage_map(c, z.p, z.q, z.level).apply(cleared)
     if sol is None:
         return None
     return _from_coords(Cochain._unchecked, c, z.p + 1, z.q - 1, z.level, sol)
@@ -577,20 +581,27 @@ def class_representative(c: SpencerComplex, z: Cochain) -> Cochain:
     """Projection of a cocycle onto the fixed complement of B inside Z.
 
     Zero exactly when the cocycle is a coboundary; idempotent on its image.
+    The class map's domain is Z, so once it exists it is its own cocycle check:
+    it answers None exactly for a non-cocycle, which then raises as before.
     """
     if z.frame is not c:
         raise InputError("cochain does not belong to this complex")
-    pairs = _require_cocycle(c, z)
     key = (z.p, z.q, z.level)
-    bs = _coboundaries(c, *key)
-    if bs.dim == 0:
-        return z
-    if ("class", key) not in c._memo:
+    split = c._memo.get(("class", key))
+    if split is None:
+        cleared = _require_cocycle(c, z)
+        bs = _coboundaries(c, *key)
+        if bs.dim == 0:
+            return z
         zs = _cocycles(c, *key)
-        c._memo[("class", key)] = split_map(zs, (bs, deterministic_complement(bs, zs)), (1,))
-    part = c._memo[("class", key)].apply(pairs)
+        split = c._memo[("class", key)] = split_map(zs, (bs, deterministic_complement(bs, zs)),
+                                                    (1,))
+    else:
+        cleared = clear_denominators(_coordinate_pairs(z))
+    part = split.apply(cleared)
     if part is None:
-        raise PreconditionError("cocycle does not lie in the cocycle space")
+        _require_cocycle(c, z)  # raises: Z is memoized, and z is outside it
+        raise InternalInvariantError("a cocycle lies outside the cocycle space")
     return _from_coords(Cochain._unchecked, c, z.p, z.q, z.level, part)
 
 

@@ -44,6 +44,29 @@ def mat_mul(a: RMatrix, b: RMatrix) -> RMatrix:
                          for row in a.data), a.rows, b.cols)
 
 
+def alternating_sum(x: Cochain) -> dict[tuple[int, ...], list[tuple[int, Fraction]]]:
+    """The values of (dx)(w_0..w_q) = sum_i (-1)^i [w_i, x(w_0..^w_i..w_q)] from dense
+    brackets of the embedded W basis vectors and stored values: per tuple, the
+    sorted nonzero pairs of the degree-(p-2) part, not reduced modulo any
+    annihilator."""
+    c = x.frame
+    a = c.algebra
+    n = a.component_dim(x.p - 1)
+    w_full = [a.embed_component(-1, v) for v in c.w.basis_vectors()]
+    out = {}
+    for tup in combinations(range(c.n_w), x.q + 1):
+        acc = (ZERO,) * a.dim
+        for i, t in enumerate(tup):
+            val = x.values.get(tup[:i] + tup[i + 1:])
+            if val:
+                b = a.bracket(w_full[t], a.embed_component(x.p - 1, dense(val, n)))
+                acc = tuple(u + (-1) ** i * v for u, v in zip(acc, b))
+        part = nonzero_pairs(a.component_part(acc, x.p - 2))
+        if part:
+            out[tup] = part
+    return out
+
+
 def contains_subspace(big: Subspace, small: Subspace) -> bool:
     if big.ambient_dim != small.ambient_dim:
         raise InputError("ambient dimensions differ")

@@ -115,6 +115,17 @@ def test_only_algebra_reads_the_stored_constants():
         assert not named, f"{path.name} reads .{named[0].attr} at line {named[0].lineno}"
 
 
+def test_only_linalg_reads_the_stored_images():
+    # LinearMap keeps its images as integer rows over one denominator, in a format
+    # private to linalg.py; other modules ask the map through apply
+    for path in SRC.glob("*.py"):
+        if path.name == "linalg.py":
+            continue
+        named = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Attribute) and node.attr == "images"]
+        assert not named, f"{path.name} reads .images at line {named[0].lineno}"
+
+
 def test_only_linalg_names_rmatrix():
     # below the API edge a matrix is its (i, j, x) entries: generators, J and the
     # model bases; the dense RMatrix is built and taken by linalg's edge functions

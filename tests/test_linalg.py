@@ -2,8 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from gspencer.linalg import (InputError, RMatrix, Subspace, clear_denominators, combine,
-                             deterministic_complement, dense, kernel_basis, kernel_of_rows,
+from gspencer.linalg import (InputError, RMatrix, Subspace, clear_denominators, clear_rows,
+                             combine, deterministic_complement, dense, kernel_basis, kernel_of_rows,
                              nonzero_pairs, rank_of_rows, rref, solve_linear, solve_particular,
                              subspace_intersection, subspace_sum)
 
@@ -51,6 +51,10 @@ def test_clear_denominators_drops_zero_values():
     assert clear_denominators([(0, 0), (1, F(0)), (2, 3), (3, F(-2))]) == (1, {2: 3, 3: -2})
     assert clear_denominators([(0, F(1, 2)), (1, 0), (2, F(0)), (3, 2), (4, F(-1, 3))]) \
         == (6, {0: 3, 3: 12, 4: -2})
+    # clear_rows clears keyed rows over one denominator; a row of zeros gets no key
+    assert clear_rows([("a", [(0, F(1, 2)), (3, F(1, 3))]), ("b", [(1, 2), (2, F(0))]),
+                       ("c", [(0, F(0))]), ("d", [])]) == (6, {"a": [(0, 3), (3, 2)],
+                                                               "b": [(1, 12)]})
 
 
 def test_rank_of_rows_matches_sympy():

@@ -1,18 +1,23 @@
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
 from gspencer import obstruction
 from gspencer.errors import InputError, InternalInvariantError, PreconditionError
-from gspencer.models import co_generators, conformal_algebra, space_form_algebra
+from gspencer.algebra import GradedLieAlgebra
+from gspencer.models import (co_generators, conformal_algebra, cr_algebra, cr_w_complex,
+                             space_form_algebra)
 from gspencer.obstruction import (AdmissibleTuple, ConstantForm, ObstructionCertificate,
+                                  UndecidedAtTruncation,
                                   admissibility_residuals, bianchi_check,
                                   canonical_omega_minus1, cochain_to_form, empty_tuple,
                                   form_to_cochain, level_decompose, solve_next,
                                   solve_to_top, strong_equiv_transport, total_curvature,
                                   zero_form)
 from gspencer.spencer import (Cochain, SpencerComplex, WFrame, _split_by_chain,
-                              class_representative, random_cocycle, spencer_d, standard_complex)
+                              class_representative, is_coboundary, random_cocycle, spencer_d,
+                              standard_complex)
 from gspencer.linalg import Subspace, combine, nonzero_pairs, solve_particular, transpose
 from gspencer.prolong import build_graded_algebra
 
@@ -346,6 +351,62 @@ def test_form_cochain_conversions():
     f = ConstantForm(1, tuple(nonzero_pairs(int_vector(rng, c.algebra.component_dim(1)))
                               for _ in range(2)))
     assert cochain_to_form(form_to_cochain(c, f)).columns == f.columns
+
+
+def test_form_to_cochain_rejects_bad_forms():
+    # the form is checked once, for its degree, its width and its coordinates
+    c = standard_complex(conformal_algebra(3), 2)
+    n1 = c.algebra.component_dim(1)
+    with pytest.raises(InputError, match="nonnegative"):
+        form_to_cochain(c, ConstantForm(-2, ((), ())))
+    for cols in (((),), ((), (), ())):
+        with pytest.raises(InputError, match="does not match the frame's W"):
+            form_to_cochain(c, ConstantForm(1, cols))
+    for k in (-1, n1):
+        with pytest.raises(InputError, match="outside the component"):
+            form_to_cochain(c, ConstantForm(1, (((k, F(1)),), ())))
+    x = form_to_cochain(c, ConstantForm(1, (((0, F(1, 2)),), ())))
+    assert x == Cochain(c, 2, 1, 0, {(0,): [(0, F(1, 2))]})
+
+
+def _retruncated(a, d):
+    return GradedLieAlgebra(a.name, a.names, a.degrees, a.height, a.constants(),
+                            truncated_at=d)
+
+
+def test_solve_to_top_undecided_at_the_truncation():
+    # on the CR algebras truncated one degree below their height k, solve_to_top
+    # solves every order below k from an order-0 cocycle start; the class test of
+    # the nonzero top curvature needs B in bidegree (k, 2), past the truncation,
+    # so the solved tuple comes back with UndecidedAtTruncation(k), where the
+    # class test called directly raises.  A zero top curvature (flat data) is
+    # decided, and a truncation below the top stops the loop at its first order
+    # past it, where solve_next raises
+    for args in ((2, 1, 2), (2, 1, 3)):
+        alg, data = cr_algebra(*args)
+        c = cr_w_complex(alg, data)
+        k = alg.height
+        assert alg.truncated_at == k - 1
+        for s in range(3):
+            start = AdmissibleTuple((cochain_to_form(random_cocycle(c, 1, 1, 0, Random(s))),))
+            t, out = solve_to_top(c, start)
+            assert type(out) is UndecidedAtTruncation and out.order == k, (args, s)
+            assert t.order == k and t.forms[0] == start.forms[0]
+            assert all(res.is_zero() for res in admissibility_residuals(c, t))
+            omega = total_curvature(c, t, k)
+            assert not omega.is_zero()
+            for query in (is_coboundary, class_representative):
+                with pytest.raises(InputError, match="beyond the truncation"):
+                    query(c, omega)
+        t, out = solve_to_top(c)
+        assert out is None and t.order == k
+    alg, data = cr_algebra(2, 1, 3)
+    c = SpencerComplex(_retruncated(alg, 2), cr_w_complex(alg, data).w)
+    start = AdmissibleTuple((cochain_to_form(random_cocycle(c, 1, 1, 0, Random(0))),))
+    t, out = solve_to_top(c, start)
+    assert type(out) is UndecidedAtTruncation and out.order == 3 and t.order == 3
+    with pytest.raises(InputError, match="beyond the truncation"):
+        solve_next(c, t, 3)
 
 
 def test_solve_to_top_sound_on_conjugated_complex():

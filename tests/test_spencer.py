@@ -7,8 +7,9 @@ import pytest
 from gspencer.algebra import adjoint_columns, annihilated_rows, deterministic_rows_annihilating
 from gspencer import linalg, spencer
 from gspencer.errors import InputError, PreconditionError
-from gspencer.linalg import (Subspace, combine, dense, deterministic_complement, kernel_of_rows,
-                             nonzero_pairs, solve_particular, transpose)
+from gspencer.linalg import (Subspace, clear_denominators, combine, dense,
+                             deterministic_complement, kernel_of_rows, nonzero_pairs,
+                             solve_particular, transpose)
 from gspencer.models import (co_generators, conformal_algebra, cr_algebra, cr_w_complex,
                              space_form_algebra)
 from gspencer.obstruction import (AdmissibleTuple, ConstantForm, _d_of_form, cochain_to_form,
@@ -21,7 +22,7 @@ from gspencer.spencer import (Cochain, SpencerComplex, WFrame, _coboundaries, _c
                               standard_complex)
 
 from conftest import rng_for
-from oracles import contains_subspace
+from oracles import alternating_sum, contains_subspace
 from test_prolong import _conjugated
 
 # W = span((3/5)e1 + (4/5)e3, e2): not a coordinate subspace, and its first
@@ -729,7 +730,7 @@ def test_one_off_query_solves_alone(monkeypatch):
     c = SpencerComplex(conformal_algebra(4), Subspace.full(4))
     pairs = spencer._coordinate_pairs(spencer_d(random_integer_cochain(c, 2, 1, 0, rng)))
     for _ in range(2):
-        spencer._preimage_map(c, *key).apply(pairs)
+        spencer._preimage_map(c, *key).apply(clear_denominators(pairs))
     bs = c._memo[("b", key)]
     assert targets == [1, bs.dim] and ("z", key) not in c._memo
     targets.clear()
@@ -765,6 +766,100 @@ def test_repeated_check_on_a_key_without_coboundaries_forms_dz_once(monkeypatch)
     for _ in range(3):
         assert class_representative(c, z) == z
     assert d_calls == [key] and c._memo[("z", key)].dim == 9
+
+
+def test_spencer_d_on_rational_values_matches_dense_sum():
+    # the operator clears a cochain's values over one denominator and sums int
+    # coefficients; on values with denominators, at levels 0 and 1, it must equal
+    # the alternating sum of dense brackets, reduced by the checked constructor
+    rng = rng_for("rational-d")
+    for a in (conformal_algebra(4), space_form_algebra(4, 0)):
+        n_v = a.component_dim(-1)
+        for c in (SpencerComplex(a, Subspace.full(n_v)), SpencerComplex(a, two_term_w(n_v))):
+            for r in (0, 1):
+                for p in range(1, a.height + 1):
+                    for q in range(c.n_w):
+                        x = cochain_from_coords(c, p, q, r, _rational_coords(
+                            rng, space_dimension(c, p, q, r)))
+                        assert clear_denominators(spencer._coordinate_pairs(x))[0] > 1
+                        expected = Cochain(c, p - 1, q + 1, r, alternating_sum(x))
+                        assert spencer_d(x) == expected, (a.name, c.n_w, p, q, r)
+
+
+def _cocycle_over(c, key, den, rng):
+    """A random cocycle at key, scaled by 1/den, whose coordinates' lcm
+    denominator den divides."""
+    for _ in range(20):
+        z = random_cocycle(c, *key, rng).scale(F(1, den))
+        if clear_denominators(spencer._coordinate_pairs(z))[0] % den == 0:
+            return z
+    raise AssertionError(f"no cocycle over {den} found")
+
+
+def test_warm_solve_maps_on_rational_cocycles():
+    # a key warmed by three queries answers from its fixed maps, whose images are
+    # integer rows over one denominator; cocycles and coboundaries with
+    # denominators 2, 3 and 6 must get what an elimination per query gives
+    rng = rng_for("warm-rational")
+    for a in (conformal_algebra(4), space_form_algebra(4, 0)):
+        n_v = a.component_dim(-1)
+        for c in (SpencerComplex(a, Subspace.full(n_v)), SpencerComplex(a, two_term_w(n_v))):
+            for key in [(p, q, r) for p in range(a.height) for q in (1, 2) for r in (0, 1)]:
+                p, q, r = key
+                if not _cocycles(c, *key).dim:
+                    continue
+                for _ in range(3):
+                    z = random_cocycle(c, *key, rng)
+                    is_coboundary(c, z)
+                    class_representative(c, z)
+                assert c._memo[("preimage", key)].images is not None
+                if _coboundaries(c, *key).dim:
+                    assert c._memo[("class", key)].images is not None
+                for den in (2, 3, 6):
+                    where = (a.name, c.n_w, key, den)
+                    z = _cocycle_over(c, key, den, rng)
+                    assert is_coboundary(c, z) == _fresh_preimage(c, z), where
+                    assert class_representative(c, z) == _fresh_class_rep(c, z), where
+                    y = random_integer_cochain(c, p + 1, q - 1, r, rng).scale(F(1, den))
+                    dy = spencer_d(y)
+                    assert is_coboundary(c, dy) == _fresh_preimage(c, dy), where
+                    assert class_representative(c, dy).is_zero(), where
+
+
+def test_warm_query_clears_its_coordinates_once(monkeypatch):
+    # on a warm key the cocycle check clears z's coordinate pairs and hands the
+    # cleared row to the map: is_coboundary clears once and reads coordinates twice
+    # (in Z, then in B); class_representative asks its map, whose domain is Z, alone
+    rng = rng_for("clear-once")
+    key = (1, 2, 0)
+    c = SpencerComplex(conformal_algebra(4), Subspace.full(4))
+    for _ in range(3):
+        z = random_cocycle(c, *key, rng)
+        is_coboundary(c, z)
+        class_representative(c, z)
+    clears, coords = [], []
+    real_clear, real_coords = linalg.clear_denominators, linalg.Subspace.coordinates
+
+    def counting_clear(row):
+        clears.append(1)
+        return real_clear(row)
+
+    def counting_coords(self, terms):
+        coords.append(self)
+        return real_coords(self, terms)
+
+    z = _cocycle_over(c, key, 6, rng)
+    monkeypatch.setattr(spencer, "clear_denominators", counting_clear)
+    monkeypatch.setattr(linalg, "clear_denominators", counting_clear)
+    monkeypatch.setattr(linalg.Subspace, "coordinates", counting_coords)
+    zs, bs = c._memo[("z", key)], c._memo[("b", key)]
+    assert c._memo[("class", key)].images is not None
+    is_coboundary(c, z)
+    assert len(clears) == 1 and coords == [zs, bs]
+    clears.clear()
+    coords.clear()
+    class_representative(c, z)
+    assert len(clears) == 1 and coords == [zs]
 
 
 def test_random_cocycle_raises_past_the_truncation():
